@@ -7,25 +7,25 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, config_to_text, load_config
+from .config import ExperimentConfig, config_to_text, load_config, parse_config
 from .data import (
     SyntheticSpec,
     balanced_test_spec,
     generate,
     load_csv,
+    require_labels,
     save_csv,
     write_manifest,
 )
 from .errors import ConfigurationError, SplalError
 from .model import load_checkpoint
-from .orchestrator import evaluate_params, run, write_run_dir
+from .orchestrator import evaluate_params, run, write_metrics, write_run_dir
 
 USAGE_EXIT = 1
 RUNTIME_EXIT = 2
@@ -58,32 +58,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
-def _spec_from_file(path) -> SyntheticSpec:
-    values: dict = {}
-    casts = {
-        "num_classes": int, "height": int, "width": int, "seed": int,
-        "noise_sigma": float,
-        "class_counts": lambda raw: tuple(int(p) for p in raw.split(",") if p.strip()),
-    }
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigurationError(f"spec line {lineno}: expected 'key = value'")
-        key, _, raw = stripped.partition("=")
-        key = key.strip()
-        if key not in casts:
-            raise ConfigurationError(f"spec line {lineno}: unknown key {key!r}")
-        try:
-            values[key] = casts[key](raw.strip())
-        except ValueError as exc:
-            raise ConfigurationError(f"spec line {lineno}: {exc}")
-    return SyntheticSpec(**values)
-
-
 def cmd_generate_data(args) -> int:
-    spec = _spec_from_file(args.spec) if args.spec else SyntheticSpec()
+    spec = SyntheticSpec()
+    if args.spec:
+        spec = parse_config(Path(args.spec).read_text(), SyntheticSpec, "spec")
     samples = generate(spec)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -153,23 +131,11 @@ def cmd_evaluate(args) -> int:
         raise ConfigurationError(
             f"data: {k} classes do not match checkpoint classifier width {ema.num_classes}"
         )
-    if any(s.true_label is None for s in samples):
-        raise ConfigurationError("data: evaluation set must be fully labeled")
+    require_labels(samples, "data")
     metrics = evaluate_params(ema, samples, k)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    roc = metrics.pop("roc")
-    (out / "metrics.json").write_text(json.dumps(metrics, indent=2, sort_keys=True) + "\n")
-    with (out / "confusion.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in metrics["confusion"]:
-            writer.writerow(row)
-    for key, points in roc.items():
-        with (out / f"roc_class{key}.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["threshold", "fpr", "tpr"])
-            for threshold, fpr, tpr in points:
-                writer.writerow([repr(threshold), repr(fpr), repr(tpr)])
+    write_metrics(out, metrics)
     print(f"accuracy={metrics['accuracy']:.4f} macro_f1={metrics['macro_f1']:.4f} "
           f"macro_auc={metrics['macro_auc']:.4f}")
     return 0
@@ -187,13 +153,18 @@ def sweep_configs(cfg: ExperimentConfig, sweep: str) -> list[tuple[str, Experime
             for a1, a2, a3 in ALPHA_GRID
         ]
     if sweep == "classifier-combo":
-        out = []
-        for combo in COMBO_GRID:
-            a1, a2, a3 = cfg.alpha1, cfg.alpha2, cfg.alpha3
-            if combo == "similarity+linear":
-                a1, a2, a3 = a1 / (a1 + a3), 0.0, a3 / (a1 + a3)
-            elif combo == "similarity+knn":
-                a1, a2, a3 = 0.0, a2 / (a2 + a3), a3 / (a2 + a3)
+        alphas = (cfg.alpha1, cfg.alpha2, cfg.alpha3)
+        out = [(COMBO_GRID[0], cfg)]
+        # The other combos drop the KNN (alpha2) or the linear (alpha1) weight
+        # and renormalize the remaining two.
+        for combo, dropped in zip(COMBO_GRID[1:], (1, 0)):
+            kept = [0.0 if i == dropped else a for i, a in enumerate(alphas)]
+            total = sum(kept)
+            if total == 0.0:
+                raise ConfigurationError(
+                    f"classifier-combo: alphas {alphas} leave no weight for {combo!r}"
+                )
+            a1, a2, a3 = (a / total for a in kept)
             out.append((combo, replace(cfg, alpha1=a1, alpha2=a2, alpha3=a3)))
         return out
     if sweep == "label-ratio":
@@ -210,7 +181,9 @@ def run_sweep(cfg: ExperimentConfig, sweep: str, out_csv) -> list[dict]:
         for seed in variant.seeds:
             result = run(variant, seed)
             m = result.metrics
-            minority = int(np.argmin(cfg.class_counts))
+            pool = result.state.labeled + result.state.unlabeled
+            counts = np.bincount([s.true_label for s in pool], minlength=variant.num_classes)
+            minority = int(np.argmin(counts))
             row = {"sweep": sweep, "value": value, "seed": seed}
             row.update({key: m[key] for key in METRIC_KEYS})
             row["minority_recall"] = m["per_class"][minority]["recall"]

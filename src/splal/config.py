@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -81,6 +82,10 @@ class ExperimentConfig:
         def fail(name: str, msg: str):
             raise ConfigurationError(f"{name}: {msg}")
 
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                fail(f.name, f"must be finite, got {value}")
         if self.mode not in MODES:
             fail("mode", f"must be one of {MODES}, got {self.mode!r}")
         if self.data_csv is None:
@@ -122,6 +127,10 @@ class ExperimentConfig:
             fail("pseudo_weight", f"must lie in (0, 1], got {self.pseudo_weight}")
         if not self.seeds:
             fail("seeds", "need at least one seed")
+        if min(self.seeds) < 0 or self.data_seed < 0:
+            fail("seeds/data_seed", "must be nonnegative")
+        if any(width < 1 for width in self.hidden_widths):
+            fail("hidden_widths", f"every width must be >= 1, got {self.hidden_widths}")
 
         notes = []
         msg = reachability_warning(self.num_classes, self.temperature, self.gamma1)
@@ -169,8 +178,9 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(text)
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    known = {f.name: f for f in fields(ExperimentConfig)}
+def parse_config(text: str, cls=ExperimentConfig, what: str = "config"):
+    """Flat key = value text into an instance of the dataclass `cls`."""
+    known = {f.name: f for f in fields(cls)}
     type_map = {"int": int, "float": float, "str": str}
     values: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -178,15 +188,15 @@ def parse_config(text: str) -> ExperimentConfig:
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise ConfigurationError(f"config line {lineno}: expected 'key = value', got {stripped!r}")
+            raise ConfigurationError(f"{what} line {lineno}: expected 'key = value', got {stripped!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
         if key not in known:
-            raise ConfigurationError(f"config line {lineno}: unknown key {key!r}")
+            raise ConfigurationError(f"{what} line {lineno}: unknown key {key!r}")
         base = str(known[key].type).replace("builtins.", "")
         target = type_map.get(base.split(" ")[0], str)
         values[key] = _parse_value(key, raw, target)
-    return ExperimentConfig(**values)
+    return cls(**values)
 
 
 def config_to_text(cfg: ExperimentConfig) -> str:

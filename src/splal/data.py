@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputDomainError, ParseError
+from .errors import ConfigurationError, InputDomainError, ParseError
 from .numerics import one_hot
 
 GROUND_TRUTH = "ground-truth"
@@ -194,6 +194,7 @@ def load_csv(path) -> tuple[list[Sample], int, int, int]:
                 f"expected {expected_cols} columns, found {len(columns)}", line=2
             )
         samples: list[Sample] = []
+        first_line: dict[int, int] = {}
         for lineno, row in enumerate(reader, start=3):
             if len(row) != expected_cols:
                 raise ParseError(
@@ -207,6 +208,11 @@ def load_csv(path) -> tuple[list[Sample], int, int, int]:
                 raise ParseError(str(exc), line=lineno)
             if label < -1 or label >= k:
                 raise ParseError(f"label {label} out of range for K={k}", line=lineno)
+            if not np.all(np.isfinite(pixels)):
+                raise ParseError("non-finite pixel value", line=lineno)
+            if sid in first_line:
+                raise ParseError(f"duplicate sample id {sid} (first on line {first_line[sid]})", line=lineno)
+            first_line[sid] = lineno
             samples.append(
                 Sample(
                     sample_id=sid,
@@ -215,6 +221,15 @@ def load_csv(path) -> tuple[list[Sample], int, int, int]:
                 )
             )
     return samples, h, w, k
+
+
+def require_labels(samples: list[Sample], source: str) -> None:
+    """Reject an evaluation set with unlabeled (label -1) rows."""
+    unlabeled = [s.sample_id for s in samples if s.true_label is None]
+    if unlabeled:
+        raise ConfigurationError(
+            f"{source}: evaluation set must be fully labeled; unlabeled ids {unlabeled[:5]}"
+        )
 
 
 def file_sha256(path) -> str:

@@ -24,6 +24,7 @@ from .data import (
     balanced_test_spec,
     generate,
     load_csv,
+    require_labels,
     split_labeled,
 )
 from .errors import ConfigurationError, TrainingError
@@ -40,8 +41,8 @@ from .model import (
 )
 from .numerics import one_hot_argmax
 from .prototypes import PrototypeBank
-from .pseudo import combine, knn_prediction
-from .selector import evaluate_feature, select_reliable
+from .pseudo import Ensemble, ensemble
+from .selector import gate
 
 # Named sub-streams derived from the master seed.
 STREAM_INIT = 0
@@ -109,9 +110,18 @@ class RunResult:
     audits: dict | None = None
 
 
+def batch_outputs(params: ModelParams, samples: list[Sample]) -> tuple[np.ndarray, np.ndarray]:
+    """Features and softmax rows of one forward pass over the samples' grids.
+
+    Only these two arrays outlive the call; the pass's other intermediates
+    include the (N, D) inputs.
+    """
+    fwd = forward(params, np.stack([s.grid.ravel() for s in samples]))
+    return fwd.features, fwd.probabilities
+
+
 def batch_features(params: ModelParams, samples: list[Sample]) -> np.ndarray:
-    X = np.stack([s.grid.ravel() for s in samples])
-    return forward(params, X).features
+    return batch_outputs(params, samples)[0]
 
 
 def _train_epochs(
@@ -199,46 +209,23 @@ def warmup(
 
 
 def _ensemble_accuracy(
-    chosen: list[tuple[int, np.ndarray]],
-    by_id: dict[int, Sample],
-    params: ModelParams,
-    prototypes: np.ndarray,
-    labeled_feats: np.ndarray,
-    labeled_labels: np.ndarray,
-    labeled_ids: np.ndarray,
+    rows: np.ndarray,
+    unlabeled: list[Sample],
+    probs: np.ndarray,
+    feats: np.ndarray,
+    posterior: np.ndarray,
+    labeled: tuple[np.ndarray, np.ndarray, np.ndarray],
     cfg: ExperimentConfig,
-) -> tuple[float | None, list[dict]]:
-    """Combined-prediction records and accuracy vs hidden truth for given samples."""
-    records = []
-    correct = 0
-    known = 0
-    k_eff = min(cfg.knn_k, len(labeled_ids))
-    for sid, feat in chosen:
-        sample = by_id[sid]
-        verdict = evaluate_feature(
-            prototypes, feat, cfg.gamma1, cfg.effective_gamma2(), cfg.temperature
-        )
-        linear = forward(params, sample.grid.ravel()).probabilities[0]
-        knn = knn_prediction(feat, labeled_feats, labeled_labels, labeled_ids, k_eff)
-        sim = one_hot_argmax(verdict.posterior)
-        combined = combine(linear, knn, sim, (cfg.alpha1, cfg.alpha2, cfg.alpha3))
-        predicted = int(np.argmax(combined))
-        rec = {
-            "sample_id": sid,
-            "linear": linear,
-            "knn": knn,
-            "similarity": sim,
-            "combined": combined,
-            "predicted": predicted,
-            "true_label": sample.true_label,
-        }
-        records.append(rec)
-        if sample.true_label is not None:
-            known += 1
-            if predicted == sample.true_label:
-                correct += 1
-    accuracy = correct / known if known else None
-    return accuracy, records
+) -> tuple[float | None, Ensemble]:
+    """Ensemble predictions for the given unlabeled rows and their accuracy vs hidden truth."""
+    k_eff = min(cfg.knn_k, len(labeled[2]))
+    pred = ensemble(
+        probs[rows], posterior[rows], feats[rows], *labeled, k_eff,
+        (cfg.alpha1, cfg.alpha2, cfg.alpha3),
+    )
+    truths = [unlabeled[i].true_label for i in rows]
+    hits = [int(p == t) for p, t in zip(pred.combined.argmax(axis=1), truths) if t is not None]
+    return (sum(hits) / len(hits) if hits else None), pred
 
 
 def run_stage(
@@ -253,71 +240,55 @@ def run_stage(
     rng_audit: np.random.Generator,
     audits: dict | None = None,
 ) -> StageReport:
-    """One selection / pseudo-labeling / migration / re-optimization round."""
+    """One selection / pseudo-labeling / migration / re-optimization round.
+
+    The unlabeled pool goes through one forward pass and one gate call; the
+    selection, the audits and the control arm all read those arrays.
+    """
     expected_total = state.total()
-    prototypes = bank.prototypes()
     feature_params = ema.shadow if cfg.ema_for_pseudo_labeling else params
-
-    unlabeled = list(state.unlabeled)
-    by_id = {s.sample_id: s for s in unlabeled}
-    feats = batch_features(feature_params, unlabeled) if unlabeled else np.zeros((0, params.feature_dim))
-    features_by_id = [(s.sample_id, f) for s, f in zip(unlabeled, feats)]
-
-    selected = select_reliable(
-        features_by_id, prototypes, cfg.gamma1, cfg.effective_gamma2(), cfg.temperature
-    )
+    unlabeled = state.unlabeled
+    feats, probs = batch_outputs(feature_params, unlabeled)
+    g = gate(bank.prototypes(), feats, cfg.gamma1, cfg.effective_gamma2(), cfg.temperature)
     if audits is not None:
-        for (sid, feat), verdict in zip(
-            features_by_id,
-            (evaluate_feature(prototypes, f, cfg.gamma1, cfg.effective_gamma2(), cfg.temperature)
-             for _, f in features_by_id),
-        ):
-            audits["selector"].append(
-                {
-                    "stage": state.stage,
-                    "sample_id": sid,
-                    "w": verdict.similarities,
-                    "v": verdict.posterior,
-                    "reliable": verdict.reliable,
-                    "winning_class": verdict.winning_class,
-                }
-            )
+        audits["selector"].extend(
+            {"stage": state.stage, "sample_id": s.sample_id, **vars(g.verdict(i))}
+            for i, s in enumerate(unlabeled)
+        )
 
-    labeled_feats = batch_features(feature_params, state.labeled)
-    labeled_labels = np.stack([s.visible_label for s in state.labeled])
-    labeled_ids = np.array([s.sample_id for s in state.labeled])
-
-    chosen_pairs = [(sid, dict(features_by_id)[sid]) for sid, _ in selected]
-    pseudo_acc, records = _ensemble_accuracy(
-        chosen_pairs, by_id, feature_params, prototypes,
-        labeled_feats, labeled_labels, labeled_ids, cfg,
+    labeled = (
+        batch_outputs(feature_params, state.labeled)[0],
+        np.stack([s.visible_label for s in state.labeled]),
+        np.array([s.sample_id for s in state.labeled]),
     )
+    chosen = np.flatnonzero(g.reliable)
+    pseudo_acc, pred = _ensemble_accuracy(chosen, unlabeled, probs, feats, g.posterior, labeled, cfg)
 
     # Control arm: the same ensemble on a random equal-size unlabeled subset.
     random_acc = None
-    if selected and len(unlabeled) >= len(selected):
-        pick = rng_audit.choice(len(unlabeled), size=len(selected), replace=False)
-        control = [(unlabeled[i].sample_id, feats[i]) for i in sorted(pick.tolist())]
-        random_acc, _ = _ensemble_accuracy(
-            control, by_id, feature_params, prototypes,
-            labeled_feats, labeled_labels, labeled_ids, cfg,
-        )
+    if len(chosen):
+        pick = np.sort(rng_audit.choice(len(unlabeled), size=len(chosen), replace=False))
+        random_acc, _ = _ensemble_accuracy(pick, unlabeled, probs, feats, g.posterior, labeled, cfg)
 
     # Migration: selected samples get a permanent pseudo-label and move pools.
-    selected_ids = {sid for sid, _ in selected}
-    for rec in records:
-        sid = rec["sample_id"]
-        if sid in state.pseudo_ever:
-            raise TrainingError(f"sample {sid} pseudo-labeled twice")
-        sample = by_id[sid]
-        label = rec["combined"] if cfg.soft_pseudo_labels else one_hot_argmax(rec["combined"])
-        sample.visible_label = np.asarray(label, dtype=np.float64)
+    for j, i in enumerate(chosen):
+        sample = unlabeled[i]
+        if sample.sample_id in state.pseudo_ever:
+            raise TrainingError(f"sample {sample.sample_id} pseudo-labeled twice")
+        combined = pred.combined[j]
+        label = combined if cfg.soft_pseudo_labels else one_hot_argmax(combined)
+        sample.visible_label = np.array(label, dtype=np.float64)
         sample.provenance = PSEUDO
-        state.pseudo_ever.add(sid)
+        state.pseudo_ever.add(sample.sample_id)
         if audits is not None:
-            audits["pseudo"].append({"stage": state.stage, **rec})
-    state.labeled = state.labeled + [s for s in unlabeled if s.sample_id in selected_ids]
-    state.unlabeled = [s for s in unlabeled if s.sample_id not in selected_ids]
+            audits["pseudo"].append({
+                "stage": state.stage, "sample_id": sample.sample_id,
+                "linear": pred.linear[j], "knn": pred.knn[j],
+                "sim": pred.similarity[j], "combined": combined,
+                "predicted": int(np.argmax(combined)), "true_label": sample.true_label,
+            })
+    state.labeled = state.labeled + [unlabeled[i] for i in chosen]
+    state.unlabeled = [s for s, reliable in zip(unlabeled, g.reliable) if not reliable]
     state.check_invariants(expected_total)
 
     logs = _train_epochs(
@@ -326,7 +297,7 @@ def run_stage(
     )
     report = StageReport(
         stage=state.stage,
-        num_selected=len(selected),
+        num_selected=len(chosen),
         pseudo_accuracy=pseudo_acc,
         random_subset_accuracy=random_acc,
         epoch_losses=logs,
@@ -337,9 +308,8 @@ def run_stage(
 
 def evaluate_params(params: ModelParams, samples: list[Sample], num_classes: int) -> dict:
     """Metrics report dict for a parameter snapshot on a labeled evaluation set."""
-    X = np.stack([s.grid.ravel() for s in samples])
     truths = np.array([s.true_label for s in samples], dtype=np.int64)
-    probs = forward(params, X).probabilities
+    _, probs = batch_outputs(params, samples)
     predictions = probs.argmax(axis=1)
     matrix = metrics_mod.confusion(predictions, truths, num_classes)
     summ = metrics_mod.summary(matrix)
@@ -373,6 +343,7 @@ def build_pools(cfg: ExperimentConfig, seed: int) -> tuple[list[Sample], list[Sa
         test_samples, th, tw, tk = load_csv(cfg.test_csv)
         if (th, tw, tk) != (h, w, k):
             raise ConfigurationError("test_csv: shape metadata differs from data_csv")
+        require_labels(test_samples, "test_csv")
     else:
         spec = SyntheticSpec(
             num_classes=cfg.num_classes,
@@ -441,10 +412,22 @@ def run(cfg: ExperimentConfig, seed: int, collect_audits: bool = False) -> RunRe
     return result
 
 
-def _metrics_for_json(metrics: dict) -> dict:
-    out = dict(metrics)
-    out.pop("roc", None)
-    return out
+def _write_csv(path: Path, rows) -> None:
+    with path.open("w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+def _reprs(values) -> list[str]:
+    return [repr(float(x)) for x in values]
+
+
+def write_metrics(out: Path, metrics: dict) -> None:
+    """metrics.json (without the ROC points), confusion.csv and one roc_class<k>.csv per class."""
+    body = {key: value for key, value in metrics.items() if key != "roc"}
+    (out / "metrics.json").write_text(json.dumps(body, indent=2, sort_keys=True) + "\n")
+    _write_csv(out / "confusion.csv", metrics["confusion"])
+    for key, points in metrics["roc"].items():
+        _write_csv(out / f"roc_class{key}.csv", [["threshold", "fpr", "tpr"], *map(_reprs, points)])
 
 
 def write_run_dir(out_dir, cfg: ExperimentConfig, seed: int, result: RunResult) -> None:
@@ -453,74 +436,39 @@ def write_run_dir(out_dir, cfg: ExperimentConfig, seed: int, result: RunResult) 
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.txt").write_text(config_to_text(cfg))
 
-    with (out / "loss_log.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["stage", "epoch", "classification", "alignment", "total"])
-        for row in result.warmup_losses:
-            writer.writerow([row["stage"], row["epoch"], repr(row["classification"]),
-                             repr(row["alignment"]), repr(row["total"])])
-        for rep in result.stage_reports:
-            for row in rep.epoch_losses:
-                writer.writerow([row["stage"], row["epoch"], repr(row["classification"]),
-                                 repr(row["alignment"]), repr(row["total"])])
-
-    (out / "metrics.json").write_text(
-        json.dumps(_metrics_for_json(result.metrics), indent=2, sort_keys=True) + "\n"
-    )
+    epochs = result.warmup_losses + [row for rep in result.stage_reports for row in rep.epoch_losses]
+    losses = ("classification", "alignment", "total")
+    _write_csv(out / "loss_log.csv", [
+        ["stage", "epoch", *losses],
+        *([row["stage"], row["epoch"], *_reprs(row[key] for key in losses)] for row in epochs),
+    ])
+    write_metrics(out, result.metrics)
     (out / "stage_reports.json").write_text(
         json.dumps([r.to_dict() for r in result.stage_reports], indent=2) + "\n"
     )
-
-    with (out / "confusion.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in result.metrics["confusion"]:
-            writer.writerow(row)
-
-    for key, points in result.metrics["roc"].items():
-        with (out / f"roc_class{key}.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["threshold", "fpr", "tpr"])
-            for threshold, fpr, tpr in points:
-                writer.writerow([repr(threshold), repr(fpr), repr(tpr)])
-
     save_checkpoint(
         out / "checkpoint.npz", result.live, result.ema.shadow,
         {"seed": seed, "num_classes": cfg.num_classes,
          "height": cfg.height, "width": cfg.width},
     )
 
-    audits = getattr(result, "audits", None)
-    if audits is not None:
-        k = cfg.num_classes
-        with (out / "selector_audit.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["stage", "sample_id"]
-                + [f"w{i}" for i in range(k)] + [f"v{i}" for i in range(k)]
-                + ["reliable", "winning_class"]
-            )
-            for rec in audits["selector"]:
-                writer.writerow(
-                    [rec["stage"], rec["sample_id"]]
-                    + [repr(float(x)) for x in rec["w"]]
-                    + [repr(float(x)) for x in rec["v"]]
-                    + [int(rec["reliable"]), rec["winning_class"] if rec["winning_class"] is not None else ""]
-                )
-        with (out / "pseudo_audit.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["stage", "sample_id"]
-                + [f"linear{i}" for i in range(k)] + [f"knn{i}" for i in range(k)]
-                + [f"sim{i}" for i in range(k)] + [f"combined{i}" for i in range(k)]
-                + ["true_label", "correct"]
-            )
-            for rec in audits["pseudo"]:
-                correct = "" if rec["true_label"] is None else int(rec["predicted"] == rec["true_label"])
-                writer.writerow(
-                    [rec["stage"], rec["sample_id"]]
-                    + [repr(float(x)) for x in rec["linear"]]
-                    + [repr(float(x)) for x in rec["knn"]]
-                    + [repr(float(x)) for x in rec["similarity"]]
-                    + [repr(float(x)) for x in rec["combined"]]
-                    + [rec["true_label"] if rec["true_label"] is not None else "", correct]
-                )
+    if result.audits is not None:
+        k = range(cfg.num_classes)
+        _write_csv(out / "selector_audit.csv", [
+            ["stage", "sample_id", *(f"w{i}" for i in k), *(f"v{i}" for i in k),
+             "reliable", "winning_class"],
+            *([rec["stage"], rec["sample_id"], *_reprs(rec["similarities"]), *_reprs(rec["posterior"]),
+               int(rec["reliable"]), "" if rec["winning_class"] is None else rec["winning_class"]]
+              for rec in result.audits["selector"]),
+        ])
+        parts = ("linear", "knn", "sim", "combined")
+
+        def pseudo_row(rec: dict) -> list:
+            truth = rec["true_label"]
+            tail = ["", ""] if truth is None else [truth, int(rec["predicted"] == truth)]
+            return [rec["stage"], rec["sample_id"], *(x for p in parts for x in _reprs(rec[p])), *tail]
+
+        _write_csv(out / "pseudo_audit.csv", [
+            ["stage", "sample_id", *(f"{p}{i}" for p in parts for i in k), "true_label", "correct"],
+            *map(pseudo_row, result.audits["pseudo"]),
+        ])

@@ -10,12 +10,12 @@ from .errors import ConfigurationError, InputDomainError
 
 
 class PrototypeBank:
-    """Fixed-capacity FIFO queue of recent features per class, with cached means.
+    """Fixed-capacity FIFO queue of recent features per class.
 
-    Classes are 0-based ids in [0, num_classes). The cached mean of each
-    queue is kept exact by recomputing from queue contents on every push;
-    queues are small (capacity defaults to 64) so this is cheap and avoids
-    incremental drift.
+    Classes are 0-based ids in [0, num_classes). A prototype is the mean of
+    its queue, taken from the queue contents in FIFO order when
+    `prototypes()` is called: a push costs no mean, and no incremental
+    update can drift.
     """
 
     def __init__(self, num_classes: int, feature_dim: int, capacity: int = 64):
@@ -25,7 +25,6 @@ class PrototypeBank:
         self.feature_dim = feature_dim
         self.capacity = capacity
         self._queues: list[deque[np.ndarray]] = [deque(maxlen=capacity) for _ in range(num_classes)]
-        self._means: list[np.ndarray | None] = [None] * num_classes
 
     def push(self, class_id: int, feature: np.ndarray) -> None:
         """Append a feature to class_id's queue, evicting the oldest when full."""
@@ -36,9 +35,7 @@ class PrototypeBank:
             raise InputDomainError(
                 f"feature shape {feature.shape} does not match bank dimension {self.feature_dim}"
             )
-        q = self._queues[class_id]
-        q.append(feature.copy())
-        self._means[class_id] = np.mean(np.stack(q), axis=0)
+        self._queues[class_id].append(feature.copy())
 
     def queue_contents(self, class_id: int) -> list[np.ndarray]:
         return [f.copy() for f in self._queues[class_id]]
@@ -46,12 +43,9 @@ class PrototypeBank:
     def queue_size(self, class_id: int) -> int:
         return len(self._queues[class_id])
 
-    def is_seeded(self) -> bool:
-        return all(len(q) > 0 for q in self._queues)
-
     def prototypes(self) -> np.ndarray:
         """Current class means as a (num_classes, feature_dim) snapshot."""
         empty = [k for k in range(self.num_classes) if not self._queues[k]]
         if empty:
             raise ConfigurationError(f"unseeded class queues: {empty}")
-        return np.stack([self._means[k] for k in range(self.num_classes)])
+        return np.stack([np.mean(np.stack(q), axis=0) for q in self._queues])

@@ -7,31 +7,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InputDomainError
-from .model import ModelParams, forward
-from .numerics import cosine_similarity, one_hot
-from .selector import ReliabilityVerdict
 
 ALPHA_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class PseudoLabelRecord:
-    sample_id: int
-    stage: int
+class Ensemble:
+    """Component and combined predictions, one (N, K) row per queried sample."""
+
     linear: np.ndarray
     knn: np.ndarray
     similarity: np.ndarray
     combined: np.ndarray
-    alphas: tuple[float, float, float]
 
 
-def linear_prediction(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """The model's own softmax output for a flattened sample."""
-    return forward(params, x).probabilities[0]
+def _unit_rows(X: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit norm; a dead (all-zero) row stays zero."""
+    X = np.asarray(X, dtype=np.float64)
+    norms = np.linalg.norm(X, axis=1, keepdims=True)
+    return np.divide(X, norms, out=np.zeros(X.shape), where=norms != 0.0)
 
 
 def knn_prediction(
-    feature: np.ndarray,
+    features: np.ndarray,
     labeled_features: np.ndarray,
     labeled_labels: np.ndarray,
     labeled_ids: np.ndarray,
@@ -39,35 +37,26 @@ def knn_prediction(
 ) -> np.ndarray:
     """Mean label vector of the k nearest labeled features under cosine distance.
 
-    Distance ties break by sample id ascending. Labels may be soft vectors
-    (pseudo-labeled neighbors contribute their stored distributions).
+    `features` is one (d,) query, answered with a (K,) vector, or an (N, d)
+    matrix of queries, answered row by row with an (N, K) matrix. Distance
+    ties break by sample id ascending; a dead feature on either side scores
+    the pair as orthogonal. Labels may be soft vectors (pseudo-labeled
+    neighbors contribute their stored distributions).
     """
     n = len(labeled_ids)
     if k < 1:
         raise ConfigurationError(f"neighbor count must be >= 1, got {k}")
     if n < k:
         raise ConfigurationError(f"need at least {k} labeled samples, have {n}")
-    feature = np.asarray(feature, dtype=np.float64)
-    qnorm = np.linalg.norm(feature)
-
-    def distance(f: np.ndarray) -> float:
-        # a dead (all-zero) feature on either side has no direction; score
-        # the pair as orthogonal instead of failing
-        if qnorm == 0.0 or np.linalg.norm(f) == 0.0:
-            return 1.0
-        return 1.0 - cosine_similarity(f, feature)
-
-    dists = np.array([distance(f) for f in labeled_features])
-    order = np.lexsort((labeled_ids, dists))
-    nearest = order[:k]
-    return labeled_labels[nearest].mean(axis=0)
-
-
-def similarity_prediction(verdict: ReliabilityVerdict) -> np.ndarray:
-    """One-hot at the winning class of a reliable verdict."""
-    if not verdict.reliable or verdict.winning_class is None:
-        raise InputDomainError("similarity_prediction requires a reliable verdict")
-    return one_hot(verdict.winning_class, len(verdict.posterior))
+    queries = _unit_rows(np.atleast_2d(features))
+    units = _unit_rows(labeled_features)
+    out = np.empty((len(queries), np.shape(labeled_labels)[1]))
+    # One query row at a time keeps memory at O(n), not an (N, n) matrix.
+    for i, q in enumerate(queries):
+        dists = 1.0 - np.clip(units @ q, -1.0, 1.0)
+        nearest = np.lexsort((labeled_ids, dists))[:k]
+        out[i] = labeled_labels[nearest].mean(axis=0)
+    return out[0] if np.ndim(features) == 1 else out
 
 
 def combine(
@@ -80,6 +69,29 @@ def combine(
     a1, a2, a3 = alphas
     if min(a1, a2, a3) < 0 or abs(a1 + a2 + a3 - 1.0) > ALPHA_TOL:
         raise ConfigurationError(f"alphas must be nonnegative and sum to 1, got {alphas}")
-    if not (len(linear) == len(knn) == len(similarity)):
+    if not (np.shape(linear) == np.shape(knn) == np.shape(similarity)):
         raise InputDomainError("component prediction length mismatch")
     return a1 * np.asarray(linear) + a2 * np.asarray(knn) + a3 * np.asarray(similarity)
+
+
+def ensemble(
+    probabilities: np.ndarray,
+    posterior: np.ndarray,
+    features: np.ndarray,
+    labeled_features: np.ndarray,
+    labeled_labels: np.ndarray,
+    labeled_ids: np.ndarray,
+    k: int,
+    alphas: tuple[float, float, float],
+) -> Ensemble:
+    """Pseudo-label predictions for a batch of rows.
+
+    The linear part is the model's softmax rows, the KNN part votes over the
+    labeled features, and the similarity part is a one-hot at each row's
+    highest gate posterior (the winning class of a reliable row).
+    """
+    linear = np.asarray(probabilities, dtype=np.float64)
+    posterior = np.asarray(posterior, dtype=np.float64)
+    knn = knn_prediction(features, labeled_features, labeled_labels, labeled_ids, k)
+    similarity = np.eye(posterior.shape[1])[posterior.argmax(axis=1)]
+    return Ensemble(linear, knn, similarity, combine(linear, knn, similarity, alphas))

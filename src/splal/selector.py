@@ -3,7 +3,8 @@
 An unlabeled sample is reliable when the temperature softmax over its
 cosine similarities to the class prototypes has exactly one entry at or
 above the upper threshold while every other entry sits at or below the
-lower threshold.
+lower threshold. `gate` applies the rule to a whole (N, d) feature matrix;
+the per-feature helpers are single-row calls into it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InputDomainError
-from .numerics import cosine_similarity, softmax
+from .numerics import softmax_rows
 
 DEFAULT_TEMPERATURE = 0.1
 
@@ -27,36 +28,84 @@ class ReliabilityVerdict:
     winning_class: int | None
 
 
-def similarity_vector(prototypes: np.ndarray, feature: np.ndarray) -> np.ndarray:
-    """Cosine similarity of the feature against every class prototype."""
-    feature = np.asarray(feature, dtype=np.float64)
-    if np.linalg.norm(feature) == 0.0:
-        raise InputDomainError("zero feature vector in similarity_vector")
-    # A zero-norm prototype (every queued feature dead for that class) has no
-    # direction to compare against; score it as orthogonal rather than failing.
-    return np.array(
-        [
-            0.0 if np.linalg.norm(c) == 0.0 else cosine_similarity(c, feature)
-            for c in prototypes
-        ]
-    )
+@dataclass(frozen=True)
+class GateResult:
+    """Gate outcome for a batch of features, one row per feature."""
+
+    similarities: np.ndarray      # (N, K) cosine similarities W
+    posterior: np.ndarray         # (N, K) temperature softmax V of W
+    reliable: np.ndarray          # (N,) two-threshold verdicts
+    winners: np.ndarray           # (N,) winning class, -1 where unreliable
+
+    def verdict(self, i: int) -> ReliabilityVerdict:
+        ok = bool(self.reliable[i])
+        return ReliabilityVerdict(
+            similarities=self.similarities[i], posterior=self.posterior[i],
+            reliable=ok, winning_class=int(self.winners[i]) if ok else None,
+        )
 
 
-def is_reliable(posterior: np.ndarray, gamma1: float, gamma2: float) -> tuple[bool, int | None]:
-    """Two-threshold criterion; returns (verdict, winning index or None)."""
-    k = len(posterior)
+def cosine_matrix(prototypes: np.ndarray, features: np.ndarray) -> np.ndarray:
+    """(N, K) cosine similarities of feature rows against prototype rows.
+
+    A zero-norm prototype (every queued feature dead for that class) or a
+    dead (all-zero) feature has no direction; the pair scores 0, orthogonal.
+    """
+    P = np.asarray(prototypes, dtype=np.float64)
+    F = np.asarray(features, dtype=np.float64)
+    # Row sums of elementwise products, not a matmul, so each row's result
+    # does not depend on how many rows share the call; one prototype at a
+    # time keeps the temporary at (N, d).
+    dots = np.stack([(F * p).sum(axis=1) for p in P], axis=1)
+    denom = np.linalg.norm(F, axis=1)[:, None] * np.linalg.norm(P, axis=1)[None, :]
+    W = np.divide(dots, denom, out=np.zeros(denom.shape), where=denom != 0.0)
+    return np.clip(W, -1.0, 1.0)
+
+
+def two_thresholds(posterior: np.ndarray, gamma1: float, gamma2: float) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise criterion on (N, K) posteriors: (reliable mask, winners or -1)."""
+    k = posterior.shape[1]
     if not (gamma1 > 1.0 / k and gamma1 <= 1.0):
         raise ConfigurationError(f"gamma1 must lie in (1/{k}, 1], got {gamma1}")
     if not (0.0 <= gamma2 < gamma1):
         raise ConfigurationError(f"gamma2 must lie in [0, gamma1), got {gamma2}")
-    above = np.flatnonzero(posterior >= gamma1)
-    if len(above) != 1:
-        return False, None
-    j = int(above[0])
-    others = np.delete(posterior, j)
-    if np.all(others <= gamma2):
-        return True, j
-    return False, None
+    above = posterior >= gamma1
+    reliable = (above.sum(axis=1) == 1) & ((posterior <= gamma2) | above).all(axis=1)
+    return reliable, np.where(reliable, above.argmax(axis=1), -1)
+
+
+def gate(
+    prototypes: np.ndarray,
+    features: np.ndarray,
+    gamma1: float,
+    gamma2: float,
+    temperature: float = DEFAULT_TEMPERATURE,
+) -> GateResult:
+    """Similarities, posteriors and verdicts for every row of an (N, d) matrix.
+
+    A dead feature has all-zero similarities, hence a uniform posterior,
+    which can never clear gamma1 > 1/K: it is unreliable, not an error.
+    """
+    if temperature <= 0:
+        raise ConfigurationError(f"softmax temperature must be positive, got {temperature}")
+    W = cosine_matrix(prototypes, features)
+    V = softmax_rows(W / temperature)
+    reliable, winners = two_thresholds(V, gamma1, gamma2)
+    return GateResult(similarities=W, posterior=V, reliable=reliable, winners=winners)
+
+
+def similarity_vector(prototypes: np.ndarray, feature: np.ndarray) -> np.ndarray:
+    """Cosine similarity of one feature against every class prototype."""
+    feature = np.asarray(feature, dtype=np.float64)
+    if np.linalg.norm(feature) == 0.0:
+        raise InputDomainError("zero feature vector in similarity_vector")
+    return cosine_matrix(prototypes, feature[None, :])[0]
+
+
+def is_reliable(posterior: np.ndarray, gamma1: float, gamma2: float) -> tuple[bool, int | None]:
+    """Two-threshold criterion on one posterior; returns (verdict, winning index or None)."""
+    reliable, winners = two_thresholds(np.asarray(posterior, dtype=np.float64)[None, :], gamma1, gamma2)
+    return (True, int(winners[0])) if reliable[0] else (False, None)
 
 
 def evaluate_feature(
@@ -66,20 +115,8 @@ def evaluate_feature(
     gamma2: float,
     temperature: float = DEFAULT_TEMPERATURE,
 ) -> ReliabilityVerdict:
-    feature = np.asarray(feature, dtype=np.float64)
-    if np.linalg.norm(feature) == 0.0:
-        # A dead (all-zero) feature carries no similarity information; treat
-        # it as maximally ambiguous rather than failing the whole pass.
-        k = len(prototypes)
-        v = np.full(k, 1.0 / k)
-        is_reliable(v, gamma1, gamma2)  # still validate the thresholds
-        return ReliabilityVerdict(
-            similarities=np.zeros(k), posterior=v, reliable=False, winning_class=None
-        )
-    w = similarity_vector(prototypes, feature)
-    v = softmax(w, temperature)
-    reliable, winner = is_reliable(v, gamma1, gamma2)
-    return ReliabilityVerdict(similarities=w, posterior=v, reliable=reliable, winning_class=winner)
+    features = np.asarray(feature, dtype=np.float64)[None, :]
+    return gate(prototypes, features, gamma1, gamma2, temperature).verdict(0)
 
 
 def select_reliable(
@@ -90,12 +127,10 @@ def select_reliable(
     temperature: float = DEFAULT_TEMPERATURE,
 ) -> list[tuple[int, ReliabilityVerdict]]:
     """Pure filter over (sample id, feature) pairs; keeps reliable ones with verdicts."""
-    out = []
-    for sid, feat in features_by_id:
-        verdict = evaluate_feature(prototypes, feat, gamma1, gamma2, temperature)
-        if verdict.reliable:
-            out.append((sid, verdict))
-    return out
+    if not features_by_id:
+        return []
+    result = gate(prototypes, np.stack([f for _, f in features_by_id]), gamma1, gamma2, temperature)
+    return [(features_by_id[i][0], result.verdict(i)) for i in np.flatnonzero(result.reliable)]
 
 
 def gamma2_from_gamma1(gamma1: float) -> float:

@@ -1,6 +1,11 @@
 import json
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splal.cli import (
     ALPHA_GRID,
@@ -11,7 +16,9 @@ from splal.cli import (
     sweep_configs,
 )
 from splal.config import ExperimentConfig, config_to_text
-from splal.data import file_sha256, load_csv
+from splal.data import SyntheticSpec, file_sha256, generate, load_csv, save_csv
+from splal.errors import ConfigurationError
+from splal.orchestrator import run
 
 from test_orchestrator import tiny_config
 
@@ -31,6 +38,16 @@ width = 8
 noise_sigma = 0.1
 seed = 3
 """
+
+
+def write_csv_pair(tmp_path, spec_text=SPEC_TEXT):
+    """generate-data train and test CSVs from a spec; returns their paths."""
+    spec = tmp_path / "spec.txt"
+    spec.write_text(spec_text)
+    train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+    assert main(["generate-data", "--spec", str(spec), "--out", str(train),
+                 "--test-out", str(test), "--test-per-class", "3"]) == 0
+    return train, test
 
 
 class TestGenerateData:
@@ -92,6 +109,18 @@ class TestTrain:
         path = tmp_path / "bad.cfg"
         path.write_text("gamma1 = 2.0\n")
         assert main(["train", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 1
+
+    def test_unlabeled_test_row_exits_one(self, tmp_path, capsys):
+        train, test = write_csv_pair(tmp_path)
+        lines = test.read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[1] = "-1"
+        lines[2] = ",".join(fields)
+        test.write_text("\n".join(lines) + "\n")
+        cfg_path, _ = write_config(tmp_path, data_csv=str(train), test_csv=str(test))
+        code = main(["train", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        assert "test_csv: evaluation set must be fully labeled" in capsys.readouterr().err
 
 
 class TestEvaluate:
@@ -169,6 +198,16 @@ class TestSweepConfigs:
         for sweep in SWEEPS:
             assert sweep_configs(cfg, sweep)
 
+    @pytest.mark.parametrize("alphas", [(0.0, 1.0, 0.0), (1.0, 0.0, 0.0)])
+    def test_combo_without_remaining_weight_rejected(self, tmp_path, alphas):
+        cfg = ExperimentConfig(alpha1=alphas[0], alpha2=alphas[1], alpha3=alphas[2])
+        with pytest.raises(ConfigurationError, match=r"alphas \("):
+            sweep_configs(cfg, "classifier-combo")
+        path = tmp_path / "exp.cfg"
+        path.write_text(config_to_text(cfg))
+        assert main(["ablate", "--config", str(path), "--sweep", "classifier-combo",
+                     "--out-dir", str(tmp_path / "o")]) == 1
+
     def test_unknown_sweep_rejected(self):
         from splal.errors import ConfigurationError
 
@@ -197,6 +236,23 @@ class TestAblate:
             assert 0.0 <= float(fields["minority_recall"]) <= 1.0
 
 
+    def test_minority_class_comes_from_the_data(self, tmp_path):
+        # three classes in the CSV; the config's synthetic class_counts has four
+        train, test = write_csv_pair(tmp_path, SPEC_TEXT.replace("num_classes = 4", "num_classes = 3")
+                                     .replace("class_counts = 8,6,5,4", "class_counts = 8,6,4"))
+        cfg_path, cfg = write_config(tmp_path, num_classes=3, mode="baseline",
+                                     data_csv=str(train), test_csv=str(test))
+        out = tmp_path / "ablate"
+        assert main(["ablate", "--config", str(cfg_path), "--sweep", "label-ratio",
+                     "--out-dir", str(out)]) == 0
+        lines = (out / "label-ratio.csv").read_text().strip().splitlines()
+        header = lines[0].split(",")
+        fields = dict(zip(header, lines[1].split(",")))
+        variant = replace(cfg, labeled_ratio=float(fields["value"])).normalized()
+        expected = run(variant, int(fields["seed"])).metrics["per_class"][2]["recall"]
+        assert float(fields["minority_recall"]) == expected
+
+
 class TestUsageErrors:
     def test_no_command_exits_one(self):
         with pytest.raises(SystemExit) as err:
@@ -217,3 +273,83 @@ class TestUsageErrors:
         parser = build_parser()
         args = parser.parse_args(["generate-data", "--out", "x.csv"])
         assert args.command == "generate-data"
+
+
+# --- property: malformed inputs end in an exit code, never a traceback -------
+
+BAD_VALUES = ("nan", "inf", "1e309", "-1", "0", "2", "0.5", "abc", "")
+PROPERTY_CONFIG = """\
+data_csv = {train}
+test_csv = {test}
+num_classes = 4
+class_counts = 8,6,4,2
+height = 8
+width = 8
+labeled_ratio = 0.25
+hidden_widths = 8,4
+epochs_warmup = 2
+epochs_stage = 1
+stages = 1
+batch_size = 8
+knn_k = 3
+gamma1 = 0.9
+temperature = 0.1
+learning_rate = 0.001
+alpha1 = 0.2
+lam2 = 0.4
+queue_capacity = 8
+seeds = 0
+"""
+
+
+def _apply_edit(lines: list[str], edit) -> None:
+    """Mutate CSV rows (after the two header lines) or config lines in place."""
+    target, row, kind, value = edit
+    if target == "config":
+        i = row % len(lines)
+        key = lines[i].partition("=")[0]
+        lines[i] = f"{key}= {value}" if kind == "value" else ""
+        return
+    i = 2 + row % (len(lines) - 2)
+    fields = lines[i].split(",")
+    if kind == "label":
+        fields[1] = value
+    elif kind == "pixel":
+        fields[2 + row % (len(fields) - 2)] = value
+    elif kind == "dup_id":
+        fields[0] = lines[2 + (i - 1) % (len(lines) - 2)].split(",")[0]
+    else:
+        fields.pop()
+    lines[i] = ",".join(fields)
+
+
+EDITS = st.one_of(
+    st.tuples(st.just("config"), st.integers(0, 40), st.sampled_from(["value", "drop"]),
+              st.sampled_from(BAD_VALUES)),
+    st.tuples(st.sampled_from(["train", "test"]), st.integers(0, 200),
+              st.sampled_from(["label", "pixel", "dup_id", "drop_field"]),
+              st.sampled_from(BAD_VALUES)),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(EDITS, min_size=1, max_size=3))
+def test_train_on_mutated_inputs_exits_cleanly(edits):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        train, test = tmp / "train.csv", tmp / "test.csv"
+        spec = SyntheticSpec(class_counts=(8, 6, 4, 2), height=8, width=8, seed=1)
+        save_csv(generate(spec), train, 8, 8, 4)
+        save_csv(generate(replace(spec, class_counts=(2, 2, 2, 2), seed=2)), test, 8, 8, 4)
+        files = {
+            "config": (tmp / "exp.cfg", PROPERTY_CONFIG.format(train=train, test=test)),
+            "train": (train, train.read_text()),
+            "test": (test, test.read_text()),
+        }
+        texts = {name: text.splitlines() for name, (_, text) in files.items()}
+        for edit in edits:
+            _apply_edit(texts[edit[0]], edit)
+        for name, (path, _) in files.items():
+            path.write_text("\n".join(texts[name]) + "\n")
+        code = main(["train", "--config", str(tmp / "exp.cfg"), "--out-dir", str(tmp / "out")])
+    assert code in (0, 1, 2)

@@ -168,6 +168,26 @@ class TestCsvRoundTrip:
             load_csv(path)
         assert err.value.line == 3
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_pixel_rejected(self, tmp_path, value):
+        path = tmp_path / "bad.csv"
+        header = ",".join(["id", "label"] + [f"p{i}" for i in range(4)])
+        path.write_text(
+            "# H=2 W=2 K=2\n" + header + f"\n0,0,0.1,0.2,0.3,0.4\n1,1,0.1,{value},0.3,0.4\n"
+        )
+        with pytest.raises(ParseError, match="non-finite") as err:
+            load_csv(path)
+        assert err.value.line == 4
+
+    def test_duplicate_id_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        header = ",".join(["id", "label"] + [f"p{i}" for i in range(4)])
+        rows = ["7,0,0.1,0.2,0.3,0.4", "8,1,0.1,0.2,0.3,0.4", "7,1,0.5,0.5,0.5,0.5"]
+        path.write_text("# H=2 W=2 K=2\n" + header + "\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ParseError, match="duplicate sample id 7.*line 3") as err:
+            load_csv(path)
+        assert err.value.line == 5
+
 
 def test_manifest_contents(tmp_path):
     import json

@@ -6,8 +6,18 @@ import pytest
 from splal.errors import ConfigurationError, InputDomainError
 from splal.model import ModelParams, forward
 from splal.numerics import one_hot
-from splal.pseudo import combine, knn_prediction, linear_prediction, similarity_prediction
-from splal.selector import ReliabilityVerdict
+from splal.pseudo import combine, ensemble, knn_prediction
+from splal.selector import gate
+
+ALPHAS = (0.2, 0.1, 0.7)
+
+
+def run_ensemble(probabilities, posterior, seed=0):
+    """The batched ensemble with a throwaway KNN part (every neighbor labeled 0)."""
+    n, k = np.shape(probabilities)
+    feats = np.random.default_rng(seed).normal(size=(n, 3))
+    labels = np.eye(k)[np.zeros(n, dtype=int)]
+    return ensemble(probabilities, posterior, feats, feats, labels, np.arange(n), 1, ALPHAS)
 
 
 class TestLinearPrediction:
@@ -16,7 +26,9 @@ class TestLinearPrediction:
             hidden=[(np.zeros((4, 3)), np.zeros(3))],
             classifier=(np.zeros((3, 4)), np.zeros(4)),
         )
-        np.testing.assert_allclose(linear_prediction(params, np.ones(4)), [0.25] * 4)
+        probs = forward(params, np.ones((5, 4))).probabilities
+        out = run_ensemble(probs, np.full((5, 4), 0.25))
+        np.testing.assert_allclose(out.linear, np.full((5, 4), 0.25))
 
     def test_matches_forward_probabilities(self):
         rng = np.random.default_rng(1)
@@ -24,10 +36,17 @@ class TestLinearPrediction:
             hidden=[(rng.normal(size=(4, 3)), rng.normal(size=3))],
             classifier=(rng.normal(size=(3, 2)), rng.normal(size=2)),
         )
-        x = rng.normal(size=4)
-        np.testing.assert_array_equal(
-            linear_prediction(params, x), forward(params, x).probabilities[0]
-        )
+        X = rng.normal(size=(6, 4))
+        probs = forward(params, X).probabilities
+        out = run_ensemble(probs, rng.dirichlet(np.ones(2), size=6))
+        np.testing.assert_array_equal(out.linear, probs)
+        # one batched pass gives each row's own single-row softmax
+        for x, row in zip(X, out.linear):
+            np.testing.assert_allclose(row, forward(params, x).probabilities[0], rtol=0, atol=1e-15)
+        for j in range(6):
+            np.testing.assert_array_equal(
+                out.combined[j], combine(out.linear[j], out.knn[j], out.similarity[j], ALPHAS)
+            )
 
 
 def brute_force_knn(feature, feats, labels, ids, k):
@@ -70,6 +89,10 @@ class TestKnnPrediction:
         labels = np.stack([one_hot(0, 2), one_hot(1, 2)])
         out = knn_prediction(np.array([2.0, 0.0]), feats, labels, np.array([7, 3]), k=1)
         np.testing.assert_array_equal(out, one_hot(1, 2))
+        # the same rule on every row of a query matrix
+        queries = np.array([[2.0, 0.0], [0.0, 1.0], [5.0, 0.0]])
+        out = knn_prediction(queries, feats, labels, np.array([7, 3]), k=1)
+        np.testing.assert_array_equal(out, np.stack([one_hot(1, 2)] * 3))
 
     def test_dead_features_score_as_orthogonal(self):
         feats = np.array([[1.0, 0.0], [0.0, 0.0], [0.5, 0.5]])
@@ -87,38 +110,47 @@ class TestKnnPrediction:
         n = 500
         feats = rng.normal(size=(n, 8))
         labels = np.eye(4)[rng.integers(0, 4, size=n)]
+        # exact copies sit at exactly tied distances from any query
+        feats[400:420] = feats[:20]
         ids = rng.permutation(n)
         feature = rng.normal(size=8)
         for k in (1, 5, 25):
             got = knn_prediction(feature, feats, labels, ids, k)
             want, _ = brute_force_knn(feature, feats, labels, ids, k)
             np.testing.assert_allclose(got, want, atol=1e-12)
+        # a query matrix answers each row as a single-query call would; the
+        # first rows hit duplicated features, so k = 1 turns on the id order
+        queries = np.vstack([feats[:3], rng.normal(size=(9, 8))])
+        for k in (1, 5, 25):
+            batch = knn_prediction(queries, feats, labels, ids, k)
+            assert batch.shape == (12, 4)
+            for q, row in zip(queries, batch):
+                np.testing.assert_array_equal(row, knn_prediction(q, feats, labels, ids, k))
+                want, _ = brute_force_knn(q, feats, labels, ids, k)
+                np.testing.assert_allclose(row, want, atol=1e-12)
 
 
 class TestSimilarityPrediction:
-    def _verdict(self, v, reliable=True):
-        winner = int(np.argmax(v)) if reliable else None
-        return ReliabilityVerdict(
-            similarities=np.zeros(len(v)), posterior=np.asarray(v),
-            reliable=reliable, winning_class=winner,
-        )
-
     def test_one_hot_at_winner(self):
-        out = similarity_prediction(self._verdict([0.992, 0.004, 0.004]))
-        np.testing.assert_array_equal(out, [1, 0, 0])
+        out = run_ensemble(np.full((1, 3), 1 / 3), np.array([[0.992, 0.004, 0.004]]))
+        np.testing.assert_array_equal(out.similarity, [[1, 0, 0]])
 
     def test_matches_winning_class(self):
         rng = np.random.default_rng(0)
-        for _ in range(20):
-            raw = rng.uniform(size=4)
-            v = raw / raw.sum()
-            verdict = self._verdict(v)
-            out = similarity_prediction(verdict)
-            assert int(np.argmax(out)) == verdict.winning_class
+        g = gate(rng.normal(size=(4, 5)), rng.normal(size=(200, 5)), 0.6, 0.2, 0.3)
+        out = run_ensemble(np.full((200, 4), 0.25), g.posterior)
+        assert g.reliable.any()
+        np.testing.assert_array_equal(out.similarity.sum(axis=1), np.ones(200))
+        np.testing.assert_array_equal(
+            out.similarity[g.reliable].argmax(axis=1), g.winners[g.reliable]
+        )
 
-    def test_unreliable_verdict_rejected(self):
-        with pytest.raises(InputDomainError):
-            similarity_prediction(self._verdict([0.5, 0.5], reliable=False))
+    def test_unreliable_row_votes_at_posterior_argmax(self):
+        # the random-subset control arm scores unreliable rows too: the vote
+        # goes to the highest posterior, ties to the lowest class
+        posterior = np.array([[0.3, 0.7], [0.5, 0.5]])
+        out = run_ensemble(np.full((2, 2), 0.5), posterior)
+        np.testing.assert_array_equal(out.similarity, [[0, 1], [1, 0]])
 
 
 class TestCombine:

@@ -7,6 +7,7 @@ from splal.errors import ConfigurationError, InputDomainError
 from splal.selector import (
     evaluate_feature,
     gamma2_from_gamma1,
+    gate,
     is_reliable,
     max_attainable_posterior,
     reachability_warning,
@@ -78,6 +79,23 @@ class TestIsReliable:
                 assert is_reliable(v, gamma1, gamma2)[0] == literal
 
 
+def brute_force_gate(prototypes, f, gamma1, gamma2, tau):
+    """(w, v, reliable, winner) for one feature, straight from the definition."""
+    def norm(x):
+        return math.sqrt(sum(a * a for a in x))
+
+    w = [
+        0.0 if norm(c) == 0.0 or norm(f) == 0.0
+        else sum(a * b for a, b in zip(c, f)) / (norm(c) * norm(f))
+        for c in prototypes
+    ]
+    exps = [math.exp(x / tau) for x in w]
+    v = [e / sum(exps) for e in exps]
+    above = [k for k in range(len(v)) if v[k] >= gamma1]
+    ok = len(above) == 1 and all(v[k] <= gamma2 for k in range(len(v)) if k != above[0])
+    return w, v, ok, above[0] if ok else None
+
+
 class TestSelectReliable:
     def _setup(self, seed=0, n=200, k=3, d=6):
         rng = np.random.default_rng(seed)
@@ -97,20 +115,25 @@ class TestSelectReliable:
         prototypes, features = self._setup(seed=5)
         gamma1, gamma2, tau = 0.6, 0.2, 0.3
         got = {sid for sid, _ in select_reliable(features, prototypes, gamma1, gamma2, tau)}
-        expected = set()
-        for sid, f in features:
-            w = [
-                sum(c * x for c, x in zip(prototypes[k], f))
-                / (math.sqrt(sum(c * c for c in prototypes[k])) * math.sqrt(sum(x * x for x in f)))
-                for k in range(len(prototypes))
-            ]
-            exps = [math.exp(v / tau) for v in w]
-            v = [e / sum(exps) for e in exps]
-            above = [k for k in range(len(v)) if v[k] >= gamma1]
-            if len(above) == 1 and all(v[k] <= gamma2 for k in range(len(v)) if k != above[0]):
-                expected.add(sid)
+        expected = {
+            sid for sid, f in features if brute_force_gate(prototypes, f, gamma1, gamma2, tau)[2]
+        }
         assert got == expected
         assert expected  # the instance should actually exercise selection
+
+        # The batched gate on a matrix with dead rows, with and without a
+        # zero-norm prototype, equals the rule applied row by row.
+        F = np.stack([f for _, f in features])
+        F[::7] = 0.0
+        for protos in (prototypes, np.vstack([prototypes, np.zeros(prototypes.shape[1])])):
+            g = gate(protos, F, gamma1, gamma2, tau)
+            assert g.reliable.any() and not g.reliable[::7].any()
+            for i, f in enumerate(F):
+                w, v, ok, winner = brute_force_gate(protos, f, gamma1, gamma2, tau)
+                np.testing.assert_allclose(g.similarities[i], w, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(g.posterior[i], v, rtol=0, atol=1e-12)
+                assert bool(g.reliable[i]) == ok
+                assert g.winners[i] == (-1 if winner is None else winner)
 
     def test_monotone_in_gamma1(self):
         prototypes, features = self._setup(seed=9)
