@@ -1,11 +1,10 @@
-"""Weak (flips) and strong (Gaussian blur) views of a sample grid.
+"""Weak (flips) and strong (Gaussian blur) views of one HxW grid or a (B, H, W) stack.
 
-Every random decision is recorded so a pair can be replayed exactly.
+Both views are pure functions of the grids and the flip bits, so recording
+the bits is enough to replay a view exactly.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,63 +24,44 @@ def _gaussian_kernel_3x3(sigma: float = BLUR_SIGMA) -> np.ndarray:
 _KERNEL = _gaussian_kernel_3x3()
 
 
-@dataclass(frozen=True)
-class AugmentDraws:
-    """The random decisions behind one weak/strong pair."""
-
-    flip_h: bool
-    flip_v: bool
-
-
-@dataclass(frozen=True)
-class AugmentedPair:
-    x_weak: np.ndarray
-    x_strong: np.ndarray
-    draws: AugmentDraws
-
-
-def weak_augment(x: np.ndarray, flip_h: bool, flip_v: bool) -> np.ndarray:
-    """Horizontal then vertical flip per the given draw bits."""
+def _grids(x, name: str, min_side: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 1:
-        raise InputDomainError(f"weak_augment needs an HxW grid, got shape {x.shape}")
-    out = x
-    if flip_h:
-        out = out[:, ::-1]
-    if flip_v:
-        out = out[::-1, :]
-    return np.ascontiguousarray(out)
+    if x.ndim not in (2, 3) or x.shape[-2] < min_side or x.shape[-1] < min_side:
+        raise InputDomainError(
+            f"{name} needs an HxW grid or a stack of them, at least {min_side}x{min_side}, "
+            f"got shape {x.shape}"
+        )
+    return x
 
 
-def strong_augment(x: np.ndarray) -> np.ndarray:
-    """3x3 Gaussian blur (sigma 1.0) with reflect padding."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 3 or x.shape[1] < 3:
-        raise InputDomainError(f"strong_augment needs at least a 3x3 grid, got shape {x.shape}")
-    padded = np.pad(x, 1, mode="reflect")
-    out = np.zeros_like(x)
-    for di in range(3):
-        for dj in range(3):
-            out += _KERNEL[di, dj] * padded[di : di + x.shape[0], dj : dj + x.shape[1]]
+def weak_augment(x: np.ndarray, flip_h: bool | np.ndarray, flip_v: bool | np.ndarray) -> np.ndarray:
+    """Horizontal then vertical flip per the draw bits.
+
+    For a (B, H, W) stack, flip_h and flip_v are (B,) bool masks, one bit per grid.
+    """
+    x = _grids(x, "weak_augment", 1)
+    if x.ndim == 2:
+        return weak_augment(x[None], [flip_h], [flip_v])[0]
+    flip_h = np.asarray(flip_h, dtype=bool)
+    flip_v = np.asarray(flip_v, dtype=bool)
+    if flip_h.shape != (len(x),) or flip_v.shape != (len(x),):
+        raise InputDomainError(
+            f"weak_augment needs one flip bit per grid: {len(x)} grids, "
+            f"masks {flip_h.shape} and {flip_v.shape}"
+        )
+    out = x.copy()
+    out[flip_h] = out[flip_h][:, :, ::-1]
+    out[flip_v] = out[flip_v][:, ::-1, :]
     return out
 
 
-def draw_augment(rng: np.random.Generator) -> AugmentDraws:
-    return AugmentDraws(
-        flip_h=bool(rng.random() < FLIP_PROB),
-        flip_v=bool(rng.random() < FLIP_PROB),
-    )
-
-
-def augment_pair(x: np.ndarray, rng: np.random.Generator) -> AugmentedPair:
-    """One weak and one strong view; replaying the draws reproduces the pair."""
-    draws = draw_augment(rng)
-    return replay_pair(x, draws)
-
-
-def replay_pair(x: np.ndarray, draws: AugmentDraws) -> AugmentedPair:
-    return AugmentedPair(
-        x_weak=weak_augment(x, draws.flip_h, draws.flip_v),
-        x_strong=strong_augment(x),
-        draws=draws,
-    )
+def strong_augment(x: np.ndarray) -> np.ndarray:
+    """3x3 Gaussian blur (sigma 1.0) with reflect padding, grid by grid."""
+    x = _grids(x, "strong_augment", 3)
+    h, w = x.shape[-2:]
+    padded = np.pad(x, [(0, 0)] * (x.ndim - 2) + [(1, 1), (1, 1)], mode="reflect")
+    out = np.zeros_like(x)
+    for di in range(3):
+        for dj in range(3):
+            out += _KERNEL[di, dj] * padded[..., di : di + h, dj : dj + w]
+    return out

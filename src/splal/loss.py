@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .augment import AugmentDraws, augment_pair, replay_pair
+from .augment import FLIP_PROB, strong_augment, weak_augment
 from .errors import ConfigurationError
 from .model import (
     Gradients,
@@ -42,22 +42,20 @@ class LossBreakdown:
 
 def make_views(
     grids: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, list[AugmentDraws]]:
-    """Weak and strong views for a (B, H, W) stack, with replayable draws."""
-    weak, strong, draws = [], [], []
-    for g in grids:
-        pair = augment_pair(g, rng)
-        weak.append(pair.x_weak)
-        strong.append(pair.x_strong)
-        draws.append(pair.draws)
-    return np.stack(weak), np.stack(strong), draws
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weak and strong views of a (B, H, W) stack, and the (B, 2) flip bits behind them.
+
+    One (B, 2) draw takes the same stream as two scalar draws per grid,
+    horizontal then vertical, in grid order.
+    """
+    flips = rng.random((len(grids), 2)) < FLIP_PROB
+    weak, strong = replay_views(grids, flips)
+    return weak, strong, flips
 
 
-def replay_views(
-    grids: np.ndarray, draws: list[AugmentDraws]
-) -> tuple[np.ndarray, np.ndarray]:
-    pairs = [replay_pair(g, d) for g, d in zip(grids, draws)]
-    return np.stack([p.x_weak for p in pairs]), np.stack([p.x_strong for p in pairs])
+def replay_views(grids: np.ndarray, flips: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The views make_views returned with these (B, 2) flip bits."""
+    return weak_augment(grids, flips[:, 0], flips[:, 1]), strong_augment(grids)
 
 
 def total_loss(

@@ -9,6 +9,7 @@ bank and the KNN classifier.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -199,6 +200,10 @@ def ce_value_and_dlogits(
     Targets are rows on the probability simplex; the gradient treats them
     as constants (stop-gradient on the target side).
     """
+    if targets.shape != fwd.probabilities.shape:
+        raise InputDomainError(
+            f"cross-entropy shape mismatch: targets {targets.shape}, predictions {fwd.probabilities.shape}"
+        )
     B = fwd.probabilities.shape[0]
     clipped = np.clip(fwd.probabilities, LOG_EPS, 1.0)
     per_sample = -(targets * np.log(clipped)).sum(axis=1)
@@ -302,13 +307,21 @@ def save_checkpoint(path, live: ModelParams, ema: ModelParams, meta: dict) -> No
 
 
 def load_checkpoint(path) -> tuple[ModelParams, ModelParams, dict]:
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode())
-        if meta.get("version") != CHECKPOINT_VERSION:
-            raise InputDomainError(f"unsupported checkpoint version: {meta.get('version')}")
-        n = meta["num_hidden"]
-        out = []
-        for tag in ("live", "ema"):
-            hidden = [(data[f"{tag}_hW{i}"].copy(), data[f"{tag}_hb{i}"].copy()) for i in range(n)]
-            out.append(ModelParams(hidden=hidden, classifier=(data[f"{tag}_cW"].copy(), data[f"{tag}_cb"].copy())))
+    """(live, ema, meta) from save_checkpoint's file.
+
+    A file that is not such a container, or lacks one of its entries, raises
+    InputDomainError naming the file.
+    """
+    try:
+        with np.load(path) as data:
+            meta = json.loads(bytes(data["meta"]).decode())
+            if meta.get("version") != CHECKPOINT_VERSION:
+                raise InputDomainError(f"{path}: unsupported checkpoint version: {meta.get('version')}")
+            n = meta["num_hidden"]
+            out = []
+            for tag in ("live", "ema"):
+                hidden = [(data[f"{tag}_hW{i}"].copy(), data[f"{tag}_hb{i}"].copy()) for i in range(n)]
+                out.append(ModelParams(hidden=hidden, classifier=(data[f"{tag}_cW"].copy(), data[f"{tag}_cb"].copy())))
+    except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as exc:
+        raise InputDomainError(f"{path}: not a readable checkpoint ({type(exc).__name__}: {exc})") from exc
     return out[0], out[1], meta

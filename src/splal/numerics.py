@@ -1,32 +1,16 @@
-"""Double-precision vector kernels used by every other module.
+"""Double-precision kernels shared by the other modules.
 
-All functions are pure, operate on 1-D float64 arrays, and never produce
-NaN/Inf on finite inputs within their documented domains.
+All functions are pure and never produce NaN/Inf on finite inputs within
+their documented domains.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigurationError, InputDomainError
+from .errors import InputDomainError
 
 LOG_EPS = 1e-12
-
-
-def softmax(z: np.ndarray, temperature: float = 1.0) -> np.ndarray:
-    """Temperature softmax with max-subtraction for stability.
-
-    Entries are exp(z_i / t) / sum_j exp(z_j / t); output sums to 1.
-    """
-    if temperature <= 0:
-        raise ConfigurationError(f"softmax temperature must be positive, got {temperature}")
-    z = np.asarray(z, dtype=np.float64)
-    if z.size == 0:
-        raise InputDomainError("softmax of empty vector")
-    scaled = z / temperature
-    scaled = scaled - scaled.max()
-    e = np.exp(scaled)
-    return e / e.sum()
 
 
 def softmax_rows(Z: np.ndarray) -> np.ndarray:
@@ -35,29 +19,6 @@ def softmax_rows(Z: np.ndarray) -> np.ndarray:
     shifted = Z - Z.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """a.b / (|a||b|), clamped to [-1, 1] against rounding."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise InputDomainError(f"cosine_similarity shape mismatch: {a.shape} vs {b.shape}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise InputDomainError("cosine_similarity of zero-norm vector")
-    return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
-
-
-def cross_entropy(target: np.ndarray, pred: np.ndarray) -> float:
-    """-sum_k target_k * log(pred_k), with pred clipped to [1e-12, 1]."""
-    target = np.asarray(target, dtype=np.float64)
-    pred = np.asarray(pred, dtype=np.float64)
-    if target.shape != pred.shape:
-        raise InputDomainError(f"cross_entropy length mismatch: {target.shape} vs {pred.shape}")
-    clipped = np.clip(pred, LOG_EPS, 1.0)
-    return float(-np.dot(target, np.log(clipped)))
 
 
 def one_hot(index: int, length: int) -> np.ndarray:
@@ -72,11 +33,3 @@ def one_hot_argmax(v: np.ndarray) -> np.ndarray:
     if v.size == 0:
         raise InputDomainError("one_hot_argmax of empty vector")
     return one_hot(int(np.argmax(v)), v.size)
-
-
-def is_prob_vec(v: np.ndarray, tol: float = 1e-9) -> bool:
-    """True when v lies in the probability simplex within tol."""
-    v = np.asarray(v, dtype=np.float64)
-    return bool(
-        np.all(v >= -tol) and np.all(v <= 1.0 + tol) and abs(v.sum() - 1.0) <= tol
-    )

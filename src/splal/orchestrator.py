@@ -136,23 +136,28 @@ def _train_epochs(
     bank=None,
     stage: int = -1,
 ) -> list[dict]:
-    """Train on the labeled pool; optionally keep the bank and EMA fresh."""
+    """Train on the labeled pool; optionally keep the bank and EMA fresh.
+
+    Targets, weights, class ids and the queue mask are pool arrays built
+    once per call; grids are stacked per batch, never for the whole pool.
+    """
     logs = []
     n = len(labeled)
+    targets = np.stack([s.visible_label for s in labeled])
+    class_ids = targets.argmax(axis=1)
+    ground = np.array([s.provenance == GROUND_TRUTH for s in labeled])
+    weights = np.where(ground, 1.0, cfg.pseudo_weight)
+    queued = ground | (np.array([s.provenance == PSEUDO for s in labeled]) & cfg.pseudo_in_queue)
     for epoch in range(epochs):
         order = rng_shuffle.permutation(n)
         sums = np.zeros(3)
         num_batches = 0
         for start in range(0, n, cfg.batch_size):
-            batch = [labeled[i] for i in order[start : start + cfg.batch_size]]
-            grids = np.stack([s.grid for s in batch])
-            targets = np.stack([s.visible_label for s in batch])
-            w = np.array(
-                [1.0 if s.provenance == GROUND_TRUTH else cfg.pseudo_weight for s in batch]
-            )
+            idx = order[start : start + cfg.batch_size]
+            grids = np.stack([labeled[i].grid for i in idx])
             weak, strong, _ = make_views(grids, rng_augment)
             breakdown, grads = total_loss(
-                params, grids, targets, w, weak, strong,
+                params, grids, targets[idx], weights[idx], weak, strong,
                 cfg.lam1, cfg.lam2, stop_gradient=cfg.stop_gradient,
             )
             adam_step(params, grads, opt)
@@ -161,12 +166,9 @@ def _train_epochs(
             if ema is not None:
                 ema_update(ema, params)
             if bank is not None:
-                feats = batch_features(params, batch)
-                for s, f in zip(batch, feats):
-                    if s.provenance == GROUND_TRUTH or (
-                        s.provenance == PSEUDO and cfg.pseudo_in_queue
-                    ):
-                        bank.push(int(np.argmax(s.visible_label)), f)
+                feats = forward(params, grids.reshape(len(idx), -1)).features
+                keep = queued[idx]
+                bank.push(class_ids[idx][keep], feats[keep])
             sums += (breakdown.classification, breakdown.alignment, breakdown.total)
             num_batches += 1
         mean = sums / max(num_batches, 1)
@@ -191,19 +193,17 @@ def warmup(
     rng_augment: np.random.Generator,
     bank,
 ) -> tuple[EmaParams, list[dict]]:
-    """Supervised warm-up, then seed the bank with one pass over the labeled pool."""
+    """Supervised warm-up, then seed the bank with one push of the whole labeled pool."""
     if not labeled:
         raise ConfigurationError("warm-up requires a nonempty labeled pool")
-    classes_present = {int(np.argmax(s.visible_label)) for s in labeled}
-    missing = set(range(cfg.num_classes)) - classes_present
+    class_ids = np.stack([s.visible_label for s in labeled]).argmax(axis=1)
+    missing = set(range(cfg.num_classes)) - set(class_ids.tolist())
     if missing:
         raise ConfigurationError(f"unseeded class: no labeled samples for classes {sorted(missing)}")
     logs = _train_epochs(
         params, opt, None, labeled, cfg.epochs_warmup, cfg, rng_shuffle, rng_augment
     )
-    feats = batch_features(params, labeled)
-    for s, f in zip(labeled, feats):
-        bank.push(int(np.argmax(s.visible_label)), f)
+    bank.push(class_ids, batch_features(params, labeled))
     ema = EmaParams.from_live(params, cfg.ema_decay)
     return ema, logs
 
@@ -446,10 +446,10 @@ def write_run_dir(out_dir, cfg: ExperimentConfig, seed: int, result: RunResult) 
     (out / "stage_reports.json").write_text(
         json.dumps([r.to_dict() for r in result.stage_reports], indent=2) + "\n"
     )
+    height, width = result.state.labeled[0].grid.shape
     save_checkpoint(
         out / "checkpoint.npz", result.live, result.ema.shadow,
-        {"seed": seed, "num_classes": cfg.num_classes,
-         "height": cfg.height, "width": cfg.width},
+        {"seed": seed, "num_classes": cfg.num_classes, "height": height, "width": width},
     )
 
     if result.audits is not None:

@@ -26,16 +26,26 @@ class PrototypeBank:
         self.capacity = capacity
         self._queues: list[deque[np.ndarray]] = [deque(maxlen=capacity) for _ in range(num_classes)]
 
-    def push(self, class_id: int, feature: np.ndarray) -> None:
-        """Append a feature to class_id's queue, evicting the oldest when full."""
-        if not (0 <= class_id < self.num_classes):
-            raise InputDomainError(f"class id {class_id} out of range [0, {self.num_classes})")
-        feature = np.asarray(feature, dtype=np.float64)
-        if feature.shape != (self.feature_dim,):
+    def push(self, class_ids: np.ndarray, features: np.ndarray) -> None:
+        """Append feature row i to queue class_ids[i], in row order, evicting the oldest when full.
+
+        One call takes a whole (n,) / (n, d) batch, as the MoCo queue enqueues
+        a batch of keys; a scalar id with a (d,) feature is a batch of one.
+        """
+        class_ids = np.atleast_1d(class_ids)
+        features = np.atleast_2d(np.asarray(features, dtype=np.float64))
+        if class_ids.ndim != 1 or not np.issubdtype(class_ids.dtype, np.integer):
+            raise InputDomainError(f"class ids must be a 1-D integer array, got {class_ids!r}")
+        if features.shape != (len(class_ids), self.feature_dim):
             raise InputDomainError(
-                f"feature shape {feature.shape} does not match bank dimension {self.feature_dim}"
+                f"feature shape {features.shape} does not match {len(class_ids)} ids "
+                f"and bank dimension {self.feature_dim}"
             )
-        self._queues[class_id].append(feature.copy())
+        bad = class_ids[(class_ids < 0) | (class_ids >= self.num_classes)]
+        if bad.size:
+            raise InputDomainError(f"class id {bad[0]} out of range [0, {self.num_classes})")
+        for k, f in zip(class_ids.tolist(), features):
+            self._queues[k].append(f.copy())
 
     def queue_contents(self, class_id: int) -> list[np.ndarray]:
         return [f.copy() for f in self._queues[class_id]]

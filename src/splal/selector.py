@@ -53,6 +53,8 @@ def cosine_matrix(prototypes: np.ndarray, features: np.ndarray) -> np.ndarray:
     """
     P = np.asarray(prototypes, dtype=np.float64)
     F = np.asarray(features, dtype=np.float64)
+    if P.ndim != 2 or F.ndim != 2 or P.shape[1] != F.shape[1]:
+        raise InputDomainError(f"cosine_matrix shape mismatch: prototypes {P.shape}, features {F.shape}")
     # Row sums of elementwise products, not a matmul, so each row's result
     # does not depend on how many rows share the call; one prototype at a
     # time keeps the temporary at (N, d).

@@ -1,14 +1,9 @@
 import numpy as np
 import pytest
 
-from splal.augment import (
-    _gaussian_kernel_3x3,
-    augment_pair,
-    replay_pair,
-    strong_augment,
-    weak_augment,
-)
+from splal.augment import FLIP_PROB, _gaussian_kernel_3x3, strong_augment, weak_augment
 from splal.errors import InputDomainError
+from splal.loss import make_views, replay_views
 
 
 class TestWeakAugment:
@@ -72,24 +67,64 @@ class TestStrongAugment:
             strong_augment(np.ones((2, 5)))
 
 
+class TestStacks:
+    def test_stack_matches_grid_by_grid(self):
+        rng = np.random.default_rng(6)
+        x = rng.uniform(size=(9, 5, 7))
+        fh, fv = rng.random(9) < 0.5, rng.random(9) < 0.5
+        weak = weak_augment(x, fh, fv)
+        strong = strong_augment(x)
+        for i in range(len(x)):
+            np.testing.assert_array_equal(weak[i], weak_augment(x[i], fh[i], fv[i]))
+            np.testing.assert_array_equal(strong[i], strong_augment(x[i]))
+
+    def test_input_stack_untouched(self):
+        x = np.random.default_rng(7).uniform(size=(3, 4, 4))
+        before = x.copy()
+        weak_augment(x, np.ones(3, bool), np.ones(3, bool))
+        strong_augment(x)
+        np.testing.assert_array_equal(x, before)
+
+    def test_one_flip_bit_per_grid_and_stacks_only(self):
+        with pytest.raises(InputDomainError):
+            weak_augment(np.zeros((3, 4, 4)), np.ones(2, bool), np.ones(3, bool))
+        with pytest.raises(InputDomainError):
+            strong_augment(np.zeros((2, 3, 4, 4)))
+
+
 class TestPairReplay:
     def test_replay_reproduces_pair_exactly(self):
         rng = np.random.default_rng(4)
-        x = rng.uniform(size=(8, 8))
-        pair = augment_pair(x, np.random.default_rng(99))
-        again = replay_pair(x, pair.draws)
-        np.testing.assert_array_equal(again.x_weak, pair.x_weak)
-        np.testing.assert_array_equal(again.x_strong, pair.x_strong)
+        x = rng.uniform(size=(5, 8, 8))
+        weak, strong, flips = make_views(x, np.random.default_rng(99))
+        again_weak, again_strong = replay_views(x, flips)
+        np.testing.assert_array_equal(again_weak, weak)
+        np.testing.assert_array_equal(again_strong, strong)
 
     def test_same_stream_same_pair(self):
-        x = np.random.default_rng(5).uniform(size=(4, 4))
-        a = augment_pair(x, np.random.default_rng(7))
-        b = augment_pair(x, np.random.default_rng(7))
-        assert a.draws == b.draws
-        np.testing.assert_array_equal(a.x_weak, b.x_weak)
+        x = np.random.default_rng(5).uniform(size=(6, 4, 4))
+        a = make_views(x, np.random.default_rng(7))
+        b = make_views(x, np.random.default_rng(7))
+        np.testing.assert_array_equal(a[2], b[2])
+        np.testing.assert_array_equal(a[0], b[0])
 
     def test_shapes_preserved(self):
-        x = np.zeros((9, 5))
-        pair = augment_pair(x, np.random.default_rng(0))
-        assert pair.x_weak.shape == x.shape
-        assert pair.x_strong.shape == x.shape
+        x = np.zeros((3, 9, 5))
+        weak, strong, flips = make_views(x, np.random.default_rng(0))
+        assert weak.shape == x.shape
+        assert strong.shape == x.shape
+        assert flips.shape == (3, 2) and flips.dtype == bool
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_per_grid_oracle(self, seed):
+        # oracle: the views grid by grid, two scalar draws per grid (h, then v)
+        # from a twin generator
+        x = np.random.default_rng(seed).uniform(size=(33, 6, 7))
+        rng, twin = np.random.default_rng(100 + seed), np.random.default_rng(100 + seed)
+        weak, strong, flips = make_views(x, rng)
+        for i, g in enumerate(x):
+            fh, fv = twin.random() < FLIP_PROB, twin.random() < FLIP_PROB
+            assert (flips[i, 0], flips[i, 1]) == (fh, fv)
+            np.testing.assert_array_equal(weak[i], weak_augment(g, fh, fv))
+            np.testing.assert_array_equal(strong[i], strong_augment(g))
+        assert rng.bit_generator.state == twin.bit_generator.state

@@ -3,6 +3,7 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from splal.cli import (
 from splal.config import ExperimentConfig, config_to_text
 from splal.data import SyntheticSpec, file_sha256, generate, load_csv, save_csv
 from splal.errors import ConfigurationError
+from splal.model import load_checkpoint
 from splal.orchestrator import run
 
 from test_orchestrator import tiny_config
@@ -123,6 +125,18 @@ class TestTrain:
         assert "test_csv: evaluation set must be fully labeled" in capsys.readouterr().err
 
 
+    def test_checkpoint_records_the_data_grid_shape(self, tmp_path):
+        # the CSV grids are 8x8; the config keeps the 16x16 synthetic default
+        train, test = write_csv_pair(tmp_path)
+        cfg_path, _ = write_config(
+            tmp_path, data_csv=str(train), test_csv=str(test), height=16, width=16
+        )
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+        _, _, meta = load_checkpoint(out / "seed_0" / "checkpoint.npz")
+        assert (meta["height"], meta["width"]) == (8, 8)
+
+
 class TestEvaluate:
     def test_matches_training_metrics(self, tmp_path):
         cfg_path, cfg = write_config(tmp_path)
@@ -156,6 +170,22 @@ class TestEvaluate:
             "--data", str(bad), "--out-dir", str(tmp_path / "e"),
         ])
         assert code == 1
+
+    @pytest.mark.parametrize("kind", ["not-npz", "no-meta"])
+    def test_malformed_checkpoint_exits_two(self, tmp_path, capsys, kind):
+        ckpt = tmp_path / "ckpt.npz"
+        if kind == "not-npz":
+            ckpt.write_text("not a checkpoint\n")
+        else:
+            np.savez(ckpt, live_cW=np.zeros((2, 2)))
+        _, test = write_csv_pair(tmp_path)
+        code = main([
+            "evaluate", "--checkpoint", str(ckpt), "--data", str(test),
+            "--out-dir", str(tmp_path / "e"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(ckpt) in err
 
     def test_missing_checkpoint_exits_two(self, tmp_path):
         code = main([

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,20 +7,34 @@ from hypothesis import assume, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from splal.errors import ConfigurationError, InputDomainError
-from splal.numerics import (
-    cosine_similarity,
-    cross_entropy,
-    is_prob_vec,
-    one_hot,
-    one_hot_argmax,
-    softmax,
-)
+from splal.model import ce_value_and_dlogits
+from splal.numerics import one_hot, one_hot_argmax, softmax_rows
+from splal.selector import cosine_matrix, gate, similarity_vector
 
 finite_vec = arrays(
     np.float64,
     st.integers(min_value=2, max_value=8),
     elements=st.floats(min_value=-50, max_value=50, allow_nan=False),
 )
+
+
+def softmax(z, temperature=1.0):
+    """One row through softmax_rows, the temperature applied as the gate applies it."""
+    return softmax_rows(np.asarray(z, dtype=np.float64)[None, :] / temperature)[0]
+
+
+def cosine(a, b):
+    return float(cosine_matrix(np.asarray(b)[None, :], np.asarray(a)[None, :])[0, 0])
+
+
+def cross_entropy(target, pred):
+    """One sample, unit weight, through the batch cross-entropy of the training loss."""
+    fwd = SimpleNamespace(probabilities=np.asarray(pred, dtype=np.float64)[None, :])
+    return ce_value_and_dlogits(fwd, np.asarray(target, dtype=np.float64)[None, :], np.ones(1))[0]
+
+
+def in_simplex(v, tol=1e-9):
+    return bool(np.all(v >= -tol) and np.all(v <= 1.0 + tol) and abs(v.sum() - 1.0) <= tol)
 
 
 class TestSoftmax:
@@ -36,48 +51,54 @@ class TestSoftmax:
         np.testing.assert_allclose(softmax(z + 17.0), softmax(z), atol=1e-12)
 
     def test_nonpositive_temperature_rejected(self):
+        # the temperature softmax is the gate's; it rejects t <= 0 before dividing
         with pytest.raises(ConfigurationError):
-            softmax(np.array([1.0, 2.0]), temperature=0.0)
+            gate(np.eye(2), np.ones((1, 2)), 0.99, 0.005, temperature=0.0)
 
     @given(finite_vec, st.floats(min_value=0.05, max_value=10))
     def test_sums_to_one_and_shift_invariant(self, z, tau):
         out = softmax(z, tau)
         assert abs(out.sum() - 1.0) <= 1e-9
         np.testing.assert_allclose(softmax(z + 3.7, tau), out, atol=1e-9)
+        # every row of a matrix call is the row's own single-row result
+        rows = np.stack([z, z[::-1], z + 3.7]) / tau
+        np.testing.assert_array_equal(softmax_rows(rows)[0], out)
 
     def test_large_magnitudes_stay_finite(self):
-        out = softmax(np.array([1e4, -1e4, 0.0]), temperature=0.1)
+        out = softmax_rows(np.array([[1e4, -1e4, 0.0], [-1e4, 1e4, 1e4]]) / 0.1)
         assert np.all(np.isfinite(out))
-        assert is_prob_vec(out)
+        assert all(in_simplex(row) for row in out)
 
 
 class TestCosineSimilarity:
     def test_identical_direction(self):
-        assert cosine_similarity(np.array([3.0, 4.0]), np.array([3.0, 4.0])) == 1.0
+        assert cosine(np.array([3.0, 4.0]), np.array([3.0, 4.0])) == 1.0
 
     def test_orthogonal(self):
-        assert cosine_similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+        assert cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
 
     def test_opposition(self):
-        assert cosine_similarity(np.array([1.0, 0.0]), np.array([-1.0, 0.0])) == -1.0
+        assert cosine(np.array([1.0, 0.0]), np.array([-1.0, 0.0])) == -1.0
 
     def test_zero_norm_rejected(self):
         with pytest.raises(InputDomainError):
-            cosine_similarity(np.zeros(3), np.ones(3))
+            similarity_vector(np.ones((1, 3)), np.zeros(3))
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(InputDomainError):
-            cosine_similarity(np.ones(3), np.ones(4))
+            cosine_matrix(np.ones((2, 3)), np.ones((1, 4)))
+        with pytest.raises(InputDomainError):
+            cosine_matrix(np.ones((2, 1)), np.ones((1, 4)))
 
     @given(finite_vec, st.floats(min_value=0.1, max_value=100))
     def test_symmetric_and_scale_invariant(self, a, lam):
         b = a + 1.0  # deterministic second vector of matching length
         if np.linalg.norm(a) == 0 or np.linalg.norm(b) == 0:
             return
-        s = cosine_similarity(a, b)
+        s = cosine(a, b)
         assert -1.0 <= s <= 1.0
-        assert cosine_similarity(b, a) == pytest.approx(s, abs=1e-12)
-        assert cosine_similarity(lam * a, b) == pytest.approx(s, abs=1e-9)
+        assert cosine(b, a) == pytest.approx(s, abs=1e-12)
+        assert cosine(lam * a, b) == pytest.approx(s, abs=1e-9)
 
 
 class TestCrossEntropy:
@@ -98,6 +119,8 @@ class TestCrossEntropy:
     def test_length_mismatch_rejected(self):
         with pytest.raises(InputDomainError):
             cross_entropy(np.ones(2) / 2, np.ones(3) / 3)
+        with pytest.raises(InputDomainError):
+            cross_entropy(np.ones(1), np.ones(3) / 3)
 
     @given(
         arrays(np.float64, 4, elements=st.floats(min_value=0.01, max_value=1.0)),

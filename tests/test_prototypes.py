@@ -85,3 +85,40 @@ def test_pushed_feature_is_copied():
     bank.push(0, f)
     f[0] = 99.0
     np.testing.assert_array_equal(bank.prototypes()[0], [1.0, 1.0])
+
+
+@pytest.mark.parametrize("batch", [1, 7, 40, 300])
+def test_batch_push_matches_one_row_pushes(batch):
+    # batches larger than the capacity evict within one push
+    rng = np.random.default_rng(batch)
+    bulk = PrototypeBank(num_classes=3, feature_dim=4, capacity=16)
+    rows = PrototypeBank(num_classes=3, feature_dim=4, capacity=16)
+    for _ in range(900 // batch):
+        ids = rng.integers(0, 3, size=batch)
+        feats = rng.normal(size=(batch, 4))
+        bulk.push(ids, feats)
+        for k, f in zip(ids, feats):
+            rows.push(int(k), f)
+    for k in range(3):
+        got, want = bulk.queue_contents(k), rows.queue_contents(k)
+        assert len(got) == len(want) == 16
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(bulk.prototypes(), rows.prototypes())
+
+
+def test_empty_batch_push_is_a_no_op():
+    bank = PrototypeBank(num_classes=1, feature_dim=2)
+    bank.push(np.zeros(0, dtype=np.int64), np.zeros((0, 2)))
+    assert bank.queue_size(0) == 0
+
+
+def test_bad_batch_rejected_whole():
+    bank = PrototypeBank(num_classes=2, feature_dim=2)
+    with pytest.raises(InputDomainError):
+        bank.push(np.array([0, 2]), np.ones((2, 2)))
+    with pytest.raises(InputDomainError):
+        bank.push(np.array([0, 1]), np.ones((3, 2)))
+    with pytest.raises(InputDomainError):
+        bank.push(np.array([0.0, 1.0]), np.ones((2, 2)))
+    assert bank.queue_size(0) == bank.queue_size(1) == 0
