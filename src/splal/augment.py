@@ -56,12 +56,23 @@ def weak_augment(x: np.ndarray, flip_h: bool | np.ndarray, flip_v: bool | np.nda
 
 
 def strong_augment(x: np.ndarray) -> np.ndarray:
-    """3x3 Gaussian blur (sigma 1.0) with reflect padding, grid by grid."""
+    """3x3 Gaussian blur (sigma 1.0) with reflect padding, grid by grid.
+
+    The padded stack is filled by slices: the interior, then the edge rows,
+    then the edge columns (so a corner takes its diagonal neighbour). The
+    nine taps are summed in row-major order through one scratch stack.
+    """
     x = _grids(x, "strong_augment", 3)
     h, w = x.shape[-2:]
-    padded = np.pad(x, [(0, 0)] * (x.ndim - 2) + [(1, 1), (1, 1)], mode="reflect")
+    padded = np.empty(x.shape[:-2] + (h + 2, w + 2))
+    padded[..., 1:-1, 1:-1] = x
+    padded[..., 0, 1:-1] = x[..., 1, :]
+    padded[..., -1, 1:-1] = x[..., -2, :]
+    padded[..., 0] = padded[..., 2]
+    padded[..., -1] = padded[..., -3]
     out = np.zeros_like(x)
+    tap = np.empty_like(x)
     for di in range(3):
         for dj in range(3):
-            out += _KERNEL[di, dj] * padded[..., di : di + h, dj : dj + w]
+            out += np.multiply(padded[..., di : di + h, dj : dj + w], _KERNEL[di, dj], out=tap)
     return out

@@ -66,7 +66,14 @@ def _centered_coords(h: int, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 def render_pattern(class_id: int, h: int, w: int, rng: np.random.Generator) -> np.ndarray:
     """Noise-free pattern for one sample of a class; symmetric under both flips."""
-    yy, xx, rr = _centered_coords(h, w)
+    return _render(class_id, _centered_coords(h, w), rng)
+
+
+def _render(class_id: int, coords: tuple[np.ndarray, np.ndarray, np.ndarray],
+            rng: np.random.Generator) -> np.ndarray:
+    """render_pattern over precomputed _centered_coords, which it does not modify."""
+    yy, xx, rr = coords
+    h, w = rr.shape
     scale = min(h, w) / 16.0
     amplitude = rng.uniform(0.65, 0.95)
     kind = class_id % 4
@@ -100,11 +107,12 @@ def generate(spec: SyntheticSpec) -> list[Sample]:
     """Deterministic dataset for a spec; sample ids are 0..n-1 in class order."""
     spec.validate()
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
+    coords = _centered_coords(spec.height, spec.width)
     samples: list[Sample] = []
     sid = 0
     for k, count in enumerate(spec.class_counts):
         for _ in range(count):
-            clean = render_pattern(k, spec.height, spec.width, rng)
+            clean = _render(k, coords, rng)
             noisy = clean + rng.normal(0.0, spec.noise_sigma, size=clean.shape)
             grid = np.clip(noisy, 0.0, 1.0)
             samples.append(Sample(sample_id=sid, grid=grid, true_label=k))

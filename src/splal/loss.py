@@ -97,10 +97,10 @@ def total_loss(
 
     grads = backward_from_dlogits(params, fwd, lam1 * dlogits_cls)
     dlogits_strong = lam2 * (p_strong - p_weak) / B
-    grads.add_scaled(backward_from_dlogits(params, fwd_strong, dlogits_strong))
+    grads.flat += backward_from_dlogits(params, fwd_strong, dlogits_strong).flat
     if not stop_gradient:
         # Symmetric variant: the weak prediction is also differentiated through.
         dprobs_weak = lam2 * (-np.log(clipped_strong)) / B
         dlogits_weak = dlogits_from_dprobs(p_weak, dprobs_weak)
-        grads.add_scaled(backward_from_dlogits(params, fwd_weak, dlogits_weak))
+        grads.flat += backward_from_dlogits(params, fwd_weak, dlogits_weak).flat
     return breakdown, grads

@@ -9,6 +9,7 @@ bank and the KNN classifier.
 from __future__ import annotations
 
 import json
+import math
 import zipfile
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -21,15 +22,80 @@ from .numerics import LOG_EPS, softmax_rows
 CHECKPOINT_VERSION = 1
 
 
-@dataclass
-class ModelParams:
+_Layout = tuple[tuple[int, int, tuple[int, ...]], ...]
+
+
+def _layout(hidden, classifier) -> _Layout:
+    """(start, stop, shape) in the flat vector of each W and b, layer by layer.
+
+    The layers must chain: each W is 2-D, each b is as wide as its W's
+    fan-out, and each fan-in equals the fan-out of the layer below.
+    """
+    layout: list[tuple[int, int, tuple[int, ...]]] = []
+    fan_in, offset = None, 0
+    for i, (W, b) in enumerate([*hidden, classifier]):
+        w_shape, b_shape = np.shape(W), np.shape(b)
+        if len(w_shape) != 2 or b_shape != w_shape[1:] or fan_in not in (None, w_shape[0]):
+            raise InputDomainError(
+                f"layer {i}: weights {w_shape} and bias {b_shape} do not chain"
+                + ("" if fan_in is None else f" onto a layer of width {fan_in}")
+            )
+        fan_in = w_shape[1]
+        for shape in (w_shape, b_shape):
+            size = math.prod(shape)
+            layout.append((offset, offset + size, shape))
+            offset += size
+    return tuple(layout)
+
+
+class _FlatLayers:
+    """(W, b) per hidden layer plus the classifier's, as views into one float64 vector.
+
+    `flat` holds every entry, layer by layer, W before b; `hidden` and
+    `classifier` are reshaped views into it, so writing either writes the
+    other. The constructor copies the given arrays into a new vector.
+    """
+
+    def __init__(self, hidden, classifier):
+        layout = _layout(hidden, classifier)
+        self._bind(np.empty(layout[-1][1]), layout)
+        for view, a in zip(self.arrays(), (a for layer in (*hidden, classifier) for a in layer)):
+            view[...] = a
+
+    @classmethod
+    def _over(cls, flat: np.ndarray, layout: _Layout):
+        """An instance whose views lie in the given vector, without copying it."""
+        obj = cls.__new__(cls)
+        obj._bind(flat, layout)
+        return obj
+
+    def _bind(self, flat: np.ndarray, layout: _Layout) -> None:
+        self.flat = flat
+        self._layout = layout
+        views = [flat[start:stop].reshape(shape) for start, stop, shape in layout]
+        layers = list(zip(views[::2], views[1::2]))
+        self.hidden: list[tuple[np.ndarray, np.ndarray]] = layers[:-1]
+        self.classifier: tuple[np.ndarray, np.ndarray] = layers[-1]
+
+    def __reduce__(self):
+        # Rebuild through the constructor, so a pickled copy's views share its vector.
+        return type(self), (self.hidden, self.classifier)
+
+    def arrays(self) -> list[np.ndarray]:
+        return [a for layer in (*self.hidden, self.classifier) for a in layer]
+
+    def flatten(self) -> np.ndarray:
+        return self.flat.copy()
+
+    def all_finite(self) -> bool:
+        return bool(np.isfinite(self.flat).all())
+
+
+class ModelParams(_FlatLayers):
     """Encoder weights (list of (W, b) per hidden layer) plus the final linear map.
 
     W matrices are (fan_in, fan_out); activations are row vectors.
     """
-
-    hidden: list[tuple[np.ndarray, np.ndarray]]
-    classifier: tuple[np.ndarray, np.ndarray]
 
     @property
     def input_dim(self) -> int:
@@ -44,34 +110,19 @@ class ModelParams:
         return self.classifier[0].shape[1]
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            hidden=[(W.copy(), b.copy()) for W, b in self.hidden],
-            classifier=(self.classifier[0].copy(), self.classifier[1].copy()),
-        )
-
-    def arrays(self) -> list[np.ndarray]:
-        out: list[np.ndarray] = []
-        for W, b in self.hidden:
-            out.extend((W, b))
-        out.extend(self.classifier)
-        return out
+        return ModelParams._over(self.flat.copy(), self._layout)
 
     def num_params(self) -> int:
-        return sum(a.size for a in self.arrays())
-
-    def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(a)) for a in self.arrays())
-
-    def flatten(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for a in self.arrays()])
+        return self.flat.size
 
     def set_flat(self, flat: np.ndarray) -> None:
-        offset = 0
-        for a in self.arrays():
-            a[...] = flat[offset : offset + a.size].reshape(a.shape)
-            offset += a.size
-        if offset != flat.size:
-            raise InputDomainError("flat parameter vector has wrong length")
+        """Overwrite every parameter from a vector laid out like flatten(); all or nothing."""
+        flat = np.asarray(flat)
+        if flat.shape != self.flat.shape:
+            raise InputDomainError(
+                f"flat parameter vector has shape {flat.shape}, expected {self.flat.shape}"
+            )
+        self.flat[...] = flat
 
 
 def init_params(
@@ -133,56 +184,33 @@ def forward(params: ModelParams, X: np.ndarray) -> ForwardRecord:
     )
 
 
-@dataclass
-class Gradients:
-    """Gradient arrays shaped identically to ModelParams."""
-
-    hidden: list[tuple[np.ndarray, np.ndarray]]
-    classifier: tuple[np.ndarray, np.ndarray]
+class Gradients(_FlatLayers):
+    """Gradient arrays shaped identically to ModelParams, laid out like its `flat`."""
 
     @staticmethod
     def zeros_like(params: ModelParams) -> "Gradients":
-        return Gradients(
-            hidden=[(np.zeros_like(W), np.zeros_like(b)) for W, b in params.hidden],
-            classifier=(
-                np.zeros_like(params.classifier[0]),
-                np.zeros_like(params.classifier[1]),
-            ),
-        )
-
-    def arrays(self) -> list[np.ndarray]:
-        out: list[np.ndarray] = []
-        for W, b in self.hidden:
-            out.extend((W, b))
-        out.extend(self.classifier)
-        return out
-
-    def add_scaled(self, other: "Gradients", scale: float = 1.0) -> None:
-        for mine, theirs in zip(self.arrays(), other.arrays()):
-            mine += scale * theirs
-
-    def flatten(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for a in self.arrays()])
-
-    def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(a)) for a in self.arrays())
+        return Gradients._over(np.zeros_like(params.flat), params._layout)
 
 
 def backward_from_dlogits(
     params: ModelParams, fwd: ForwardRecord, dlogits: np.ndarray
 ) -> Gradients:
-    """Backpropagate an upstream (B, K) logit gradient to all parameters."""
-    grads = Gradients.zeros_like(params)
-    Wc, _ = params.classifier
-    grads.classifier[0][...] = fwd.features.T @ dlogits
-    grads.classifier[1][...] = dlogits.sum(axis=0)
-    dh = dlogits @ Wc.T
+    """Backpropagate an upstream (B, K) logit gradient to all parameters.
+
+    Every gradient entry is written by one matmul or bias sum, straight
+    into its view, so the vector starts uninitialised.
+    """
+    grads = Gradients._over(np.empty_like(params.flat), params._layout)
+    np.matmul(fwd.features.T, dlogits, out=grads.classifier[0])
+    np.sum(dlogits, axis=0, out=grads.classifier[1])
+    upstream, W_above = dlogits, params.classifier[0]
     for i in range(len(params.hidden) - 1, -1, -1):
-        da = dh * (fwd.pre_activations[i] > 0)
+        da = upstream @ W_above.T
+        da *= fwd.pre_activations[i] > 0
         below = fwd.inputs if i == 0 else fwd.activations[i - 1]
-        grads.hidden[i][0][...] = below.T @ da
-        grads.hidden[i][1][...] = da.sum(axis=0)
-        dh = da @ params.hidden[i][0].T
+        np.matmul(below.T, da, out=grads.hidden[i][0])
+        np.sum(da, axis=0, out=grads.hidden[i][1])
+        upstream, W_above = da, params.hidden[i][0]
     return grads
 
 
@@ -235,15 +263,19 @@ def backward(
 
 @dataclass
 class OptimizerState:
-    """Adam moment accumulators, one pair of arrays per parameter tensor."""
+    """Adam moment accumulators, each one vector laid out like ModelParams.flat."""
 
     learning_rate: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
+    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
+
+    def __post_init__(self) -> None:
+        # Two vectors of scratch for adam_step, reused on every step.
+        self._scratch = np.empty((2, self.m.size))
 
     @staticmethod
     def for_params(params: ModelParams, learning_rate: float = 1e-3,
@@ -251,23 +283,44 @@ class OptimizerState:
                    eps: float = 1e-8) -> "OptimizerState":
         return OptimizerState(
             learning_rate=learning_rate, beta1=beta1, beta2=beta2, eps=eps,
-            m=[np.zeros_like(a) for a in params.arrays()],
-            v=[np.zeros_like(a) for a in params.arrays()],
+            m=np.zeros_like(params.flat), v=np.zeros_like(params.flat),
         )
 
 
 def adam_step(params: ModelParams, grads: Gradients, state: OptimizerState) -> None:
-    """One bias-corrected Adam update, in place on params and state."""
-    if not grads.all_finite():
+    """One bias-corrected Adam update, in place on params and state.
+
+    m <- b1 m + (1 - b1) g;  v <- b2 v + (1 - b2) g g;
+    p <- p - lr (m / bc1) / (sqrt(v / bc2) + eps),
+    each product and quotient rounded once, in this order, over the flat
+    vectors, through the state's two scratch vectors.
+    """
+    g = grads.flat
+    if not params.flat.shape == g.shape == state.m.shape == state.v.shape == state._scratch[0].shape:
+        raise InputDomainError(
+            f"adam_step sizes differ: params {params.flat.size}, grads {g.size}, "
+            f"moments {state.m.size} and {state.v.size}"
+        )
+    if not np.isfinite(g).all():
         raise TrainingError("non-finite gradient in adam_step")
     state.step += 1
     t = state.step
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
-    for p, g, m, v in zip(params.arrays(), grads.arrays(), state.m, state.v):
-        m[...] = state.beta1 * m + (1.0 - state.beta1) * g
-        v[...] = state.beta2 * v + (1.0 - state.beta2) * g * g
-        p -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    m, v, (step, denom) = state.m, state.v, state._scratch
+    m *= state.beta1
+    m += np.multiply(g, 1.0 - state.beta1, out=step)
+    v *= state.beta2
+    np.multiply(g, 1.0 - state.beta2, out=step)
+    step *= g
+    v += step
+    np.divide(v, bc2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    np.divide(m, bc1, out=step)
+    step *= state.learning_rate
+    step /= denom
+    params.flat -= step
 
 
 @dataclass
@@ -285,9 +338,8 @@ class EmaParams:
 def ema_update(ema: EmaParams, live: ModelParams) -> None:
     """shadow <- rho * shadow + (1 - rho) * live, elementwise, in place."""
     rho = ema.decay
-    for s, l in zip(ema.shadow.arrays(), live.arrays()):
-        s *= rho
-        s += (1.0 - rho) * l
+    ema.shadow.flat *= rho
+    ema.shadow.flat += (1.0 - rho) * live.flat
 
 
 def save_checkpoint(path, live: ModelParams, ema: ModelParams, meta: dict) -> None:
@@ -309,8 +361,8 @@ def save_checkpoint(path, live: ModelParams, ema: ModelParams, meta: dict) -> No
 def load_checkpoint(path) -> tuple[ModelParams, ModelParams, dict]:
     """(live, ema, meta) from save_checkpoint's file.
 
-    A file that is not such a container, or lacks one of its entries, raises
-    InputDomainError naming the file.
+    A file that is not such a container, lacks one of its entries, or holds
+    layers that do not chain, raises InputDomainError naming the file.
     """
     try:
         with np.load(path) as data:
@@ -320,8 +372,11 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelParams, dict]:
             n = meta["num_hidden"]
             out = []
             for tag in ("live", "ema"):
-                hidden = [(data[f"{tag}_hW{i}"].copy(), data[f"{tag}_hb{i}"].copy()) for i in range(n)]
-                out.append(ModelParams(hidden=hidden, classifier=(data[f"{tag}_cW"].copy(), data[f"{tag}_cb"].copy())))
+                hidden = [(data[f"{tag}_hW{i}"], data[f"{tag}_hb{i}"]) for i in range(n)]
+                try:
+                    out.append(ModelParams(hidden=hidden, classifier=(data[f"{tag}_cW"], data[f"{tag}_cb"])))
+                except InputDomainError as exc:
+                    raise InputDomainError(f"{path}: {tag} weights: {exc}") from exc
     except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as exc:
         raise InputDomainError(f"{path}: not a readable checkpoint ({type(exc).__name__}: {exc})") from exc
     return out[0], out[1], meta

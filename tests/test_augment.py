@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from splal.augment import FLIP_PROB, _gaussian_kernel_3x3, strong_augment, weak_augment
+from splal.augment import _KERNEL, FLIP_PROB, _gaussian_kernel_3x3, strong_augment, weak_augment
 from splal.errors import InputDomainError
 from splal.loss import make_views, replay_views
 
@@ -65,6 +65,18 @@ class TestStrongAugment:
     def test_too_small_rejected(self):
         with pytest.raises(InputDomainError):
             strong_augment(np.ones((2, 5)))
+
+    @pytest.mark.parametrize("shape", [(5, 7), (6, 16, 16), (3, 3), (2, 3, 3)])
+    def test_matches_np_pad_oracle(self, shape):
+        # np.pad(mode="reflect") builds the padding; taps summed in row-major order.
+        x = np.random.default_rng(4).uniform(size=shape)
+        h, w = shape[-2:]
+        padded = np.pad(x, [(0, 0)] * (x.ndim - 2) + [(1, 1), (1, 1)], mode="reflect")
+        expected = np.zeros_like(x)
+        for di in range(3):
+            for dj in range(3):
+                expected += _KERNEL[di, dj] * padded[..., di : di + h, dj : dj + w]
+        assert np.array_equal(strong_augment(x), expected)
 
 
 class TestStacks:

@@ -19,7 +19,7 @@ from splal.cli import (
 from splal.config import ExperimentConfig, config_to_text
 from splal.data import SyntheticSpec, file_sha256, generate, load_csv, save_csv
 from splal.errors import ConfigurationError
-from splal.model import load_checkpoint
+from splal.model import init_params, load_checkpoint, save_checkpoint
 from splal.orchestrator import run
 
 from test_orchestrator import tiny_config
@@ -171,13 +171,20 @@ class TestEvaluate:
         ])
         assert code == 1
 
-    @pytest.mark.parametrize("kind", ["not-npz", "no-meta"])
+    @pytest.mark.parametrize("kind", ["not-npz", "no-meta", "layers-do-not-chain"])
     def test_malformed_checkpoint_exits_two(self, tmp_path, capsys, kind):
         ckpt = tmp_path / "ckpt.npz"
         if kind == "not-npz":
             ckpt.write_text("not a checkpoint\n")
-        else:
+        elif kind == "no-meta":
             np.savez(ckpt, live_cW=np.zeros((2, 2)))
+        else:
+            net = init_params(256, (64, 32), 4, np.random.default_rng(0))
+            save_checkpoint(ckpt, net, net, {"seed": 0, "num_classes": 4, "height": 16, "width": 16})
+            with np.load(ckpt) as z:
+                entries = dict(z)
+            entries["ema_hW1"] = np.zeros((16, 32))  # after a (256, 64) layer
+            np.savez(ckpt, **entries)
         _, test = write_csv_pair(tmp_path)
         code = main([
             "evaluate", "--checkpoint", str(ckpt), "--data", str(test),

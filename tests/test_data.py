@@ -44,6 +44,16 @@ class TestGenerate:
         b = generate(SyntheticSpec(class_counts=(3, 3, 3, 3), seed=8))
         assert any(not np.array_equal(s.grid, t.grid) for s, t in zip(a, b))
 
+    def test_matches_per_sample_oracle(self):
+        # render_pattern per sample (coordinates rebuilt each time), then the
+        # noise draw, from a twin generator; class 4 adds the grating.
+        spec = SyntheticSpec(num_classes=5, class_counts=(3, 2, 2, 1, 2), height=8, width=10, seed=4)
+        twin = np.random.default_rng(np.random.SeedSequence(spec.seed))
+        for s in generate(spec):
+            clean = render_pattern(s.true_label, spec.height, spec.width, twin)
+            noisy = clean + twin.normal(0.0, spec.noise_sigma, size=clean.shape)
+            assert np.array_equal(s.grid, np.clip(noisy, 0.0, 1.0))
+
     def test_spec_validation(self):
         with pytest.raises(InputDomainError):
             generate(SyntheticSpec(height=4))

@@ -1,7 +1,10 @@
+import pickle
+
 import numpy as np
 import pytest
 
 from splal.errors import InputDomainError, TrainingError
+from splal.loss import make_views, total_loss
 from splal.model import (
     EmaParams,
     Gradients,
@@ -9,12 +12,14 @@ from splal.model import (
     OptimizerState,
     adam_step,
     backward,
+    ce_value_and_dlogits,
     ema_update,
     forward,
     init_params,
     load_checkpoint,
     save_checkpoint,
 )
+from splal.numerics import LOG_EPS
 
 
 def tiny_net(rng, input_dim=4, widths=(3,), classes=3):
@@ -243,3 +248,157 @@ class TestCheckpoint:
         assert np.array_equal(
             forward(ema, x).probabilities, forward(ema2, x).probabilities
         )
+
+
+class TestFlatLayout:
+    def test_view_writes_reach_flatten(self):
+        params = tiny_net(np.random.default_rng(10))  # W0 (4, 3), b0 (3,), Wc (3, 3), bc (3,)
+        params.hidden[0][1][2] = 7.5
+        params.classifier[0][...] = 0.0
+        flat = params.flatten()
+        assert flat[12 + 2] == 7.5
+        assert not flat[15:24].any()
+        assert params.num_params() == flat.size == 27
+
+    def test_constructor_and_copy_own_their_vectors(self):
+        W, b = np.ones((4, 3)), np.zeros(3)
+        params = ModelParams(hidden=[(W, b)], classifier=(np.ones((3, 2)), np.zeros(2)))
+        W[0, 0] = 5.0
+        twin = params.copy()
+        twin.hidden[0][0][0, 0] = -1.0
+        assert params.hidden[0][0][0, 0] == 1.0
+        assert twin.flat[0] == -1.0
+        assert not np.shares_memory(twin.flat, params.flat)
+
+    def test_pickled_copy_keeps_views_in_its_vector(self):
+        params = tiny_net(np.random.default_rng(11))
+        twin = pickle.loads(pickle.dumps(params))
+        assert np.array_equal(twin.flat, params.flat)
+        twin.classifier[1][0] = 3.0
+        assert twin.flat[-3] == 3.0
+
+    def test_all_finite_catches_nan_in_a_bias(self):
+        params = tiny_net(np.random.default_rng(12))
+        grads = Gradients.zeros_like(params)
+        assert params.all_finite() and grads.all_finite()
+        params.hidden[0][1][1] = np.nan
+        grads.classifier[1][0] = np.inf
+        assert not params.all_finite()
+        assert not grads.all_finite()
+
+    def test_zeros_like_is_all_zeros(self):
+        rng = np.random.default_rng(13)
+        params = tiny_net(rng)
+        backward(params, rng.normal(size=(5, 4)), np.eye(3)[[0, 1, 2, 0, 1]])
+        grads = Gradients.zeros_like(params)
+        assert not grads.flat.any()
+        assert [a.shape for a in grads.arrays()] == [a.shape for a in params.arrays()]
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_wrong_length_set_flat_leaves_params(self, delta):
+        params = tiny_net(np.random.default_rng(14))
+        before = params.flatten()
+        with pytest.raises(InputDomainError):
+            params.set_flat(np.zeros(before.size + delta))
+        assert np.array_equal(params.flatten(), before)
+
+    @pytest.mark.parametrize("hidden, classifier", [
+        ([(np.zeros((4, 3)), np.zeros(2))], (np.zeros((3, 2)), np.zeros(2))),     # bias width
+        ([(np.zeros((4, 3)), np.zeros(3)), (np.zeros((2, 5)), np.zeros(5))],
+         (np.zeros((5, 2)), np.zeros(2))),                                        # hidden fan-in
+        ([(np.zeros((4, 3)), np.zeros(3))], (np.zeros((4, 2)), np.zeros(2))),     # classifier fan-in
+        ([(np.zeros(4), np.zeros(()))], (np.zeros((4, 2)), np.zeros(2))),         # 1-D weights
+    ])
+    def test_layers_must_chain(self, hidden, classifier):
+        with pytest.raises(InputDomainError):
+            ModelParams(hidden=hidden, classifier=classifier)
+
+    def test_adam_rejects_state_of_another_net(self):
+        rng = np.random.default_rng(15)
+        params = tiny_net(rng)
+        state = OptimizerState.for_params(tiny_net(rng, widths=(2,)))
+        with pytest.raises(InputDomainError):
+            adam_step(params, Gradients.zeros_like(params), state)
+
+
+# Per-tensor reference of the training step: every (W, b) its own array,
+# every expression a fresh temporary, as the update rules are written.
+
+def ref_backward(arrays, fwd, dlogits):
+    Ws = arrays[::2]
+    grads = [np.zeros_like(a) for a in arrays]
+    grads[-2][...] = fwd.features.T @ dlogits
+    grads[-1][...] = dlogits.sum(axis=0)
+    dh = dlogits @ Ws[-1].T
+    for i in range(len(Ws) - 2, -1, -1):
+        da = dh * (fwd.pre_activations[i] > 0)
+        below = fwd.inputs if i == 0 else fwd.activations[i - 1]
+        grads[2 * i][...] = below.T @ da
+        grads[2 * i + 1][...] = da.sum(axis=0)
+        dh = da @ Ws[i].T
+    return grads
+
+
+def ref_adam(arrays, grads, m, v, t, lr, beta1, beta2, eps):
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
+    for p, g, mi, vi in zip(arrays, grads, m, v):
+        mi[...] = beta1 * mi + (1.0 - beta1) * g
+        vi[...] = beta2 * vi + (1.0 - beta2) * g * g
+        p -= lr * (mi / bc1) / (np.sqrt(vi / bc2) + eps)
+
+
+def ref_ema(shadow, live, rho):
+    for s, l in zip(shadow, live):
+        s *= rho
+        s += (1.0 - rho) * l
+
+
+def concat(arrays):
+    return np.concatenate([a.ravel() for a in arrays])
+
+
+class TestFusedStepMatchesPerTensorReference:
+    @pytest.mark.parametrize("side, widths, classes", [(3, (5, 4), 3), (16, (64, 32), 4)])
+    @pytest.mark.parametrize("stop_gradient", [True, False])
+    def test_bitwise_equal_over_steps(self, side, widths, classes, stop_gradient):
+        rng = np.random.default_rng(16)
+        params = init_params(side * side, widths, classes, rng)
+        opt = OptimizerState.for_params(params, learning_rate=0.01)
+        ema = EmaParams.from_live(params, 0.9)
+        ref = [a.copy() for a in params.arrays()]
+        ref_m = [np.zeros_like(a) for a in ref]
+        ref_v = [np.zeros_like(a) for a in ref]
+        ref_shadow = [a.copy() for a in ref]
+        lam1, lam2, B = 0.7, 0.3, 8
+        for t in range(1, 21):
+            grids = rng.uniform(size=(B, side, side))
+            targets = np.eye(classes)[rng.integers(0, classes, size=B)]
+            weights = rng.uniform(0.5, 1.5, size=B)
+            weak, strong, _ = make_views(grids, rng)
+            _, grads = total_loss(params, grids, targets, weights, weak, strong, lam1, lam2,
+                                  stop_gradient=stop_gradient)
+
+            net = ModelParams(hidden=list(zip(ref[:-2:2], ref[1:-2:2])), classifier=(ref[-2], ref[-1]))
+            fwd, fwd_weak, fwd_strong = (forward(net, x.reshape(B, -1)) for x in (grids, weak, strong))
+            _, dlogits = ce_value_and_dlogits(fwd, targets, weights)
+            ref_grads = ref_backward(ref, fwd, lam1 * dlogits)
+            p_weak, p_strong = fwd_weak.probabilities, fwd_strong.probabilities
+            parts = [(fwd_strong, lam2 * (p_strong - p_weak) / B)]
+            if not stop_gradient:
+                dprobs = lam2 * (-np.log(np.clip(p_strong, LOG_EPS, 1.0))) / B
+                inner = (dprobs * p_weak).sum(axis=1, keepdims=True)
+                parts.append((fwd_weak, p_weak * (dprobs - inner)))
+            for record, dl in parts:
+                for mine, theirs in zip(ref_grads, ref_backward(ref, record, dl)):
+                    mine += 1.0 * theirs
+            assert np.array_equal(grads.flat, concat(ref_grads))
+
+            adam_step(params, grads, opt)
+            ref_adam(ref, ref_grads, ref_m, ref_v, t, 0.01, 0.9, 0.999, 1e-8)
+            ema_update(ema, params)
+            ref_ema(ref_shadow, ref, 0.9)
+            assert np.array_equal(params.flat, concat(ref))
+            assert np.array_equal(opt.m, concat(ref_m))
+            assert np.array_equal(opt.v, concat(ref_v))
+            assert np.array_equal(ema.shadow.flat, concat(ref_shadow))
