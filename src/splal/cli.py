@@ -95,12 +95,8 @@ def run_training(cfg: ExperimentConfig, out_dir) -> dict[int, dict]:
         result = run(cfg, seed, collect_audits=True)
         seed_dir = out / f"seed_{seed}"
         write_run_dir(seed_dir, cfg, seed, result)
-        save_csv(
-            result.test_samples, seed_dir / "test.csv",
-            result.test_samples[0].grid.shape[0],
-            result.test_samples[0].grid.shape[1],
-            cfg.num_classes,
-        )
+        height, width = result.test_samples.grids.shape[1:]
+        save_csv(result.test_samples, seed_dir / "test.csv", height, width, cfg.num_classes)
         per_seed[seed] = result.metrics
     with (out / "aggregate.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -181,9 +177,7 @@ def run_sweep(cfg: ExperimentConfig, sweep: str, out_csv) -> list[dict]:
         for seed in variant.seeds:
             result = run(variant, seed)
             m = result.metrics
-            pool = result.state.labeled + result.state.unlabeled
-            counts = np.bincount([s.true_label for s in pool], minlength=variant.num_classes)
-            minority = int(np.argmin(counts))
+            minority = int(np.argmin(np.bincount(result.state.pool.truth, minlength=variant.num_classes)))
             row = {"sweep": sweep, "value": value, "seed": seed}
             row.update({key: m[key] for key in METRIC_KEYS})
             row["minority_recall"] = m["per_class"][minority]["recall"]

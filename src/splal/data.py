@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+from array import array
 import json
 import math
 from dataclasses import dataclass, replace
@@ -18,15 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, InputDomainError, ParseError
-from .numerics import one_hot
 
 GROUND_TRUTH = "ground-truth"
 PSEUDO = "pseudo"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Sample:
-    """One grid with an immutable hidden truth and a mutable visible label.
+    """Read-only record of one pool row, as the pool views of a run yield it.
 
     The visible label is None for unlabeled samples, a one-hot vector for
     ground-truth labels, and a soft distribution once pseudo-labeled.
@@ -37,6 +37,18 @@ class Sample:
     true_label: int | None
     visible_label: np.ndarray | None = None
     provenance: str | None = None
+
+
+@dataclass(frozen=True)
+class Pool:
+    """Samples as arrays: ids (N,), grids (N, H, W), truth (N,) with -1 where unknown."""
+
+    ids: np.ndarray
+    grids: np.ndarray
+    truth: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 @dataclass(frozen=True)
@@ -103,21 +115,18 @@ def _render(class_id: int, coords: tuple[np.ndarray, np.ndarray, np.ndarray],
     return amplitude * pattern
 
 
-def generate(spec: SyntheticSpec) -> list[Sample]:
+def generate(spec: SyntheticSpec) -> Pool:
     """Deterministic dataset for a spec; sample ids are 0..n-1 in class order."""
     spec.validate()
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
     coords = _centered_coords(spec.height, spec.width)
-    samples: list[Sample] = []
-    sid = 0
-    for k, count in enumerate(spec.class_counts):
-        for _ in range(count):
-            clean = _render(k, coords, rng)
-            noisy = clean + rng.normal(0.0, spec.noise_sigma, size=clean.shape)
-            grid = np.clip(noisy, 0.0, 1.0)
-            samples.append(Sample(sample_id=sid, grid=grid, true_label=k))
-            sid += 1
-    return samples
+    truth = np.repeat(np.arange(spec.num_classes), spec.class_counts)
+    grids = np.empty((len(truth), spec.height, spec.width))
+    for grid, k in zip(grids, truth.tolist()):
+        clean = _render(k, coords, rng)
+        noisy = clean + rng.normal(0.0, spec.noise_sigma, size=clean.shape)
+        np.clip(noisy, 0.0, 1.0, out=grid)
+    return Pool(np.arange(len(truth)), grids, truth)
 
 
 def balanced_test_spec(spec: SyntheticSpec, per_class: int = 50, seed_offset: int = 10_000) -> SyntheticSpec:
@@ -129,58 +138,41 @@ def balanced_test_spec(spec: SyntheticSpec, per_class: int = 50, seed_offset: in
     )
 
 
-def split_labeled(
-    samples: list[Sample], ratio: float, seed: int
-) -> tuple[list[Sample], list[Sample]]:
-    """Stratified split; ceil(ratio * n_k) labeled per class, at least 1."""
+def split_labeled(pool: Pool, ratio: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stratified split of an id-sorted pool; ceil(ratio * n_k) labeled per class, at least 1.
+
+    Returns the (labeled, unlabeled) row indices, each ascending.
+    """
     if not (0.0 < ratio <= 1.0):
         raise InputDomainError(f"labeled ratio must lie in (0, 1], got {ratio}")
-    by_class: dict[int, list[Sample]] = {}
-    for s in samples:
-        if s.true_label is None:
-            raise InputDomainError(f"sample {s.sample_id} has no label; cannot stratify")
-        by_class.setdefault(s.true_label, []).append(s)
-    num_classes = max(by_class) + 1
-    if sorted(by_class) != list(range(num_classes)):
-        missing = sorted(set(range(num_classes)) - set(by_class))
-        raise InputDomainError(f"classes with zero samples: {missing}")
+    if (pool.truth < 0).any():
+        raise InputDomainError(f"sample {pool.ids[pool.truth < 0][0]} has no label; cannot stratify")
+    counts = np.bincount(pool.truth)
+    if not counts.all():
+        raise InputDomainError(f"classes with zero samples: {np.flatnonzero(counts == 0).tolist()}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    labeled: list[Sample] = []
-    unlabeled: list[Sample] = []
-    for k in range(num_classes):
-        group = sorted(by_class[k], key=lambda s: s.sample_id)
-        take = max(1, math.ceil(ratio * len(group)))
-        order = rng.permutation(len(group))
-        chosen = set(order[:take].tolist())
-        for i, s in enumerate(group):
-            if i in chosen:
-                s.visible_label = one_hot(k, num_classes)
-                s.provenance = GROUND_TRUTH
-                labeled.append(s)
-            else:
-                s.visible_label = None
-                s.provenance = None
-                unlabeled.append(s)
-    labeled.sort(key=lambda s: s.sample_id)
-    unlabeled.sort(key=lambda s: s.sample_id)
-    return labeled, unlabeled
+    labeled = np.zeros(len(pool), dtype=bool)
+    for k, count in enumerate(counts.tolist()):
+        group = np.flatnonzero(pool.truth == k)
+        take = max(1, math.ceil(ratio * count))
+        labeled[group[rng.permutation(count)[:take]]] = True
+    return np.flatnonzero(labeled), np.flatnonzero(~labeled)
 
 
-def save_csv(samples: list[Sample], path, height: int, width: int, num_classes: int) -> None:
+def save_csv(samples: Pool, path, height: int, width: int, num_classes: int) -> None:
     """Pixel CSV with a metadata comment line; floats at 17 significant digits."""
     path = Path(path)
     with path.open("w", newline="") as fh:
         fh.write(f"# H={height} W={width} K={num_classes}\n")
         writer = csv.writer(fh)
         writer.writerow(["id", "label"] + [f"p{i}" for i in range(height * width)])
-        for s in samples:
-            label = -1 if s.true_label is None else s.true_label
-            row = [s.sample_id, label] + [repr(float(v)) for v in s.grid.ravel()]
-            writer.writerow(row)
+        pixels = samples.grids.reshape(len(samples), height * width)
+        for sid, label, row in zip(samples.ids.tolist(), samples.truth.tolist(), pixels):
+            writer.writerow([sid, label, *map(repr, row.tolist())])
 
 
-def load_csv(path) -> tuple[list[Sample], int, int, int]:
-    """Inverse of save_csv; raises ParseError with a line number on bad input."""
+def load_csv(path) -> tuple[Pool, int, int, int]:
+    """Inverse of save_csv, rows in file order; raises ParseError with a line number on bad input."""
     path = Path(path)
     with path.open() as fh:
         header = fh.readline().strip()
@@ -191,6 +183,8 @@ def load_csv(path) -> tuple[list[Sample], int, int, int]:
             h, w, k = int(meta["H"]), int(meta["W"]), int(meta["K"])
         except (ValueError, KeyError) as exc:
             raise ParseError(f"bad metadata line: {exc}", line=1)
+        if min(h, w, k) < 1:
+            raise ParseError(f"H, W and K must be positive, got H={h} W={w} K={k}", line=1)
         reader = csv.reader(fh)
         try:
             columns = next(reader)
@@ -201,7 +195,10 @@ def load_csv(path) -> tuple[list[Sample], int, int, int]:
             raise ParseError(
                 f"expected {expected_cols} columns, found {len(columns)}", line=2
             )
-        samples: list[Sample] = []
+        labels: list[int] = []
+        # One flat buffer that the grid array views, so no per-row arrays
+        # and no stacked copy of them sit beside it.
+        pixels = array("d")
         first_line: dict[int, int] = {}
         for lineno, row in enumerate(reader, start=3):
             if len(row) != expected_cols:
@@ -211,32 +208,32 @@ def load_csv(path) -> tuple[list[Sample], int, int, int]:
             try:
                 sid = int(row[0])
                 label = int(row[1])
-                pixels = np.array([float(v) for v in row[2:]], dtype=np.float64)
+                values = [float(v) for v in row[2:]]
             except ValueError as exc:
                 raise ParseError(str(exc), line=lineno)
             if label < -1 or label >= k:
                 raise ParseError(f"label {label} out of range for K={k}", line=lineno)
-            if not np.all(np.isfinite(pixels)):
+            if not -2**63 <= sid < 2**63:
+                raise ParseError(f"sample id {sid} does not fit in 64 bits", line=lineno)
+            if not all(map(math.isfinite, values)):
                 raise ParseError("non-finite pixel value", line=lineno)
             if sid in first_line:
                 raise ParseError(f"duplicate sample id {sid} (first on line {first_line[sid]})", line=lineno)
             first_line[sid] = lineno
-            samples.append(
-                Sample(
-                    sample_id=sid,
-                    grid=pixels.reshape(h, w),
-                    true_label=None if label == -1 else label,
-                )
-            )
-    return samples, h, w, k
+            labels.append(label)
+            pixels.fromlist(values)
+    if not labels:
+        raise ParseError("no data rows", line=3)
+    grids = np.frombuffer(pixels).reshape(len(labels), h, w)
+    return Pool(np.array(list(first_line)), grids, np.array(labels)), h, w, k
 
 
-def require_labels(samples: list[Sample], source: str) -> None:
+def require_labels(samples: Pool, source: str) -> None:
     """Reject an evaluation set with unlabeled (label -1) rows."""
-    unlabeled = [s.sample_id for s in samples if s.true_label is None]
-    if unlabeled:
+    unlabeled = samples.ids[samples.truth < 0]
+    if len(unlabeled):
         raise ConfigurationError(
-            f"{source}: evaluation set must be fully labeled; unlabeled ids {unlabeled[:5]}"
+            f"{source}: evaluation set must be fully labeled; unlabeled ids {unlabeled[:5].tolist()}"
         )
 
 

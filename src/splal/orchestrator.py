@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +19,7 @@ from .config import ExperimentConfig, config_to_text
 from .data import (
     GROUND_TRUTH,
     PSEUDO,
+    Pool,
     Sample,
     SyntheticSpec,
     balanced_test_spec,
@@ -39,7 +40,6 @@ from .model import (
     init_params,
     save_checkpoint,
 )
-from .numerics import one_hot_argmax
 from .prototypes import PrototypeBank
 from .pseudo import Ensemble, ensemble
 from .selector import gate
@@ -56,26 +56,77 @@ def substream(master_seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(stream,)))
 
 
+# Provenance code per pool row; PROVENANCE[code] is the name a record reports.
+UNLABELED, BY_TRUTH, BY_PSEUDO = 0, 1, 2
+PROVENANCE = (None, GROUND_TRUTH, PSEUDO)
+
+
 @dataclass
 class DatasetState:
-    """Labeled and unlabeled pools with conservation instrumentation."""
+    """The labeled and unlabeled pools over one id-sorted training pool.
 
-    labeled: list[Sample]
-    unlabeled: list[Sample]
+    `Y` holds the visible labels (zero rows while unlabeled) and `provenance`
+    a code per row. `labeled_rows` lists the labeled rows in join order: the
+    initial split ascending, then each stage's picks ascending. Training
+    batches are drawn by position in that list, so its order is part of the
+    behaviour. The unlabeled rows are the rows with no provenance, in id order.
+    """
+
+    pool: Pool
+    Y: np.ndarray
+    provenance: np.ndarray
+    labeled_rows: np.ndarray
     stage: int = 0
-    pseudo_ever: set = field(default_factory=set)
 
-    def total(self) -> int:
-        return len(self.labeled) + len(self.unlabeled)
+    @classmethod
+    def split(cls, pool: Pool, labeled_rows: np.ndarray, num_classes: int) -> "DatasetState":
+        """Ground-truth one-hot labels on the given rows; every other row unlabeled."""
+        Y = np.zeros((len(pool), num_classes))
+        Y[labeled_rows, pool.truth[labeled_rows]] = 1.0
+        provenance = np.full(len(pool), UNLABELED, dtype=np.int8)
+        provenance[labeled_rows] = BY_TRUTH
+        return cls(pool, Y, provenance, labeled_rows)
 
-    def check_invariants(self, expected_total: int) -> None:
-        lab = {s.sample_id for s in self.labeled}
-        unl = {s.sample_id for s in self.unlabeled}
-        if lab & unl:
-            raise TrainingError(f"pools overlap: {sorted(lab & unl)[:5]}")
-        if len(lab) + len(unl) != expected_total:
-            raise TrainingError(
-                f"pool conservation violated: {len(lab)} + {len(unl)} != {expected_total}"
+    @property
+    def unlabeled_rows(self) -> np.ndarray:
+        return np.flatnonzero(self.provenance == UNLABELED)
+
+    @property
+    def labeled(self) -> "PoolView":
+        return PoolView(self, self.labeled_rows)
+
+    @property
+    def unlabeled(self) -> "PoolView":
+        return PoolView(self, self.unlabeled_rows)
+
+    def check_invariants(self) -> None:
+        """Every pool row is in exactly one of the labeled and unlabeled pools."""
+        lab = self.labeled_rows
+        both = np.sort(lab[self.provenance[lab] == UNLABELED])
+        if len(both):
+            raise TrainingError(f"pools overlap: {self.pool.ids[both][:5].tolist()}")
+        n_lab, n_unl = len(lab), len(self.unlabeled_rows)
+        if n_lab + n_unl != len(self.pool):
+            raise TrainingError(f"pool conservation violated: {n_lab} + {n_unl} != {len(self.pool)}")
+
+
+@dataclass(frozen=True)
+class PoolView:
+    """Sized, iterable read-only Sample records for some rows of a DatasetState."""
+
+    state: DatasetState
+    rows: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self):
+        s = self.state
+        for r in self.rows.tolist():
+            code = int(s.provenance[r])
+            yield Sample(
+                int(s.pool.ids[r]), s.pool.grids[r], int(s.pool.truth[r]),
+                None if code == UNLABELED else s.Y[r].copy(), PROVENANCE[code],
             )
 
 
@@ -105,30 +156,20 @@ class RunResult:
     stage_reports: list[StageReport]
     warmup_losses: list[dict]
     metrics: dict
-    test_samples: list[Sample]
+    test_samples: Pool
     config_warnings: list[str]
     audits: dict | None = None
 
 
-def batch_outputs(params: ModelParams, samples: list[Sample]) -> tuple[np.ndarray, np.ndarray]:
-    """Features and softmax rows of one forward pass over the samples' grids.
-
-    Only these two arrays outlive the call; the pass's other intermediates
-    include the (N, D) inputs.
-    """
-    fwd = forward(params, np.stack([s.grid.ravel() for s in samples]))
-    return fwd.features, fwd.probabilities
-
-
-def batch_features(params: ModelParams, samples: list[Sample]) -> np.ndarray:
-    return batch_outputs(params, samples)[0]
+def _flat(grids: np.ndarray) -> np.ndarray:
+    return grids.reshape(len(grids), -1)
 
 
 def _train_epochs(
     params: ModelParams,
     opt: OptimizerState,
     ema: EmaParams | None,
-    labeled: list[Sample],
+    state: DatasetState,
     epochs: int,
     cfg: ExperimentConfig,
     rng_shuffle: np.random.Generator,
@@ -138,23 +179,25 @@ def _train_epochs(
 ) -> list[dict]:
     """Train on the labeled pool; optionally keep the bank and EMA fresh.
 
-    Targets, weights, class ids and the queue mask are pool arrays built
-    once per call; grids are stacked per batch, never for the whole pool.
+    Targets, weights, class ids and the queue mask are built once per call;
+    a batch's grids are gathered from the pool, never for the whole pool.
     """
     logs = []
-    n = len(labeled)
-    targets = np.stack([s.visible_label for s in labeled])
+    rows = state.labeled_rows
+    n = len(rows)
+    targets = state.Y[rows]
     class_ids = targets.argmax(axis=1)
-    ground = np.array([s.provenance == GROUND_TRUTH for s in labeled])
+    code = state.provenance[rows]
+    ground = code == BY_TRUTH
     weights = np.where(ground, 1.0, cfg.pseudo_weight)
-    queued = ground | (np.array([s.provenance == PSEUDO for s in labeled]) & cfg.pseudo_in_queue)
+    queued = ground | ((code == BY_PSEUDO) & cfg.pseudo_in_queue)
     for epoch in range(epochs):
         order = rng_shuffle.permutation(n)
         sums = np.zeros(3)
         num_batches = 0
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            grids = np.stack([labeled[i].grid for i in idx])
+            grids = state.pool.grids[rows[idx]]
             weak, strong, _ = make_views(grids, rng_augment)
             breakdown, grads = total_loss(
                 params, grids, targets[idx], weights[idx], weak, strong,
@@ -166,7 +209,7 @@ def _train_epochs(
             if ema is not None:
                 ema_update(ema, params)
             if bank is not None:
-                feats = forward(params, grids.reshape(len(idx), -1)).features
+                feats = forward(params, _flat(grids)).features
                 keep = queued[idx]
                 bank.push(class_ids[idx][keep], feats[keep])
             sums += (breakdown.classification, breakdown.alignment, breakdown.total)
@@ -187,30 +230,31 @@ def _train_epochs(
 def warmup(
     params: ModelParams,
     opt: OptimizerState,
-    labeled: list[Sample],
+    state: DatasetState,
     cfg: ExperimentConfig,
     rng_shuffle: np.random.Generator,
     rng_augment: np.random.Generator,
     bank,
 ) -> tuple[EmaParams, list[dict]]:
     """Supervised warm-up, then seed the bank with one push of the whole labeled pool."""
-    if not labeled:
+    rows = state.labeled_rows
+    if not len(rows):
         raise ConfigurationError("warm-up requires a nonempty labeled pool")
-    class_ids = np.stack([s.visible_label for s in labeled]).argmax(axis=1)
+    class_ids = state.Y[rows].argmax(axis=1)
     missing = set(range(cfg.num_classes)) - set(class_ids.tolist())
     if missing:
         raise ConfigurationError(f"unseeded class: no labeled samples for classes {sorted(missing)}")
     logs = _train_epochs(
-        params, opt, None, labeled, cfg.epochs_warmup, cfg, rng_shuffle, rng_augment
+        params, opt, None, state, cfg.epochs_warmup, cfg, rng_shuffle, rng_augment
     )
-    bank.push(class_ids, batch_features(params, labeled))
+    bank.push(class_ids, forward(params, _flat(state.pool.grids[rows])).features)
     ema = EmaParams.from_live(params, cfg.ema_decay)
     return ema, logs
 
 
 def _ensemble_accuracy(
     rows: np.ndarray,
-    unlabeled: list[Sample],
+    truth: np.ndarray,
     probs: np.ndarray,
     feats: np.ndarray,
     posterior: np.ndarray,
@@ -223,9 +267,8 @@ def _ensemble_accuracy(
         probs[rows], posterior[rows], feats[rows], *labeled, k_eff,
         (cfg.alpha1, cfg.alpha2, cfg.alpha3),
     )
-    truths = [unlabeled[i].true_label for i in rows]
-    hits = [int(p == t) for p, t in zip(pred.combined.argmax(axis=1), truths) if t is not None]
-    return (sum(hits) / len(hits) if hits else None), pred
+    hits = int((pred.combined.argmax(axis=1) == truth[rows]).sum())
+    return (hits / len(rows) if len(rows) else None), pred
 
 
 def run_stage(
@@ -245,54 +288,54 @@ def run_stage(
     The unlabeled pool goes through one forward pass and one gate call; the
     selection, the audits and the control arm all read those arrays.
     """
-    expected_total = state.total()
     feature_params = ema.shadow if cfg.ema_for_pseudo_labeling else params
-    unlabeled = state.unlabeled
-    feats, probs = batch_outputs(feature_params, unlabeled)
+    pool = state.pool
+    unlabeled = state.unlabeled_rows
+    ids, truth = pool.ids[unlabeled], pool.truth[unlabeled]
+    fwd = forward(feature_params, _flat(pool.grids[unlabeled]))
+    feats, probs = fwd.features, fwd.probabilities
+    del fwd  # its inputs and activations would otherwise stay alive through retraining
     g = gate(bank.prototypes(), feats, cfg.gamma1, cfg.effective_gamma2(), cfg.temperature)
     if audits is not None:
         audits["selector"].extend(
-            {"stage": state.stage, "sample_id": s.sample_id, **vars(g.verdict(i))}
-            for i, s in enumerate(unlabeled)
+            {"stage": state.stage, "sample_id": sid, "similarities": w, "posterior": v,
+             "reliable": ok, "winning_class": winner if ok else None}
+            for sid, w, v, ok, winner in zip(
+                ids.tolist(), g.similarities, g.posterior, g.reliable.tolist(), g.winners.tolist()
+            )
         )
 
-    labeled = (
-        batch_outputs(feature_params, state.labeled)[0],
-        np.stack([s.visible_label for s in state.labeled]),
-        np.array([s.sample_id for s in state.labeled]),
-    )
+    rows = state.labeled_rows
+    labeled = (forward(feature_params, _flat(pool.grids[rows])).features, state.Y[rows], pool.ids[rows])
     chosen = np.flatnonzero(g.reliable)
-    pseudo_acc, pred = _ensemble_accuracy(chosen, unlabeled, probs, feats, g.posterior, labeled, cfg)
+    pseudo_acc, pred = _ensemble_accuracy(chosen, truth, probs, feats, g.posterior, labeled, cfg)
 
     # Control arm: the same ensemble on a random equal-size unlabeled subset.
     random_acc = None
     if len(chosen):
         pick = np.sort(rng_audit.choice(len(unlabeled), size=len(chosen), replace=False))
-        random_acc, _ = _ensemble_accuracy(pick, unlabeled, probs, feats, g.posterior, labeled, cfg)
+        random_acc, _ = _ensemble_accuracy(pick, truth, probs, feats, g.posterior, labeled, cfg)
 
     # Migration: selected samples get a permanent pseudo-label and move pools.
-    for j, i in enumerate(chosen):
-        sample = unlabeled[i]
-        if sample.sample_id in state.pseudo_ever:
-            raise TrainingError(f"sample {sample.sample_id} pseudo-labeled twice")
-        combined = pred.combined[j]
-        label = combined if cfg.soft_pseudo_labels else one_hot_argmax(combined)
-        sample.visible_label = np.array(label, dtype=np.float64)
-        sample.provenance = PSEUDO
-        state.pseudo_ever.add(sample.sample_id)
-        if audits is not None:
-            audits["pseudo"].append({
-                "stage": state.stage, "sample_id": sample.sample_id,
-                "linear": pred.linear[j], "knn": pred.knn[j],
-                "sim": pred.similarity[j], "combined": combined,
-                "predicted": int(np.argmax(combined)), "true_label": sample.true_label,
-            })
-    state.labeled = state.labeled + [unlabeled[i] for i in chosen]
-    state.unlabeled = [s for s, reliable in zip(unlabeled, g.reliable) if not reliable]
-    state.check_invariants(expected_total)
+    picked = unlabeled[chosen]
+    again = picked[state.provenance[picked] != UNLABELED]
+    if len(again):
+        raise TrainingError(f"sample {pool.ids[again[0]]} pseudo-labeled twice")
+    winners = pred.combined.argmax(axis=1)
+    state.Y[picked] = pred.combined if cfg.soft_pseudo_labels else np.eye(cfg.num_classes)[winners]
+    state.provenance[picked] = BY_PSEUDO
+    state.labeled_rows = np.concatenate([rows, picked])
+    if audits is not None:
+        audits["pseudo"].extend(
+            {"stage": state.stage, "sample_id": int(ids[i]),
+             "linear": pred.linear[j], "knn": pred.knn[j], "sim": pred.similarity[j],
+             "combined": pred.combined[j], "predicted": int(winners[j]), "true_label": int(truth[i])}
+            for j, i in enumerate(chosen)
+        )
+    state.check_invariants()
 
     logs = _train_epochs(
-        params, opt, ema, state.labeled, cfg.epochs_stage, cfg,
+        params, opt, ema, state, cfg.epochs_stage, cfg,
         rng_shuffle, rng_augment, bank=bank, stage=state.stage,
     )
     report = StageReport(
@@ -306,10 +349,10 @@ def run_stage(
     return report
 
 
-def evaluate_params(params: ModelParams, samples: list[Sample], num_classes: int) -> dict:
+def evaluate_params(params: ModelParams, samples: Pool, num_classes: int) -> dict:
     """Metrics report dict for a parameter snapshot on a labeled evaluation set."""
-    truths = np.array([s.true_label for s in samples], dtype=np.int64)
-    _, probs = batch_outputs(params, samples)
+    truths = samples.truth
+    probs = forward(params, _flat(samples.grids)).probabilities
     predictions = probs.argmax(axis=1)
     matrix = metrics_mod.confusion(predictions, truths, num_classes)
     summ = metrics_mod.summary(matrix)
@@ -330,20 +373,20 @@ def evaluate_params(params: ModelParams, samples: list[Sample], num_classes: int
     }
 
 
-def build_pools(cfg: ExperimentConfig, seed: int) -> tuple[list[Sample], list[Sample], list[Sample]]:
-    """Materialize (labeled, unlabeled, test) pools from the config."""
+def build_pools(cfg: ExperimentConfig, seed: int) -> tuple[PoolView, PoolView, Pool]:
+    """The labeled and unlabeled views of a fresh DatasetState (reached as `.state`), and the test pool."""
     if cfg.data_csv is not None:
-        samples, h, w, k = load_csv(cfg.data_csv)
+        train, h, w, k = load_csv(cfg.data_csv)
         if k != cfg.num_classes:
             raise ConfigurationError(
                 f"data_csv: file declares {k} classes, config says {cfg.num_classes}"
             )
         if cfg.test_csv is None:
             raise ConfigurationError("test_csv: required when data_csv is given")
-        test_samples, th, tw, tk = load_csv(cfg.test_csv)
+        test, th, tw, tk = load_csv(cfg.test_csv)
         if (th, tw, tk) != (h, w, k):
             raise ConfigurationError("test_csv: shape metadata differs from data_csv")
-        require_labels(test_samples, "test_csv")
+        require_labels(test, "test_csv")
     else:
         spec = SyntheticSpec(
             num_classes=cfg.num_classes,
@@ -353,11 +396,17 @@ def build_pools(cfg: ExperimentConfig, seed: int) -> tuple[list[Sample], list[Sa
             noise_sigma=cfg.noise_sigma,
             seed=cfg.data_seed,
         )
-        samples = generate(spec)
-        test_samples = generate(balanced_test_spec(spec, per_class=cfg.test_per_class))
+        train = generate(spec)
+        test = generate(balanced_test_spec(spec, per_class=cfg.test_per_class))
+    # Sort only when needed: freeing a copy of an already sorted 3k-row pool
+    # here raised the large-pool RSS peak by ~6 MB.
+    if (np.diff(train.ids) <= 0).any():
+        order = np.argsort(train.ids, kind="stable")
+        train = Pool(train.ids[order], train.grids[order], train.truth[order])
     split_rng_seed = int(substream(seed, STREAM_SPLIT).integers(0, 2**31 - 1))
-    labeled, unlabeled = split_labeled(samples, cfg.labeled_ratio, split_rng_seed)
-    return labeled, unlabeled, test_samples
+    labeled_rows, _ = split_labeled(train, cfg.labeled_ratio, split_rng_seed)
+    state = DatasetState.split(train, labeled_rows, cfg.num_classes)
+    return state.labeled, state.unlabeled, test
 
 
 def run(cfg: ExperimentConfig, seed: int, collect_audits: bool = False) -> RunResult:
@@ -368,11 +417,10 @@ def run(cfg: ExperimentConfig, seed: int, collect_audits: bool = False) -> RunRe
     cfg = cfg.normalized()
     notes = cfg.validate()
 
-    labeled, unlabeled, test_samples = build_pools(cfg, seed)
-    state = DatasetState(labeled=labeled, unlabeled=unlabeled)
-    expected_total = state.total()
+    labeled, _, test_samples = build_pools(cfg, seed)
+    state = labeled.state
 
-    input_dim = labeled[0].grid.size
+    input_dim = state.pool.grids[0].size
     params = init_params(
         input_dim, cfg.hidden_widths, cfg.num_classes, substream(seed, STREAM_INIT)
     )
@@ -384,17 +432,17 @@ def run(cfg: ExperimentConfig, seed: int, collect_audits: bool = False) -> RunRe
     rng_augment = substream(seed, STREAM_AUGMENT)
     rng_audit = substream(seed, STREAM_AUDIT)
 
-    ema, warmup_losses = warmup(params, opt, state.labeled, cfg, rng_shuffle, rng_augment, bank)
+    ema, warmup_losses = warmup(params, opt, state, cfg, rng_shuffle, rng_augment, bank)
 
     audits = {"selector": [], "pseudo": []} if collect_audits else None
     stage_reports: list[StageReport] = []
-    while state.stage < cfg.stages and state.unlabeled:
+    while state.stage < cfg.stages and len(state.unlabeled_rows):
         report = run_stage(
             state, params, ema, opt, bank, cfg,
             rng_shuffle, rng_augment, rng_audit, audits,
         )
         stage_reports.append(report)
-        state.check_invariants(expected_total)
+        state.check_invariants()
 
     metrics = evaluate_params(ema.shadow, test_samples, cfg.num_classes)
     metrics["config_warnings"] = notes
@@ -446,7 +494,7 @@ def write_run_dir(out_dir, cfg: ExperimentConfig, seed: int, result: RunResult) 
     (out / "stage_reports.json").write_text(
         json.dumps([r.to_dict() for r in result.stage_reports], indent=2) + "\n"
     )
-    height, width = result.state.labeled[0].grid.shape
+    height, width = result.state.pool.grids.shape[1:]
     save_checkpoint(
         out / "checkpoint.npz", result.live, result.ema.shadow,
         {"seed": seed, "num_classes": cfg.num_classes, "height": height, "width": width},
@@ -465,8 +513,8 @@ def write_run_dir(out_dir, cfg: ExperimentConfig, seed: int, result: RunResult) 
 
         def pseudo_row(rec: dict) -> list:
             truth = rec["true_label"]
-            tail = ["", ""] if truth is None else [truth, int(rec["predicted"] == truth)]
-            return [rec["stage"], rec["sample_id"], *(x for p in parts for x in _reprs(rec[p])), *tail]
+            return [rec["stage"], rec["sample_id"], *(x for p in parts for x in _reprs(rec[p])),
+                    truth, int(rec["predicted"] == truth)]
 
         _write_csv(out / "pseudo_audit.csv", [
             ["stage", "sample_id", *(f"{p}{i}" for p in parts for i in k), "true_label", "correct"],

@@ -50,9 +50,6 @@ class PrototypeBank:
     def queue_contents(self, class_id: int) -> list[np.ndarray]:
         return [f.copy() for f in self._queues[class_id]]
 
-    def queue_size(self, class_id: int) -> int:
-        return len(self._queues[class_id])
-
     def prototypes(self) -> np.ndarray:
         """Current class means as a (num_classes, feature_dim) snapshot."""
         empty = [k for k in range(self.num_classes) if not self._queues[k]]

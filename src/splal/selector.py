@@ -3,8 +3,7 @@
 An unlabeled sample is reliable when the temperature softmax over its
 cosine similarities to the class prototypes has exactly one entry at or
 above the upper threshold while every other entry sits at or below the
-lower threshold. `gate` applies the rule to a whole (N, d) feature matrix;
-the per-feature helpers are single-row calls into it.
+lower threshold. `gate` applies the rule to a whole (N, d) feature matrix.
 """
 
 from __future__ import annotations
@@ -21,14 +20,6 @@ DEFAULT_TEMPERATURE = 0.1
 
 
 @dataclass(frozen=True)
-class ReliabilityVerdict:
-    similarities: np.ndarray      # raw cosine similarities to each prototype
-    posterior: np.ndarray         # temperature softmax of similarities
-    reliable: bool
-    winning_class: int | None
-
-
-@dataclass(frozen=True)
 class GateResult:
     """Gate outcome for a batch of features, one row per feature."""
 
@@ -36,13 +27,6 @@ class GateResult:
     posterior: np.ndarray         # (N, K) temperature softmax V of W
     reliable: np.ndarray          # (N,) two-threshold verdicts
     winners: np.ndarray           # (N,) winning class, -1 where unreliable
-
-    def verdict(self, i: int) -> ReliabilityVerdict:
-        ok = bool(self.reliable[i])
-        return ReliabilityVerdict(
-            similarities=self.similarities[i], posterior=self.posterior[i],
-            reliable=ok, winning_class=int(self.winners[i]) if ok else None,
-        )
 
 
 def cosine_matrix(prototypes: np.ndarray, features: np.ndarray) -> np.ndarray:
@@ -96,43 +80,18 @@ def gate(
     return GateResult(similarities=W, posterior=V, reliable=reliable, winners=winners)
 
 
-def similarity_vector(prototypes: np.ndarray, feature: np.ndarray) -> np.ndarray:
-    """Cosine similarity of one feature against every class prototype."""
-    feature = np.asarray(feature, dtype=np.float64)
-    if np.linalg.norm(feature) == 0.0:
-        raise InputDomainError("zero feature vector in similarity_vector")
-    return cosine_matrix(prototypes, feature[None, :])[0]
-
-
-def is_reliable(posterior: np.ndarray, gamma1: float, gamma2: float) -> tuple[bool, int | None]:
-    """Two-threshold criterion on one posterior; returns (verdict, winning index or None)."""
-    reliable, winners = two_thresholds(np.asarray(posterior, dtype=np.float64)[None, :], gamma1, gamma2)
-    return (True, int(winners[0])) if reliable[0] else (False, None)
-
-
-def evaluate_feature(
-    prototypes: np.ndarray,
-    feature: np.ndarray,
-    gamma1: float,
-    gamma2: float,
-    temperature: float = DEFAULT_TEMPERATURE,
-) -> ReliabilityVerdict:
-    features = np.asarray(feature, dtype=np.float64)[None, :]
-    return gate(prototypes, features, gamma1, gamma2, temperature).verdict(0)
-
-
 def select_reliable(
     features_by_id: list[tuple[int, np.ndarray]],
     prototypes: np.ndarray,
     gamma1: float,
     gamma2: float,
     temperature: float = DEFAULT_TEMPERATURE,
-) -> list[tuple[int, ReliabilityVerdict]]:
-    """Pure filter over (sample id, feature) pairs; keeps reliable ones with verdicts."""
+) -> list[tuple[int, int]]:
+    """Pure filter over (sample id, feature) pairs: (sample id, winning class) of each reliable one."""
     if not features_by_id:
         return []
     result = gate(prototypes, np.stack([f for _, f in features_by_id]), gamma1, gamma2, temperature)
-    return [(features_by_id[i][0], result.verdict(i)) for i in np.flatnonzero(result.reliable)]
+    return [(features_by_id[i][0], int(result.winners[i])) for i in np.flatnonzero(result.reliable)]
 
 
 def gamma2_from_gamma1(gamma1: float) -> float:

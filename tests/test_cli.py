@@ -124,6 +124,17 @@ class TestTrain:
         assert code == 1
         assert "test_csv: evaluation set must be fully labeled" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("which", ["data_csv", "test_csv"])
+    def test_csv_without_rows_exits_two_before_training(self, tmp_path, capsys, which):
+        train, test = write_csv_pair(tmp_path)
+        empty = train if which == "data_csv" else test
+        empty.write_text("".join(empty.read_text().splitlines(keepends=True)[:2]))
+        cfg_path, _ = write_config(tmp_path, data_csv=str(train), test_csv=str(test))
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg_path), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "line 3: no data rows" in err
+        assert not (out / "seed_0").exists()
 
     def test_checkpoint_records_the_data_grid_shape(self, tmp_path):
         # the CSV grids are 8x8; the config keeps the 16x16 synthetic default
@@ -193,6 +204,20 @@ class TestEvaluate:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(ckpt) in err
+
+    def test_data_without_rows_exits_two(self, tmp_path, capsys):
+        cfg_path, _ = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+        empty = tmp_path / "empty.csv"
+        empty.write_text("".join((out / "seed_0" / "test.csv").read_text().splitlines(keepends=True)[:2]))
+        code = main([
+            "evaluate", "--checkpoint", str(out / "seed_0" / "checkpoint.npz"),
+            "--data", str(empty), "--out-dir", str(tmp_path / "e"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "line 3: no data rows" in err
 
     def test_missing_checkpoint_exits_two(self, tmp_path):
         code = main([
@@ -340,13 +365,20 @@ seeds = 0
 
 
 def _apply_edit(lines: list[str], edit) -> None:
-    """Mutate CSV rows (after the two header lines) or config lines in place."""
+    """Mutate a CSV (its metadata line or rows) or config lines in place."""
     target, row, kind, value = edit
     if target == "config":
         i = row % len(lines)
         key = lines[i].partition("=")[0]
         lines[i] = f"{key}= {value}" if kind == "value" else ""
         return
+    if kind == "meta":
+        lines[0] = f"# H={value} W={value} K=4"
+        return
+    if kind == "drop_rows":
+        del lines[2:]
+    if len(lines) == 2:
+        return  # no data row left to edit
     i = 2 + row % (len(lines) - 2)
     fields = lines[i].split(",")
     if kind == "label":
@@ -364,7 +396,7 @@ EDITS = st.one_of(
     st.tuples(st.just("config"), st.integers(0, 40), st.sampled_from(["value", "drop"]),
               st.sampled_from(BAD_VALUES)),
     st.tuples(st.sampled_from(["train", "test"]), st.integers(0, 200),
-              st.sampled_from(["label", "pixel", "dup_id", "drop_field"]),
+              st.sampled_from(["label", "pixel", "dup_id", "drop_field", "drop_rows", "meta"]),
               st.sampled_from(BAD_VALUES)),
 )
 

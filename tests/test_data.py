@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from splal.data import (
-    GROUND_TRUTH,
+    Pool,
     SyntheticSpec,
     balanced_test_spec,
     generate,
@@ -21,38 +21,37 @@ class TestGenerate:
     def test_counts_and_order(self):
         samples = generate(DEFAULT)
         assert len(samples) == 780
-        counts = {k: 0 for k in range(4)}
-        for i, s in enumerate(samples):
-            assert s.sample_id == i
-            counts[s.true_label] += 1
-        assert counts == {0: 500, 1: 200, 2: 60, 3: 20}
+        np.testing.assert_array_equal(samples.ids, np.arange(780))
+        assert samples.grids.shape == (780, 16, 16)
+        assert np.bincount(samples.truth).tolist() == [500, 200, 60, 20]
+        assert (np.diff(samples.truth) >= 0).all()  # class order
 
     def test_values_clipped_to_unit_interval(self):
-        for s in generate(SyntheticSpec(class_counts=(5, 5, 5, 5))):
-            assert s.grid.shape == (16, 16)
-            assert s.grid.min() >= 0.0
-            assert s.grid.max() <= 1.0
+        grids = generate(SyntheticSpec(class_counts=(5, 5, 5, 5))).grids
+        assert grids.shape == (20, 16, 16)
+        assert grids.min() >= 0.0
+        assert grids.max() <= 1.0
 
     def test_deterministic_for_same_seed(self):
         a = generate(SyntheticSpec(class_counts=(3, 3, 3, 3), seed=7))
         b = generate(SyntheticSpec(class_counts=(3, 3, 3, 3), seed=7))
-        for s, t in zip(a, b):
-            np.testing.assert_array_equal(s.grid, t.grid)
+        np.testing.assert_array_equal(a.grids, b.grids)
 
     def test_seed_changes_data(self):
         a = generate(SyntheticSpec(class_counts=(3, 3, 3, 3), seed=7))
         b = generate(SyntheticSpec(class_counts=(3, 3, 3, 3), seed=8))
-        assert any(not np.array_equal(s.grid, t.grid) for s, t in zip(a, b))
+        assert not np.array_equal(a.grids, b.grids)
 
     def test_matches_per_sample_oracle(self):
         # render_pattern per sample (coordinates rebuilt each time), then the
         # noise draw, from a twin generator; class 4 adds the grating.
         spec = SyntheticSpec(num_classes=5, class_counts=(3, 2, 2, 1, 2), height=8, width=10, seed=4)
         twin = np.random.default_rng(np.random.SeedSequence(spec.seed))
-        for s in generate(spec):
-            clean = render_pattern(s.true_label, spec.height, spec.width, twin)
+        pool = generate(spec)
+        for grid, k in zip(pool.grids, pool.truth):
+            clean = render_pattern(int(k), spec.height, spec.width, twin)
             noisy = clean + twin.normal(0.0, spec.noise_sigma, size=clean.shape)
-            assert np.array_equal(s.grid, np.clip(noisy, 0.0, 1.0))
+            assert np.array_equal(grid, np.clip(noisy, 0.0, 1.0))
 
     def test_spec_validation(self):
         with pytest.raises(InputDomainError):
@@ -86,39 +85,31 @@ class TestSplit:
     def test_stratified_ceil_counts(self):
         samples = generate(DEFAULT)
         labeled, unlabeled = split_labeled(samples, 0.10, seed=0)
-        by_class = {k: 0 for k in range(4)}
-        for s in labeled:
-            assert s.provenance == GROUND_TRUTH
-            assert int(np.argmax(s.visible_label)) == s.true_label
-            by_class[s.true_label] += 1
-        assert by_class == {0: 50, 1: 20, 2: 6, 3: 2}
+        assert np.bincount(samples.truth[labeled]).tolist() == [50, 20, 6, 2]
         assert len(labeled) + len(unlabeled) == len(samples)
-        for s in unlabeled:
-            assert s.visible_label is None
+        assert (np.diff(labeled) > 0).all() and (np.diff(unlabeled) > 0).all()
 
     def test_minimum_one_per_class(self):
         samples = generate(SyntheticSpec(class_counts=(40, 40, 40, 3)))
         labeled, _ = split_labeled(samples, 0.01, seed=1)
-        per = {k: 0 for k in range(4)}
-        for s in labeled:
-            per[s.true_label] += 1
-        assert all(v >= 1 for v in per.values())
+        per = np.bincount(samples.truth[labeled], minlength=4)
+        assert (per >= 1).all()
         assert per[3] == 1  # ceil(0.01 * 3) = 1
 
     def test_disjoint_ids(self):
         samples = generate(SyntheticSpec(class_counts=(10, 10, 10, 10)))
         labeled, unlabeled = split_labeled(samples, 0.3, seed=2)
-        ids_l = {s.sample_id for s in labeled}
-        ids_u = {s.sample_id for s in unlabeled}
+        ids_l = set(samples.ids[labeled].tolist())
+        ids_u = set(samples.ids[unlabeled].tolist())
         assert not (ids_l & ids_u)
-        assert ids_l | ids_u == {s.sample_id for s in samples}
+        assert ids_l | ids_u == set(samples.ids.tolist())
 
     def test_split_deterministic(self):
         a = generate(SyntheticSpec(class_counts=(20, 20, 20, 20)))
         b = generate(SyntheticSpec(class_counts=(20, 20, 20, 20)))
         la, _ = split_labeled(a, 0.25, seed=3)
         lb, _ = split_labeled(b, 0.25, seed=3)
-        assert [s.sample_id for s in la] == [s.sample_id for s in lb]
+        np.testing.assert_array_equal(la, lb)
 
     def test_bad_ratio_rejected(self):
         samples = generate(SyntheticSpec(class_counts=(5, 5, 5, 5)))
@@ -130,22 +121,32 @@ class TestSplit:
 class TestCsvRoundTrip:
     def test_bit_exact_round_trip(self, tmp_path):
         samples = generate(SyntheticSpec(class_counts=(4, 3, 2, 1)))
-        labeled, unlabeled = split_labeled(samples, 0.5, seed=0)
-        for s in unlabeled:
-            s.true_label = None  # persist them as unlabeled rows
+        _, unlabeled = split_labeled(samples, 0.5, seed=0)
+        samples.truth[unlabeled] = -1  # persist them as unlabeled rows
         path = tmp_path / "data.csv"
         save_csv(samples, path, 16, 16, 4)
         loaded, h, w, k = load_csv(path)
         assert (h, w, k) == (16, 16, 4)
         assert len(loaded) == len(samples)
-        for orig, got in zip(samples, loaded):
-            assert got.sample_id == orig.sample_id
-            assert got.true_label == orig.true_label
-            np.testing.assert_array_equal(got.grid, orig.grid)
+        np.testing.assert_array_equal(loaded.ids, samples.ids)
+        np.testing.assert_array_equal(loaded.truth, samples.truth)
+        np.testing.assert_array_equal(loaded.grids, samples.grids)
+
+    def test_file_order_kept(self, tmp_path):
+        samples = generate(SyntheticSpec(class_counts=(3, 3, 2, 2), height=8, width=8))
+        order = np.random.default_rng(0).permutation(len(samples))
+        shuffled = Pool(samples.ids[order], samples.grids[order], samples.truth[order])
+        path = tmp_path / "data.csv"
+        save_csv(shuffled, path, 8, 8, 4)
+        loaded, *_ = load_csv(path)
+        np.testing.assert_array_equal(loaded.ids, shuffled.ids)
+        np.testing.assert_array_equal(loaded.grids, shuffled.grids)
+        np.testing.assert_array_equal(loaded.truth, shuffled.truth)
 
     def test_metadata_line_format(self, tmp_path):
         path = tmp_path / "d.csv"
-        save_csv([], path, 8, 9, 3)
+        save_csv(Pool(np.zeros(0, dtype=np.int64), np.zeros((0, 8, 9)), np.zeros(0, dtype=np.int64)),
+                 path, 8, 9, 3)
         assert path.read_text().splitlines()[0] == "# H=8 W=9 K=3"
 
     def test_missing_metadata_rejected(self, tmp_path):
@@ -154,6 +155,22 @@ class TestCsvRoundTrip:
         with pytest.raises(ParseError) as err:
             load_csv(path)
         assert err.value.line == 1
+
+    @pytest.mark.parametrize("meta", ["# H=0 W=0 K=2", "# H=-2 W=-2 K=2", "# H=2 W=2 K=0", "# H=2 W"])
+    def test_bad_metadata_rejected(self, tmp_path, meta):
+        path = tmp_path / "bad.csv"
+        header = ",".join(["id", "label"] + [f"p{i}" for i in range(4)])
+        path.write_text(meta + "\n" + header + "\n0,0,0.1,0.2,0.3,0.4\n")
+        with pytest.raises(ParseError) as err:
+            load_csv(path)
+        assert err.value.line == 1
+
+    def test_no_data_rows_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("# H=2 W=2 K=2\n" + ",".join(["id", "label"] + [f"p{i}" for i in range(4)]) + "\n")
+        with pytest.raises(ParseError, match="no data rows") as err:
+            load_csv(path)
+        assert err.value.line == 3
 
     def test_wrong_field_count_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -186,6 +203,14 @@ class TestCsvRoundTrip:
             "# H=2 W=2 K=2\n" + header + f"\n0,0,0.1,0.2,0.3,0.4\n1,1,0.1,{value},0.3,0.4\n"
         )
         with pytest.raises(ParseError, match="non-finite") as err:
+            load_csv(path)
+        assert err.value.line == 4
+
+    def test_id_beyond_64_bits_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        header = ",".join(["id", "label"] + [f"p{i}" for i in range(4)])
+        path.write_text("# H=2 W=2 K=2\n" + header + f"\n0,0,0.1,0.2,0.3,0.4\n{2**63},1,0.1,0.2,0.3,0.4\n")
+        with pytest.raises(ParseError, match="64 bits") as err:
             load_csv(path)
         assert err.value.line == 4
 

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from splal.errors import ConfigurationError, InputDomainError
 from splal.model import ce_value_and_dlogits
 from splal.numerics import one_hot, one_hot_argmax, softmax_rows
-from splal.selector import cosine_matrix, gate, similarity_vector
+from splal.selector import cosine_matrix, gate
 
 finite_vec = arrays(
     np.float64,
@@ -80,9 +80,10 @@ class TestCosineSimilarity:
     def test_opposition(self):
         assert cosine(np.array([1.0, 0.0]), np.array([-1.0, 0.0])) == -1.0
 
-    def test_zero_norm_rejected(self):
-        with pytest.raises(InputDomainError):
-            similarity_vector(np.ones((1, 3)), np.zeros(3))
+    def test_zero_norm_scores_zero(self):
+        # A dead feature or a zero-norm prototype has no direction: 0, not an error.
+        assert cosine(np.zeros(3), np.ones(3)) == 0.0
+        assert cosine(np.ones(3), np.zeros(3)) == 0.0
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(InputDomainError):

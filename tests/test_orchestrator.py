@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 
 from splal.config import ExperimentConfig, load_config
-from splal.data import GROUND_TRUTH, PSEUDO, Sample, SyntheticSpec, generate, save_csv
+from splal.data import GROUND_TRUTH, PSEUDO, Pool, SyntheticSpec, generate, save_csv, split_labeled
 from splal.errors import ConfigurationError, TrainingError
 from splal.model import OptimizerState, init_params
-from splal.numerics import one_hot
 from splal.orchestrator import (
     STREAM_AUGMENT,
     STREAM_INIT,
     STREAM_SHUFFLE,
+    STREAM_SPLIT,
+    BY_PSEUDO,
     DatasetState,
-    batch_features,
+    build_pools,
     evaluate_params,
     run,
     substream,
@@ -61,24 +62,34 @@ class TestSubstreams:
         assert not np.array_equal(a, b)
 
 
+def pool_of(grids, truth) -> Pool:
+    grids = np.asarray(grids, dtype=np.float64)
+    return Pool(np.arange(len(grids)), grids, np.asarray(truth))
+
+
 class TestInvariants:
-    def _sample(self, sid):
-        return Sample(sample_id=sid, grid=np.zeros((2, 2)), true_label=0)
+    def _state(self, n=2):
+        # Row 0 labeled, the rest unlabeled.
+        return DatasetState.split(pool_of(np.zeros((n, 2, 2)), np.zeros(n, dtype=int)), np.array([0]), 1)
 
     def test_overlap_detected(self):
-        shared = self._sample(3)
-        state = DatasetState(labeled=[shared], unlabeled=[shared])
+        state = self._state()
+        state.labeled_rows = np.array([0, 1])  # row 1 joined without a provenance
         with pytest.raises(TrainingError, match="overlap"):
-            state.check_invariants(1)
+            state.check_invariants()
 
     def test_conservation_detected(self):
-        state = DatasetState(labeled=[self._sample(0)], unlabeled=[self._sample(1)])
+        state = self._state(3)
+        state.provenance[1] = BY_PSEUDO  # pseudo-labeled, but never joined the labeled rows
+        with pytest.raises(TrainingError, match=r"conservation violated: 1 \+ 1 != 3"):
+            state.check_invariants()
+        state = self._state(3)
+        state.labeled_rows = np.array([0, 0])  # joined twice
         with pytest.raises(TrainingError, match="conservation"):
-            state.check_invariants(3)
+            state.check_invariants()
 
     def test_valid_state_passes(self):
-        state = DatasetState(labeled=[self._sample(0)], unlabeled=[self._sample(1)])
-        state.check_invariants(2)
+        self._state().check_invariants()
 
 
 class TestWarmup:
@@ -89,12 +100,9 @@ class TestWarmup:
         opt = OptimizerState.for_params(params, cfg.learning_rate,
                                         cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
         bank = PrototypeBank(4, params.feature_dim, cfg.queue_capacity)
-        labeled = [
-            Sample(0, rng.uniform(size=(8, 8)), 0, one_hot(0, 4), GROUND_TRUTH),
-            Sample(1, rng.uniform(size=(8, 8)), 1, one_hot(1, 4), GROUND_TRUTH),
-        ]
+        state = DatasetState.split(pool_of(rng.uniform(size=(2, 8, 8)), [0, 1]), np.arange(2), 4)
         with pytest.raises(ConfigurationError, match="unseeded"):
-            warmup(params, opt, labeled, cfg, rng, rng, bank)
+            warmup(params, opt, state, cfg, rng, rng, bank)
 
     def test_seeds_every_class_queue(self):
         cfg = tiny_config()
@@ -103,13 +111,10 @@ class TestWarmup:
         opt = OptimizerState.for_params(params, cfg.learning_rate,
                                         cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
         bank = PrototypeBank(4, params.feature_dim, cfg.queue_capacity)
-        labeled = [
-            Sample(i, rng.uniform(size=(8, 8)), k, one_hot(k, 4), GROUND_TRUTH)
-            for i, k in enumerate([0, 1, 2, 3, 0, 2])
-        ]
-        ema, logs = warmup(params, opt, labeled, cfg, rng, rng, bank)
+        state = DatasetState.split(pool_of(rng.uniform(size=(6, 8, 8)), [0, 1, 2, 3, 0, 2]), np.arange(6), 4)
+        ema, logs = warmup(params, opt, state, cfg, rng, rng, bank)
         assert len(logs) == cfg.epochs_warmup
-        assert all(bank.queue_size(k) >= 1 for k in range(4))
+        assert [len(bank.queue_contents(k)) for k in range(4)] == [2, 1, 2, 1]
         # EMA shadow starts as an exact copy of the post-warm-up weights
         np.testing.assert_array_equal(ema.shadow.classifier[0], params.classifier[0])
 
@@ -137,7 +142,7 @@ class TestFullRun:
         cfg = tiny_config()
         result = run(cfg, seed=3)
         total = sum(cfg.class_counts)
-        assert result.state.total() == total
+        assert len(result.state.labeled) + len(result.state.unlabeled) == total
         ids_l = {s.sample_id for s in result.state.labeled}
         ids_u = {s.sample_id for s in result.state.unlabeled}
         assert not (ids_l & ids_u)
@@ -145,9 +150,28 @@ class TestFullRun:
             assert s.provenance in (GROUND_TRUTH, PSEUDO)
             assert s.visible_label is not None
             assert s.true_label is not None  # hidden truth never erased
-        assert result.state.pseudo_ever == {
-            s.sample_id for s in result.state.labeled if s.provenance == PSEUDO
-        }
+        pseudo = {s.sample_id for s in result.state.labeled if s.provenance == PSEUDO}
+        assert pseudo == set(result.state.pool.ids[result.state.provenance == BY_PSEUDO].tolist())
+        for s in result.state.unlabeled:
+            assert s.provenance is None and s.visible_label is None
+
+    def test_pool_order(self):
+        # Labeled: the initial split ascending, then each stage's picks
+        # ascending (training batches depend on this order). Unlabeled: ascending.
+        cfg = tiny_config(gamma1=0.8, stages=3)
+        pool = generate(SyntheticSpec(class_counts=cfg.class_counts, height=8, width=8,
+                                      noise_sigma=cfg.noise_sigma, seed=cfg.data_seed))
+        for seed in range(4):
+            result = run(cfg, seed=seed, collect_audits=True)
+            split_seed = int(substream(seed, STREAM_SPLIT).integers(0, 2**31 - 1))
+            expected = pool.ids[split_labeled(pool, cfg.labeled_ratio, split_seed)[0]].tolist()
+            for stage in range(len(result.stage_reports)):
+                expected += sorted(rec["sample_id"] for rec in result.audits["pseudo"] if rec["stage"] == stage)
+            assert [s.sample_id for s in result.state.labeled] == expected
+            unlabeled = [s.sample_id for s in result.state.unlabeled]
+            assert unlabeled == sorted(unlabeled)
+            if seed == 0:
+                assert len(result.stage_reports) >= 2 and all(r.num_selected for r in result.stage_reports[:2])
 
     def test_stage_budget_respected(self):
         result = run(tiny_config(stages=2), seed=4)
@@ -196,7 +220,7 @@ class TestFullRun:
         n_pseudo = len([s for s in result.state.labeled if s.provenance == PSEUDO])
         assert len(result.audits["pseudo"]) == n_pseudo
         audited_ids = {rec["sample_id"] for rec in result.audits["pseudo"]}
-        assert audited_ids == result.state.pseudo_ever
+        assert audited_ids == {s.sample_id for s in result.state.labeled if s.provenance == PSEUDO}
 
 
 class TestCsvPools:
@@ -212,8 +236,22 @@ class TestCsvPools:
         test = self._write(tmp_path, "test.csv", counts=(4, 4, 4, 4), seed=99)
         cfg = tiny_config(data_csv=str(train), test_csv=str(test), stages=1)
         result = run(cfg, seed=0)
-        assert result.state.total() == 30
+        assert len(result.state.pool) == 30
         assert 0.0 <= result.metrics["accuracy"] <= 1.0
+
+    def test_training_pool_sorted_by_id(self, tmp_path):
+        spec = SyntheticSpec(class_counts=(6, 5, 4, 3), height=8, width=8)
+        pool = generate(spec)
+        order = np.random.default_rng(1).permutation(len(pool))
+        train = tmp_path / "train.csv"
+        save_csv(Pool(pool.ids[order], pool.grids[order], pool.truth[order]), train, 8, 8, 4)
+        test = self._write(tmp_path, "test.csv", seed=99)
+        labeled, unlabeled, _ = build_pools(tiny_config(data_csv=str(train), test_csv=str(test)), 0)
+        state = labeled.state
+        np.testing.assert_array_equal(state.pool.ids, pool.ids)
+        np.testing.assert_array_equal(state.pool.grids, pool.grids)
+        np.testing.assert_array_equal(state.pool.truth, pool.truth)
+        assert (np.diff(state.labeled_rows) > 0).all() and len(labeled) + len(unlabeled) == len(pool)
 
     def test_missing_test_csv_rejected(self, tmp_path):
         train = self._write(tmp_path, "train.csv")
@@ -280,8 +318,14 @@ class TestRunDir:
 
 
 def test_feature_batch_shape():
+    # warmup seeds the bank from one forward over the whole labeled pool.
+    cfg = tiny_config(num_classes=3, class_counts=(3, 2, 2), hidden_widths=(6, 5), epochs_warmup=1)
     rng = np.random.default_rng(0)
-    params = init_params(16, (6, 5), 3, rng)
-    samples = [Sample(i, rng.uniform(size=(4, 4)), 0) for i in range(7)]
-    feats = batch_features(params, samples)
-    assert feats.shape == (7, 5)
+    params = init_params(16, cfg.hidden_widths, 3, rng)
+    opt = OptimizerState.for_params(params, cfg.learning_rate,
+                                    cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+    bank = PrototypeBank(3, params.feature_dim, cfg.queue_capacity)
+    state = DatasetState.split(pool_of(rng.uniform(size=(7, 4, 4)), [0, 0, 0, 1, 1, 2, 2]), np.arange(7), 3)
+    warmup(params, opt, state, cfg, rng, rng, bank)
+    queued = [f for k in range(3) for f in bank.queue_contents(k)]
+    assert len(queued) == 7 and all(f.shape == (5,) for f in queued)

@@ -110,7 +110,7 @@ def test_batch_push_matches_one_row_pushes(batch):
 def test_empty_batch_push_is_a_no_op():
     bank = PrototypeBank(num_classes=1, feature_dim=2)
     bank.push(np.zeros(0, dtype=np.int64), np.zeros((0, 2)))
-    assert bank.queue_size(0) == 0
+    assert bank.queue_contents(0) == []
 
 
 def test_bad_batch_rejected_whole():
@@ -121,4 +121,4 @@ def test_bad_batch_rejected_whole():
         bank.push(np.array([0, 1]), np.ones((3, 2)))
     with pytest.raises(InputDomainError):
         bank.push(np.array([0.0, 1.0]), np.ones((2, 2)))
-    assert bank.queue_size(0) == bank.queue_size(1) == 0
+    assert bank.queue_contents(0) == bank.queue_contents(1) == []

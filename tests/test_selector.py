@@ -3,40 +3,49 @@ import math
 import numpy as np
 import pytest
 
-from splal.errors import ConfigurationError, InputDomainError
+from splal.errors import ConfigurationError
 from splal.selector import (
-    evaluate_feature,
+    cosine_matrix,
     gamma2_from_gamma1,
     gate,
-    is_reliable,
     max_attainable_posterior,
     reachability_warning,
     select_reliable,
-    similarity_vector,
+    two_thresholds,
 )
+
+
+def similarities(prototypes, f):
+    """The gate's cosine similarities for one feature."""
+    return gate(prototypes, np.asarray(f, dtype=np.float64)[None, :], 0.9, 0.05).similarities[0]
+
+
+def is_reliable(v, gamma1, gamma2):
+    """The gate's two-threshold verdict on one posterior: (reliable, winner or -1)."""
+    reliable, winners = two_thresholds(np.asarray(v, dtype=np.float64)[None, :], gamma1, gamma2)
+    return bool(reliable[0]), int(winners[0])
 
 
 class TestSimilarityVector:
     def test_parallel_and_orthogonal(self):
         prototypes = np.array([[2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 5.0]])
         f = np.array([3.0, 0.0, 0.0])
-        np.testing.assert_allclose(similarity_vector(prototypes, f), [1.0, 0.0, 0.0])
+        np.testing.assert_allclose(similarities(prototypes, f), [1.0, 0.0, 0.0])
 
     def test_equiangular_feature_gives_constant(self):
         prototypes = np.array([[1.0, 0.0], [0.0, 1.0]])
         f = np.array([1.0, 1.0])
-        w = similarity_vector(prototypes, f)
+        w = similarities(prototypes, f)
         assert w[0] == pytest.approx(w[1], abs=1e-12)
 
-    def test_zero_feature_rejected(self):
-        with pytest.raises(InputDomainError):
-            similarity_vector(np.eye(2), np.zeros(2))
+    def test_zero_feature_scores_zero(self):
+        np.testing.assert_array_equal(similarities(np.eye(2), np.zeros(2)), [0.0, 0.0])
 
     def test_matches_per_entry_recompute_oracle(self):
         rng = np.random.default_rng(3)
         prototypes = rng.normal(size=(3, 5))
         f = rng.normal(size=5)
-        w = similarity_vector(prototypes, f)
+        w = similarities(prototypes, f)
         for k in range(3):
             num = sum(prototypes[k][i] * f[i] for i in range(5))
             den = math.sqrt(sum(v * v for v in prototypes[k])) * math.sqrt(sum(v * v for v in f))
@@ -50,7 +59,7 @@ class TestIsReliable:
 
     def test_second_entry_exceeds_lower_threshold(self):
         ok, j = is_reliable(np.array([0.992, 0.006, 0.002]), 0.99, 0.005)
-        assert not ok and j is None
+        assert not ok and j == -1
 
     def test_uniform_never_reliable(self):
         v = np.full(7, 1 / 7)
@@ -60,6 +69,8 @@ class TestIsReliable:
     def test_threshold_ordering_enforced(self):
         with pytest.raises(ConfigurationError):
             is_reliable(np.array([0.9, 0.1]), 0.6, 0.7)
+        with pytest.raises(ConfigurationError):
+            gate(np.eye(2), np.eye(2), 0.6, 0.7)
 
     def test_uniqueness_automatic_above_half_by_enumeration(self):
         # exhaustive small grid over the 3-simplex: whenever gamma1 > 0.5
@@ -149,29 +160,30 @@ class TestSelectReliable:
 
     def test_verdict_consistency(self):
         prototypes, features = self._setup(seed=2)
-        for sid, verdict in select_reliable(features, prototypes, 0.6, 0.2, 0.3):
-            assert verdict.reliable
-            assert verdict.posterior[verdict.winning_class] >= 0.6
-            feature = dict(features)[sid]
-            again = evaluate_feature(prototypes, feature, 0.6, 0.2, 0.3)
-            np.testing.assert_array_equal(again.posterior, verdict.posterior)
+        selected = select_reliable(features, prototypes, 0.6, 0.2, 0.3)
+        assert selected
+        for sid, winner in selected:
+            # A single-row gate call agrees with the batched selection.
+            again = gate(prototypes, dict(features)[sid][None, :], 0.6, 0.2, 0.3)
+            assert again.reliable[0] and again.winners[0] == winner
+            assert again.posterior[0, winner] >= 0.6
+            assert winner == brute_force_gate(prototypes, dict(features)[sid], 0.6, 0.2, 0.3)[3]
 
 
 class TestDeadFeature:
     def test_zero_feature_is_unreliable_not_an_error(self):
-        verdict = evaluate_feature(np.eye(3), np.zeros(3), 0.9, 0.05)
-        assert not verdict.reliable
-        assert verdict.winning_class is None
-        np.testing.assert_allclose(verdict.posterior, np.full(3, 1 / 3))
+        g = gate(np.eye(3), np.zeros((1, 3)), 0.9, 0.05)
+        assert not g.reliable[0]
+        assert g.winners[0] == -1
+        np.testing.assert_allclose(g.posterior[0], np.full(3, 1 / 3))
 
     def test_zero_feature_still_validates_thresholds(self):
         with pytest.raises(ConfigurationError):
-            evaluate_feature(np.eye(3), np.zeros(3), 0.6, 0.7)
+            gate(np.eye(3), np.zeros((1, 3)), 0.6, 0.7)
 
     def test_zero_prototype_scores_as_orthogonal(self):
         prototypes = np.array([[1.0, 0.0], [0.0, 0.0]])
-        w = similarity_vector(prototypes, np.array([2.0, 0.0]))
-        np.testing.assert_allclose(w, [1.0, 0.0])
+        np.testing.assert_allclose(cosine_matrix(prototypes, np.array([[2.0, 0.0]])), [[1.0, 0.0]])
 
     def test_select_skips_zero_features(self):
         features = [(0, np.zeros(3)), (1, np.array([1.0, 0.0, 0.0]))]
