@@ -196,8 +196,6 @@ def run_sweep(cfg: ExperimentConfig, sweep: str, out_csv) -> list[dict]:
 
 def cmd_ablate(args) -> int:
     cfg = load_config(args.config)
-    if args.sweep not in SWEEPS:
-        raise ConfigurationError(f"unknown sweep {args.sweep!r}; expected one of {SWEEPS}")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = run_sweep(cfg, args.sweep, out / f"{args.sweep}.csv")

@@ -61,6 +61,12 @@ class SyntheticSpec:
     seed: int = 0
 
     def validate(self) -> None:
+        if self.num_classes < 2:
+            raise InputDomainError("num_classes: need at least 2 classes")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise InputDomainError(f"noise_sigma: must be finite and nonnegative, got {self.noise_sigma}")
+        if self.seed < 0:
+            raise InputDomainError(f"seed: must be nonnegative, got {self.seed}")
         if self.height < 8 or self.width < 8:
             raise InputDomainError("grids must be at least 8x8")
         if len(self.class_counts) != self.num_classes:

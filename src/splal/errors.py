@@ -18,7 +18,7 @@ class TrainingError(SplalError):
 
 
 class EvaluationError(SplalError):
-    """The evaluation set cannot support a requested metric in strict mode."""
+    """The evaluation set cannot support a requested metric."""
 
 
 class ParseError(SplalError):

@@ -1,9 +1,8 @@
 """Evaluation suite: confusion matrix, macro rates, one-vs-rest AUC, ROC points.
 
 All multi-class rates are macro averages of per-class one-vs-rest values.
-AUC uses the Mann-Whitney convention (half credit for ties): exact
-midrank computation for up to 10^4 samples, trapezoid integration over
-sorted thresholds beyond that.
+AUC is the exact Mann-Whitney statistic (half credit for ties), read with
+the ROC points off one stable descending sort of each class's scores.
 """
 
 from __future__ import annotations
@@ -13,8 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EvaluationError, InputDomainError
-
-EXACT_AUC_LIMIT = 10_000
 
 
 def confusion(predictions: np.ndarray, truths: np.ndarray, num_classes: int) -> np.ndarray:
@@ -28,9 +25,8 @@ def confusion(predictions: np.ndarray, truths: np.ndarray, num_classes: int) -> 
         or truths.min() < 0 or truths.max() >= num_classes
     ):
         raise InputDomainError("class id out of range")
-    matrix = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(matrix, (truths, predictions), 1)
-    return matrix
+    cells = np.bincount(truths * num_classes + predictions, minlength=num_classes * num_classes)
+    return cells.reshape(num_classes, num_classes)
 
 
 @dataclass
@@ -44,6 +40,11 @@ class SummaryMetrics:
     zero_support_classes: list[int] = field(default_factory=list)
 
 
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den per class, 0.0 where den is not positive."""
+    return np.divide(num, den, out=np.zeros(len(den)), where=den > 0)
+
+
 def summary(matrix: np.ndarray) -> SummaryMetrics:
     """Macro one-vs-rest rates from a confusion matrix.
 
@@ -53,101 +54,65 @@ def summary(matrix: np.ndarray) -> SummaryMetrics:
     total = matrix.sum()
     if total == 0:
         raise InputDomainError("empty confusion matrix")
-    k = matrix.shape[0]
     accuracy = float(np.trace(matrix) / total)
-    per_class = []
-    zero_support = []
-    f1s, precs, recs, specs = [], [], [], []
-    for c in range(k):
-        tp = int(matrix[c, c])
-        fn = int(matrix[c].sum() - tp)
-        fp = int(matrix[:, c].sum() - tp)
-        tn = int(total - tp - fn - fp)
-        support = tp + fn
-        precision = tp / (tp + fp) if (tp + fp) > 0 else 0.0
-        recall = tp / (tp + fn) if (tp + fn) > 0 else 0.0
-        specificity = tn / (tn + fp) if (tn + fp) > 0 else 0.0
-        f1 = (2 * precision * recall / (precision + recall)) if (precision + recall) > 0 else 0.0
-        if support == 0:
-            zero_support.append(c)
-            f1 = 0.0
-        per_class.append(
-            {
-                "class": c, "support": support, "tp": tp, "fp": fp, "fn": fn, "tn": tn,
-                "precision": precision, "recall": recall,
-                "specificity": specificity, "f1": f1,
-            }
-        )
-        f1s.append(f1)
-        precs.append(precision)
-        recs.append(recall)
-        specs.append(specificity)
+    tp = np.diagonal(matrix)
+    support = matrix.sum(axis=1)
+    predicted = matrix.sum(axis=0)
+    fn, fp = support - tp, predicted - tp
+    tn = total - tp - fn - fp
+    precision, recall = _ratio(tp, predicted), _ratio(tp, support)
+    specificity = _ratio(tn, tn + fp)
+    f1 = _ratio(2 * precision * recall, precision + recall)
+    f1[support == 0] = 0.0
+    columns = {
+        "support": support, "tp": tp, "fp": fp, "fn": fn, "tn": tn,
+        "precision": precision, "recall": recall, "specificity": specificity, "f1": f1,
+    }
+    rows = zip(*(col.tolist() for col in columns.values()))
     return SummaryMetrics(
         accuracy=accuracy,
-        macro_f1=float(np.mean(f1s)),
-        macro_precision=float(np.mean(precs)),
-        macro_recall=float(np.mean(recs)),
-        macro_specificity=float(np.mean(specs)),
-        per_class=per_class,
-        zero_support_classes=zero_support,
+        macro_f1=float(np.mean(f1)),
+        macro_precision=float(np.mean(precision)),
+        macro_recall=float(np.mean(recall)),
+        macro_specificity=float(np.mean(specificity)),
+        per_class=[{"class": c, **dict(zip(columns, row))} for c, row in enumerate(rows)],
+        zero_support_classes=np.flatnonzero(support == 0).tolist(),
     )
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(len(values), dtype=np.float64)
-    sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+def _sweep(scores: np.ndarray, positives: np.ndarray) -> tuple[float, list[tuple[float, float, float]]]:
+    """AUC and ROC points from one stable descending sort of the scores.
 
-
-def binary_auc_exact(scores: np.ndarray, positives: np.ndarray) -> float:
-    """P(score_pos > score_neg) + half tie credit, via midranks."""
+    Each run of equal scores (0.0 and -0.0 compare equal) gives one ROC point,
+    its threshold the run's first score in sorted order. Each positive counts
+    the negatives ranked below its run plus half of those tied with it, so
+    twice the Mann-Whitney U is an exact integer.
+    """
     scores = np.asarray(scores, dtype=np.float64)
     positives = np.asarray(positives, dtype=bool)
     n_pos = int(positives.sum())
     n_neg = len(positives) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise EvaluationError("AUC needs at least one positive and one negative")
-    ranks = _midranks(scores)
-    rank_sum = ranks[positives].sum()
-    return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    order = np.argsort(-scores, kind="mergesort")
+    ranked = scores[order]
+    ends = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
+    tp = np.cumsum(positives[order])[ends]
+    fp = ends + 1 - tp
+    twice_u = int(np.diff(tp, prepend=0) @ (2 * (n_neg - fp) + np.diff(fp, prepend=0)))
+    thresholds = ranked[np.append(0, ends[:-1] + 1)].tolist()
+    points = list(zip(thresholds, (fp / n_neg).tolist(), (tp / n_pos).tolist()))
+    return twice_u / 2 / (n_pos * n_neg), [(float("inf"), 0.0, 0.0), *points]
+
+
+def binary_auc_exact(scores: np.ndarray, positives: np.ndarray) -> float:
+    """P(score_pos > score_neg) + half tie credit."""
+    return _sweep(scores, positives)[0]
 
 
 def roc_points(scores: np.ndarray, positives: np.ndarray) -> list[tuple[float, float, float]]:
     """(threshold, FPR, TPR) at every distinct score, thresholds descending."""
-    scores = np.asarray(scores, dtype=np.float64)
-    positives = np.asarray(positives, dtype=bool)
-    n_pos = int(positives.sum())
-    n_neg = len(positives) - n_pos
-    points = [(float("inf"), 0.0, 0.0)]
-    order = np.argsort(-scores, kind="mergesort")
-    tp = fp = 0
-    i = 0
-    while i < len(order):
-        threshold = scores[order[i]]
-        while i < len(order) and scores[order[i]] == threshold:
-            if positives[order[i]]:
-                tp += 1
-            else:
-                fp += 1
-            i += 1
-        points.append((float(threshold), fp / n_neg, tp / n_pos))
-    return points
-
-
-def binary_auc_trapezoid(scores: np.ndarray, positives: np.ndarray) -> float:
-    pts = roc_points(scores, positives)
-    auc = 0.0
-    for (t0, fpr0, tpr0), (t1, fpr1, tpr1) in zip(pts, pts[1:]):
-        auc += (fpr1 - fpr0) * (tpr0 + tpr1) / 2.0
-    return float(auc)
+    return _sweep(scores, positives)[1]
 
 
 @dataclass
@@ -158,11 +123,10 @@ class AucReport:
     roc: dict[int, list[tuple[float, float, float]]]
 
 
-def auc_ovr(scores: np.ndarray, truths: np.ndarray, strict: bool = False) -> AucReport:
+def auc_ovr(scores: np.ndarray, truths: np.ndarray) -> AucReport:
     """Macro one-vs-rest AUC over a (N, K) score matrix.
 
-    Classes without both a positive and a negative are excluded and
-    flagged, unless strict mode turns that into an error.
+    Classes without both a positive and a negative are excluded and flagged.
     """
     scores = np.asarray(scores, dtype=np.float64)
     truths = np.asarray(truths, dtype=np.int64)
@@ -174,16 +138,9 @@ def auc_ovr(scores: np.ndarray, truths: np.ndarray, strict: bool = False) -> Auc
         positives = truths == c
         n_pos = int(positives.sum())
         if n_pos == 0 or n_pos == n:
-            if strict:
-                raise EvaluationError(f"class {c} lacks positives or negatives")
             excluded.append(c)
             continue
-        col = scores[:, c]
-        if n <= EXACT_AUC_LIMIT:
-            per_class[c] = binary_auc_exact(col, positives)
-        else:
-            per_class[c] = binary_auc_trapezoid(col, positives)
-        roc[c] = roc_points(col, positives)
+        per_class[c], roc[c] = _sweep(scores[:, c], positives)
     if not per_class:
         raise EvaluationError("no class is evaluable for AUC")
     macro = float(np.mean(list(per_class.values())))

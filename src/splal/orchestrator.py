@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -138,15 +138,6 @@ class StageReport:
     random_subset_accuracy: float | None
     epoch_losses: list[dict]
 
-    def to_dict(self) -> dict:
-        return {
-            "stage": self.stage,
-            "num_selected": self.num_selected,
-            "pseudo_accuracy": self.pseudo_accuracy,
-            "random_subset_accuracy": self.random_subset_accuracy,
-            "epoch_losses": self.epoch_losses,
-        }
-
 
 @dataclass
 class RunResult:
@@ -157,7 +148,6 @@ class RunResult:
     warmup_losses: list[dict]
     metrics: dict
     test_samples: Pool
-    config_warnings: list[str]
     audits: dict | None = None
 
 
@@ -454,7 +444,6 @@ def run(cfg: ExperimentConfig, seed: int, collect_audits: bool = False) -> RunRe
         warmup_losses=warmup_losses,
         metrics=metrics,
         test_samples=test_samples,
-        config_warnings=notes,
         audits=audits,
     )
     return result
@@ -492,7 +481,7 @@ def write_run_dir(out_dir, cfg: ExperimentConfig, seed: int, result: RunResult) 
     ])
     write_metrics(out, result.metrics)
     (out / "stage_reports.json").write_text(
-        json.dumps([r.to_dict() for r in result.stage_reports], indent=2) + "\n"
+        json.dumps([asdict(r) for r in result.stage_reports], indent=2) + "\n"
     )
     height, width = result.state.pool.grids.shape[1:]
     save_checkpoint(

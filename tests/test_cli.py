@@ -86,6 +86,18 @@ class TestGenerateData:
         code = main(["generate-data", "--spec", str(spec), "--out", str(tmp_path / "x.csv")])
         assert code == 1
 
+    @pytest.mark.parametrize("line", [
+        "noise_sigma = nan", "noise_sigma = -0.1", "seed = -1", "num_classes = 0\nclass_counts =",
+    ])
+    def test_unusable_spec_exits_two_without_output(self, tmp_path, capsys, line):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(line + "\n")
+        out = tmp_path / "x.csv"
+        code = main(["generate-data", "--spec", str(spec), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
 
 class TestTrain:
     def test_artifacts_and_exit_code(self, tmp_path, capsys):

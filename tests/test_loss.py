@@ -6,7 +6,6 @@ import pytest
 from splal.errors import ConfigurationError
 from splal.loss import make_views, replay_views, total_loss
 from splal.model import forward, init_params
-from splal.numerics import one_hot
 
 from test_model import finite_difference, max_rel_error
 
@@ -43,7 +42,7 @@ def test_alignment_zero_for_identical_confident_views():
     grids = np.full((1, 2, 2), 0.5)
     weak = grids.copy()
     strong = grids.copy()
-    targets = np.array([one_hot(0, 2)])
+    targets = np.array([np.eye(2)[0]])
     breakdown, _ = total_loss(params, grids, targets, np.ones(1), weak, strong, 0.5, 0.5)
     assert breakdown.alignment == pytest.approx(0.0, abs=1e-9)
 

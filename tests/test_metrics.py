@@ -7,7 +7,6 @@ from splal.errors import EvaluationError, InputDomainError
 from splal.metrics import (
     auc_ovr,
     binary_auc_exact,
-    binary_auc_trapezoid,
     confusion,
     roc_points,
     summary,
@@ -125,20 +124,32 @@ class TestBinaryAuc:
             positives[0] = ~positives[0]
         want = brute_force_auc(scores, positives)
         assert binary_auc_exact(scores, positives) == pytest.approx(want, abs=1e-12)
-        assert binary_auc_trapezoid(scores, positives) == pytest.approx(want, abs=1e-12)
 
     def test_degenerate_classes_rejected(self):
         with pytest.raises(EvaluationError):
             binary_auc_exact(np.ones(3), np.array([True, True, True]))
+        with pytest.raises(EvaluationError):
+            roc_points(np.ones(3), np.array([False, False, False]))
 
     @given(st.lists(st.floats(min_value=0, max_value=1, allow_nan=False), min_size=4, max_size=40))
     @settings(max_examples=50, deadline=None)
-    def test_exact_and_trapezoid_agree(self, raw):
+    def test_exact_matches_pairwise_oracle(self, raw):
+        # both sides count half-integer wins exactly and divide once
         scores = np.array(raw)
         positives = np.arange(len(scores)) % 2 == 0
-        exact = binary_auc_exact(scores, positives)
-        trap = binary_auc_trapezoid(scores, positives)
-        assert exact == pytest.approx(trap, abs=1e-9)
+        assert binary_auc_exact(scores, positives) == brute_force_auc(scores, positives)
+
+    def test_large_sample_matches_searchsorted_count(self):
+        # 20 000 rows with ties: each positive beats the negatives below it
+        # and half of those equal to it, counted by binary search
+        rng = np.random.default_rng(7)
+        scores = np.round(rng.uniform(size=20_000), 3)
+        positives = rng.uniform(size=20_000) < 0.3
+        neg = np.sort(scores[~positives])
+        below = np.searchsorted(neg, scores[positives], side="left")
+        tied = np.searchsorted(neg, scores[positives], side="right") - below
+        want = (below.sum() + tied.sum() / 2) / (positives.sum() * len(neg))
+        assert binary_auc_exact(scores, positives) == want
 
 
 class TestRocPoints:
@@ -199,8 +210,6 @@ class TestAucOvr:
         assert report.excluded_classes == [2]
         assert set(report.per_class_auc) == {0, 1}
 
-    def test_strict_mode_errors_on_absent_class(self):
-        truths = np.array([0, 0, 1, 1])
-        scores = np.random.default_rng(5).uniform(size=(4, 3))
+    def test_no_evaluable_class_rejected(self):
         with pytest.raises(EvaluationError):
-            auc_ovr(scores, truths, strict=True)
+            auc_ovr(np.random.default_rng(5).uniform(size=(4, 2)), np.zeros(4, dtype=int))

@@ -3,12 +3,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from splal.errors import ConfigurationError, InputDomainError
 from splal.model import ce_value_and_dlogits
-from splal.numerics import one_hot, one_hot_argmax, softmax_rows
+from splal.numerics import softmax_rows
 from splal.selector import cosine_matrix, gate
 
 finite_vec = arrays(
@@ -105,7 +105,7 @@ class TestCosineSimilarity:
 class TestCrossEntropy:
     def test_perfect_confident_match_near_zero(self):
         pred = np.array([1.0 - 1e-12, 1e-12])
-        assert cross_entropy(one_hot(0, 2), pred) == pytest.approx(0.0, abs=1e-11)
+        assert cross_entropy(np.eye(2)[0], pred) == pytest.approx(0.0, abs=1e-11)
 
     def test_uniform_self_entropy(self):
         assert cross_entropy(np.array([0.5, 0.5]), np.array([0.5, 0.5])) == pytest.approx(
@@ -113,7 +113,7 @@ class TestCrossEntropy:
         )
 
     def test_hand_computed_one_hot(self):
-        assert cross_entropy(one_hot(0, 2), np.array([0.25, 0.75])) == pytest.approx(
+        assert cross_entropy(np.eye(2)[0], np.array([0.25, 0.75])) == pytest.approx(
             -math.log(0.25), abs=1e-12
         )
 
@@ -131,23 +131,3 @@ class TestCrossEntropy:
         target = t_raw / t_raw.sum()
         pred = p_raw / p_raw.sum()
         assert cross_entropy(target, pred) >= cross_entropy(target, target) - 1e-12
-
-
-class TestOneHotArgmax:
-    def test_basic(self):
-        np.testing.assert_array_equal(one_hot_argmax(np.array([0.1, 0.7, 0.2])), [0, 1, 0])
-
-    def test_tie_breaks_low(self):
-        np.testing.assert_array_equal(one_hot_argmax(np.array([0.5, 0.5])), [1, 0])
-
-    def test_empty_rejected(self):
-        with pytest.raises(InputDomainError):
-            one_hot_argmax(np.array([]))
-
-    @given(finite_vec, st.floats(min_value=0.1, max_value=10), st.floats(min_value=-5, max_value=5))
-    def test_positive_scale_and_shift_invariant(self, v, c, shift):
-        # skip instances where the winner's margin could be lost to floating
-        # point absorption when the shift is added
-        top_two = np.sort(v)[-2:]
-        assume(c * (top_two[1] - top_two[0]) > 1e-9 * (1 + abs(shift) + np.abs(v).max()))
-        np.testing.assert_array_equal(one_hot_argmax(c * v + shift), one_hot_argmax(v))

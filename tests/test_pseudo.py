@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from splal.errors import ConfigurationError, InputDomainError
 from splal.model import ModelParams, forward
-from splal.numerics import one_hot
 from splal.pseudo import combine, ensemble, knn_prediction
 from splal.selector import gate
 
@@ -65,14 +66,14 @@ def brute_force_knn(feature, feats, labels, ids, k):
 class TestKnnPrediction:
     def test_unanimous_neighbors(self):
         feats = np.array([[1.0, 0.0], [0.9, 0.1], [0.8, 0.2], [-1.0, 0.0]])
-        labels = np.stack([one_hot(2, 3)] * 3 + [one_hot(0, 3)])
+        labels = np.stack([np.eye(3)[2]] * 3 + [np.eye(3)[0]])
         ids = np.arange(4)
         out = knn_prediction(np.array([1.0, 0.05]), feats, labels, ids, k=3)
-        np.testing.assert_array_equal(out, one_hot(2, 3))
+        np.testing.assert_array_equal(out, np.eye(3)[2])
 
     def test_hand_mean_two_to_one(self):
         feats = np.array([[1.0, 0.0], [0.95, 0.05], [0.9, 0.1], [-1.0, 0.5]])
-        labels = np.stack([one_hot(0, 3), one_hot(0, 3), one_hot(1, 3), one_hot(2, 3)])
+        labels = np.stack([np.eye(3)[0], np.eye(3)[0], np.eye(3)[1], np.eye(3)[2]])
         ids = np.arange(4)
         out = knn_prediction(np.array([1.0, 0.02]), feats, labels, ids, k=3)
         np.testing.assert_allclose(out, [2 / 3, 1 / 3, 0.0], atol=1e-12)
@@ -86,20 +87,20 @@ class TestKnnPrediction:
     def test_tie_breaks_by_sample_id(self):
         # two labeled points at identical distance; the lower id must win
         feats = np.array([[1.0, 0.0], [1.0, 0.0]])
-        labels = np.stack([one_hot(0, 2), one_hot(1, 2)])
+        labels = np.stack([np.eye(2)[0], np.eye(2)[1]])
         out = knn_prediction(np.array([2.0, 0.0]), feats, labels, np.array([7, 3]), k=1)
-        np.testing.assert_array_equal(out, one_hot(1, 2))
+        np.testing.assert_array_equal(out, np.eye(2)[1])
         # the same rule on every row of a query matrix
         queries = np.array([[2.0, 0.0], [0.0, 1.0], [5.0, 0.0]])
         out = knn_prediction(queries, feats, labels, np.array([7, 3]), k=1)
-        np.testing.assert_array_equal(out, np.stack([one_hot(1, 2)] * 3))
+        np.testing.assert_array_equal(out, np.stack([np.eye(2)[1]] * 3))
 
     def test_dead_features_score_as_orthogonal(self):
         feats = np.array([[1.0, 0.0], [0.0, 0.0], [0.5, 0.5]])
-        labels = np.stack([one_hot(0, 2), one_hot(1, 2), one_hot(0, 2)])
+        labels = np.stack([np.eye(2)[0], np.eye(2)[1], np.eye(2)[0]])
         # a zero-norm labeled feature sits at distance 1 and loses to both
         out = knn_prediction(np.array([1.0, 0.1]), feats, labels, np.arange(3), k=2)
-        np.testing.assert_array_equal(out, one_hot(0, 2))
+        np.testing.assert_array_equal(out, np.eye(2)[0])
         # a zero-norm query sees every neighbor at distance 1; ids break ties
         out = knn_prediction(np.zeros(2), feats, labels, np.arange(3), k=2)
         np.testing.assert_allclose(out, [0.5, 0.5])
@@ -151,6 +152,22 @@ class TestSimilarityPrediction:
         posterior = np.array([[0.3, 0.7], [0.5, 0.5]])
         out = run_ensemble(np.full((2, 2), 0.5), posterior)
         np.testing.assert_array_equal(out.similarity, [[0, 1], [1, 0]])
+
+    @given(
+        arrays(np.float64, st.integers(min_value=2, max_value=8),
+               elements=st.floats(min_value=-50, max_value=50, allow_nan=False)),
+        st.floats(min_value=0.1, max_value=10),
+        st.floats(min_value=-5, max_value=5),
+    )
+    def test_positive_scale_and_shift_invariant(self, v, c, shift):
+        # skip instances where the winner's margin could be lost to floating
+        # point absorption when the shift is added
+        top_two = np.sort(v)[-2:]
+        assume(c * (top_two[1] - top_two[0]) > 1e-9 * (1 + abs(shift) + np.abs(v).max()))
+        uniform = np.full((1, len(v)), 1 / len(v))
+        np.testing.assert_array_equal(
+            run_ensemble(uniform, [c * v + shift]).similarity, run_ensemble(uniform, [v]).similarity
+        )
 
 
 class TestCombine:
