@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -85,19 +86,49 @@ def _aggregate_rows(per_seed: dict[int, dict]) -> list[tuple[str, float, float]]
     return rows
 
 
+def _map_runs(job, jobs: list[tuple]) -> list:
+    """`job(*args)` for each args tuple, results in submission order.
+
+    Independent runs go to min(usable cores, len(jobs)) forked processes; with
+    one worker they run in this process. A failing job re-raises here, the
+    first in submission order. The pool modules are imported only on the pool
+    path, so a one-run command does not pay for them.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform: stay in-process
+        cpus = 1
+    workers = min(cpus, len(jobs))
+    if workers <= 1:
+        return [job(*args) for args in jobs]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # Fork, not spawn: a spawned worker imports numpy and splal again (~0.25 s
+    # each), and this process starts no threads of its own before it forks.
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        return list(pool.map(job, *zip(*jobs)))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _train_job(cfg: ExperimentConfig, seed: int, seed_dir: Path) -> dict:
+    """One seed's run and run directory; returns its metrics."""
+    result = run(cfg, seed, collect_audits=True)
+    write_run_dir(seed_dir, cfg, seed, result)
+    height, width = result.test_samples.grids.shape[1:]
+    save_csv(result.test_samples, seed_dir / "test.csv", height, width, cfg.num_classes)
+    return result.metrics
+
+
 def run_training(cfg: ExperimentConfig, out_dir) -> dict[int, dict]:
     """One run per seed, each in its own subdirectory, plus an aggregate CSV."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.txt").write_text(config_to_text(cfg))
-    per_seed: dict[int, dict] = {}
-    for seed in cfg.seeds:
-        result = run(cfg, seed, collect_audits=True)
-        seed_dir = out / f"seed_{seed}"
-        write_run_dir(seed_dir, cfg, seed, result)
-        height, width = result.test_samples.grids.shape[1:]
-        save_csv(result.test_samples, seed_dir / "test.csv", height, width, cfg.num_classes)
-        per_seed[seed] = result.metrics
+    metrics = _map_runs(_train_job, [(cfg, seed, out / f"seed_{seed}") for seed in cfg.seeds])
+    per_seed = dict(zip(cfg.seeds, metrics))
     with (out / "aggregate.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["metric", "mean", "sd"])
@@ -168,20 +199,25 @@ def sweep_configs(cfg: ExperimentConfig, sweep: str) -> list[tuple[str, Experime
     raise ConfigurationError(f"unknown sweep {sweep!r}; expected one of {SWEEPS}")
 
 
+def _sweep_job(sweep: str, value: str, cfg: ExperimentConfig, seed: int) -> dict:
+    """One sweep CSV row: the run's metrics and the recall of its rarest training class."""
+    result = run(cfg, seed)
+    m = result.metrics
+    minority = int(np.argmin(np.bincount(result.state.pool.truth, minlength=cfg.num_classes)))
+    row = {"sweep": sweep, "value": value, "seed": seed}
+    row.update({key: m[key] for key in METRIC_KEYS})
+    row["minority_recall"] = m["per_class"][minority]["recall"]
+    return row
+
+
 def run_sweep(cfg: ExperimentConfig, sweep: str, out_csv) -> list[dict]:
     """Long-form rows (sweep value, seed, metrics) across the whole grid."""
-    rows = []
+    jobs = []
     for value, variant in sweep_configs(cfg, sweep):
         variant = variant.normalized()
         variant.validate()
-        for seed in variant.seeds:
-            result = run(variant, seed)
-            m = result.metrics
-            minority = int(np.argmin(np.bincount(result.state.pool.truth, minlength=variant.num_classes)))
-            row = {"sweep": sweep, "value": value, "seed": seed}
-            row.update({key: m[key] for key in METRIC_KEYS})
-            row["minority_recall"] = m["per_class"][minority]["recall"]
-            rows.append(row)
+        jobs.extend((sweep, value, variant, seed) for seed in variant.seeds)
+    rows = _map_runs(_sweep_job, jobs)
     out_csv = Path(out_csv)
     out_csv.parent.mkdir(parents=True, exist_ok=True)
     with out_csv.open("w", newline="") as fh:

@@ -127,6 +127,8 @@ class ExperimentConfig:
             fail("pseudo_weight", f"must lie in (0, 1], got {self.pseudo_weight}")
         if not self.seeds:
             fail("seeds", "need at least one seed")
+        if len(set(self.seeds)) != len(self.seeds):
+            fail("seeds", f"each seed may appear once, got {','.join(map(str, self.seeds))}")
         if min(self.seeds) < 0 or self.data_seed < 0:
             fail("seeds/data_seed", "must be nonnegative")
         if any(width < 1 for width in self.hidden_widths):

@@ -158,8 +158,8 @@ class ForwardRecord:
     probabilities: np.ndarray          # (B, K), row softmax at unit temperature
 
 
-def forward(params: ModelParams, X: np.ndarray) -> ForwardRecord:
-    """Deterministic forward pass; X is (B, D) or a single flat (D,) vector."""
+def _encode(params: ModelParams, X: np.ndarray) -> tuple[np.ndarray, list, list, np.ndarray]:
+    """The (B, D) input, the pre-activations and activations per hidden layer, and the features."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:
         X = X[None, :]
@@ -175,6 +175,17 @@ def forward(params: ModelParams, X: np.ndarray) -> ForwardRecord:
         h = np.maximum(a, 0.0)
         pre.append(a)
         act.append(h)
+    return X, pre, act, h
+
+
+def encode(params: ModelParams, X: np.ndarray) -> np.ndarray:
+    """The (B, d) features alone: `forward(params, X).features`, bit for bit."""
+    return _encode(params, X)[3]
+
+
+def forward(params: ModelParams, X: np.ndarray) -> ForwardRecord:
+    """Deterministic forward pass; X is (B, D) or a single flat (D,) vector."""
+    X, pre, act, h = _encode(params, X)
     Wc, bc = params.classifier
     logits = h @ Wc + bc
     probs = softmax_rows(logits)

@@ -8,6 +8,7 @@ at most once and never returns to the unlabeled pool.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -36,6 +37,7 @@ from .model import (
     OptimizerState,
     adam_step,
     ema_update,
+    encode,
     forward,
     init_params,
     save_checkpoint,
@@ -199,7 +201,7 @@ def _train_epochs(
             if ema is not None:
                 ema_update(ema, params)
             if bank is not None:
-                feats = forward(params, _flat(grids)).features
+                feats = encode(params, _flat(grids))
                 keep = queued[idx]
                 bank.push(class_ids[idx][keep], feats[keep])
             sums += (breakdown.classification, breakdown.alignment, breakdown.total)
@@ -237,7 +239,7 @@ def warmup(
     logs = _train_epochs(
         params, opt, None, state, cfg.epochs_warmup, cfg, rng_shuffle, rng_augment
     )
-    bank.push(class_ids, forward(params, _flat(state.pool.grids[rows])).features)
+    bank.push(class_ids, encode(params, _flat(state.pool.grids[rows])))
     ema = EmaParams.from_live(params, cfg.ema_decay)
     return ema, logs
 
@@ -296,7 +298,7 @@ def run_stage(
         )
 
     rows = state.labeled_rows
-    labeled = (forward(feature_params, _flat(pool.grids[rows])).features, state.Y[rows], pool.ids[rows])
+    labeled = (encode(feature_params, _flat(pool.grids[rows])), state.Y[rows], pool.ids[rows])
     chosen = np.flatnonzero(g.reliable)
     pseudo_acc, pred = _ensemble_accuracy(chosen, truth, probs, feats, g.posterior, labeled, cfg)
 
@@ -363,6 +365,19 @@ def evaluate_params(params: ModelParams, samples: Pool, num_classes: int) -> dic
     }
 
 
+@functools.lru_cache(maxsize=2)
+def _synthetic_pool(spec: SyntheticSpec) -> Pool:
+    """`generate(spec)`, built once per process for the train and the test spec.
+
+    Runs share the arrays, so they are read-only: a write raises instead of
+    changing the data of every later run.
+    """
+    pool = generate(spec)
+    for array in (pool.ids, pool.grids, pool.truth):
+        array.flags.writeable = False
+    return pool
+
+
 def build_pools(cfg: ExperimentConfig, seed: int) -> tuple[PoolView, PoolView, Pool]:
     """The labeled and unlabeled views of a fresh DatasetState (reached as `.state`), and the test pool."""
     if cfg.data_csv is not None:
@@ -380,14 +395,14 @@ def build_pools(cfg: ExperimentConfig, seed: int) -> tuple[PoolView, PoolView, P
     else:
         spec = SyntheticSpec(
             num_classes=cfg.num_classes,
-            class_counts=cfg.class_counts,
+            class_counts=tuple(cfg.class_counts),
             height=cfg.height,
             width=cfg.width,
             noise_sigma=cfg.noise_sigma,
             seed=cfg.data_seed,
         )
-        train = generate(spec)
-        test = generate(balanced_test_spec(spec, per_class=cfg.test_per_class))
+        train = _synthetic_pool(spec)
+        test = _synthetic_pool(balanced_test_spec(spec, per_class=cfg.test_per_class))
     # Sort only when needed: freeing a copy of an already sorted 3k-row pool
     # here raised the large-pool RSS peak by ~6 MB.
     if (np.diff(train.ids) <= 0).any():

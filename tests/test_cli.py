@@ -1,4 +1,6 @@
+import concurrent.futures
 import json
+import os
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -14,11 +16,13 @@ from splal.cli import (
     SWEEPS,
     build_parser,
     main,
+    run_sweep,
+    run_training,
     sweep_configs,
 )
 from splal.config import ExperimentConfig, config_to_text
 from splal.data import SyntheticSpec, file_sha256, generate, load_csv, save_csv
-from splal.errors import ConfigurationError
+from splal.errors import ConfigurationError, ParseError
 from splal.model import init_params, load_checkpoint, save_checkpoint
 from splal.orchestrator import run
 
@@ -147,6 +151,14 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "line 3: no data rows" in err
         assert not (out / "seed_0").exists()
+
+    def test_repeated_seed_exits_one_before_training(self, tmp_path, capsys):
+        cfg_path, _ = write_config(tmp_path)
+        cfg_path.write_text(cfg_path.read_text().replace("seeds = 0", "seeds = 1,1"))
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg_path), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error: seeds: ")
+        assert not (out / "seed_1").exists()
 
     def test_checkpoint_records_the_data_grid_shape(self, tmp_path):
         # the CSV grids are 8x8; the config keeps the 16x16 synthetic default
@@ -325,6 +337,119 @@ class TestAblate:
         variant = replace(cfg, labeled_ratio=float(fields["value"])).normalized()
         expected = run(variant, int(fields["seed"])).metrics["per_class"][2]["recall"]
         assert float(fields["minority_recall"]) == expected
+
+
+def one_cpu(monkeypatch):
+    """Make the commands see a single usable core, so every run stays in-process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+
+def tree(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def on_both_paths(monkeypatch, capsys, tmp_path, args) -> list[tuple[dict[str, bytes], str]]:
+    """Run a command with a process pool, then in-process; (files, stdout) of each."""
+    outputs = []
+    for name in ("pool", "serial"):
+        if name == "serial":
+            one_cpu(monkeypatch)
+        out = tmp_path / name
+        assert main([*args, "--out-dir", str(out)]) == 0
+        outputs.append((tree(out), capsys.readouterr().out.replace(str(out), "OUT")))
+    return outputs
+
+
+class RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records its arguments, runs the jobs in-process."""
+
+    made: list = []
+
+    def __init__(self, max_workers, mp_context):
+        self.made.append((max_workers, mp_context.get_start_method()))
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
+class TestParallelRuns:
+    """Independent runs go to up to min(cores, runs) processes; the bytes do not depend on it.
+
+    On a one-core machine both sides of each comparison run in-process.
+    """
+
+    def test_default_train_tree_is_the_same_on_both_paths(self, tmp_path, capsys, monkeypatch):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text("seeds = 0,1,2,3\nepochs_warmup = 2\nepochs_stage = 1\n")
+        pool, serial = on_both_paths(monkeypatch, capsys, tmp_path, ["train", "--config", str(cfg_path)])
+        assert sorted(p for p in pool[0] if "/" not in p) == ["aggregate.csv", "config.txt"]
+        assert len(pool[0]) == 2 + 4 * 13
+        assert pool == serial
+
+    def test_baseline_sweep_csv_is_the_same_on_both_paths(self, tmp_path, capsys, monkeypatch):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text("mode = baseline\nepochs_warmup = 5\nseeds = 0,1,2\n")
+        pool, serial = on_both_paths(monkeypatch, capsys, tmp_path,
+                                     ["ablate", "--config", str(cfg_path), "--sweep", "label-ratio"])
+        assert pool == serial
+        lines = pool[0]["label-ratio.csv"].decode().splitlines()
+        assert [line.split(",")[1:3] for line in lines[1:]] == [
+            [str(ratio), str(seed)] for ratio in (0.05, 0.1, 0.2, 0.3) for seed in (0, 1, 2)
+        ]
+
+    def test_seeds_keep_config_order(self, tmp_path, capsys, monkeypatch):
+        cfg_path, _ = write_config(tmp_path)
+        cfg_path.write_text(cfg_path.read_text().replace("seeds = 0", "seeds = 3,0"))
+        pool, serial = on_both_paths(monkeypatch, capsys, tmp_path, ["train", "--config", str(cfg_path)])
+        assert pool == serial
+        files, stdout = pool
+        assert [line.split(":")[0] for line in stdout.splitlines()] == ["seed 3", "seed 0"]
+        per_seed = [json.loads(files[f"seed_{seed}/metrics.json"]) for seed in (3, 0)]
+        rows = files["aggregate.csv"].decode().splitlines()[1:]
+        for row in rows:
+            name, mean, sd = row.split(",")
+            values = np.array([m[name] for m in per_seed])
+            assert (float(mean), float(sd)) == (values.mean(), values.std(ddof=0))
+
+    @pytest.mark.parametrize("cpus,expected", [(1, []), (2, [(2, "fork")]), (3, [(3, "fork")]),
+                                               (8, [(4, "fork")])])
+    def test_workers_are_capped_by_cores_and_runs(self, tmp_path, monkeypatch, cpus, expected):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(RecordingExecutor, "made", [])
+        cfg = tiny_config(seeds=(0, 1, 2, 3), stages=1, epochs_warmup=1, epochs_stage=1)
+        per_seed = run_training(cfg, tmp_path / "train")
+        assert list(per_seed) == [0, 1, 2, 3]
+        assert RecordingExecutor.made == expected
+
+    def test_sweep_workers_are_capped_by_cores_and_runs(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(RecordingExecutor, "made", [])
+        cfg = tiny_config(mode="baseline", seeds=(0, 1, 2), epochs_warmup=1)
+        rows = run_sweep(cfg, "label-ratio", tmp_path / "label-ratio.csv")
+        assert len(rows) == 12
+        assert RecordingExecutor.made == [(12, "fork")]
+
+    def test_failing_run_reports_as_a_single_run_does(self, tmp_path, capsys):
+        train, test = write_csv_pair(tmp_path)
+        lines = train.read_text().splitlines()
+        lines[4] = lines[4].rsplit(",", 1)[0] + ",abc"
+        train.write_text("\n".join(lines) + "\n")
+        reports = []
+        for seeds in ("0", "0,1"):
+            cfg_path, cfg = write_config(tmp_path, data_csv=str(train), test_csv=str(test))
+            cfg_path.write_text(cfg_path.read_text().replace("seeds = 0", f"seeds = {seeds}"))
+            code = main(["train", "--config", str(cfg_path), "--out-dir", str(tmp_path / seeds)])
+            reports.append((code, capsys.readouterr().err))
+        assert reports[0] == reports[1]
+        assert reports[0][0] == 2 and reports[0][1].startswith("error: line 5: ")
+        with pytest.raises(ParseError) as err:
+            run_training(replace(cfg, seeds=(0, 1)), tmp_path / "api")
+        assert err.value.line == 5 and str(err.value).count("line 5") == 1
 
 
 class TestUsageErrors:

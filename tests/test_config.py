@@ -57,6 +57,7 @@ class TestValidate:
             ({"queue_capacity": 0}, "queue_capacity"),
             ({"pseudo_weight": 0.0}, "pseudo_weight"),
             ({"seeds": ()}, "seeds"),
+            ({"seeds": (1, 1)}, "seeds"),
         ],
     )
     def test_rejections_name_the_field(self, kwargs, field):

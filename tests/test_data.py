@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -222,6 +224,14 @@ class TestCsvRoundTrip:
         with pytest.raises(ParseError, match="duplicate sample id 7.*line 3") as err:
             load_csv(path)
         assert err.value.line == 5
+
+
+@pytest.mark.parametrize("line", [3, None])
+def test_parse_error_survives_pickling(line):
+    # How a worker process hands a CSV error back to the command that ran it.
+    err = pickle.loads(pickle.dumps(ParseError("bad pixel", line=line)))
+    assert type(err) is ParseError and err.line == line
+    assert str(err) == ("bad pixel" if line is None else f"line {line}: bad pixel")
 
 
 def test_manifest_contents(tmp_path):

@@ -14,6 +14,7 @@ from splal.model import (
     backward,
     ce_value_and_dlogits,
     ema_update,
+    encode,
     forward,
     init_params,
     load_checkpoint,
@@ -76,6 +77,15 @@ class TestForward:
         params = tiny_net(np.random.default_rng(0))
         with pytest.raises(InputDomainError):
             forward(params, np.ones(5))
+        with pytest.raises(InputDomainError):
+            encode(params, np.ones(5))
+
+    @pytest.mark.parametrize("widths", [(), (3,), (6, 5)])
+    def test_encode_is_forward_features_bit_for_bit(self, widths):
+        rng = np.random.default_rng(11)
+        params = tiny_net(rng, input_dim=7, widths=widths)
+        for x in (rng.normal(size=(9, 7)), rng.normal(size=7)):
+            assert np.array_equal(encode(params, x), forward(params, x).features)
 
 
 def finite_difference(params, loss_fn, h=1e-6):

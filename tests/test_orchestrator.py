@@ -8,6 +8,7 @@ from splal.data import GROUND_TRUTH, PSEUDO, Pool, SyntheticSpec, generate, save
 from splal.errors import ConfigurationError, TrainingError
 from splal.model import OptimizerState, init_params
 from splal.orchestrator import (
+    _synthetic_pool,
     STREAM_AUGMENT,
     STREAM_INIT,
     STREAM_SHUFFLE,
@@ -223,6 +224,26 @@ class TestFullRun:
         assert audited_ids == {s.sample_id for s in result.state.labeled if s.provenance == PSEUDO}
 
 
+class TestSyntheticPoolCache:
+    def test_pools_are_read_only_and_a_second_run_matches_a_fresh_one(self):
+        cfg = tiny_config()
+        _synthetic_pool.cache_clear()
+        fresh = run(cfg, seed=2)
+        labeled, _, test = build_pools(cfg, seed=2)
+        assert _synthetic_pool.cache_info().hits == 2
+        for pool in (labeled.state.pool, test):
+            for array in (pool.ids, pool.grids, pool.truth):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[...] = 0
+        again = run(cfg, seed=2)
+        assert _synthetic_pool.cache_info().hits == 4
+        assert json.dumps(again.metrics) == json.dumps(fresh.metrics)
+        assert np.array_equal(again.live.flat, fresh.live.flat)
+        assert np.array_equal(again.ema.shadow.flat, fresh.ema.shadow.flat)
+        assert again.warmup_losses == fresh.warmup_losses
+
+
 class TestCsvPools:
     def _write(self, tmp_path, name, counts=(6, 6, 6, 6), seed=0):
         spec = SyntheticSpec(class_counts=counts, height=8, width=8, seed=seed)
@@ -230,6 +251,14 @@ class TestCsvPools:
         path = tmp_path / name
         save_csv(samples, path, 8, 8, 4)
         return path
+
+    def test_csv_pools_are_not_cached(self, tmp_path):
+        train = self._write(tmp_path, "train.csv")
+        test = self._write(tmp_path, "test.csv", seed=1)
+        _synthetic_pool.cache_clear()
+        labeled, _, _ = build_pools(tiny_config(data_csv=str(train), test_csv=str(test)), seed=0)
+        assert _synthetic_pool.cache_info().currsize == 0
+        assert labeled.state.pool.grids.flags.writeable
 
     def test_run_from_csv(self, tmp_path):
         train = self._write(tmp_path, "train.csv", counts=(10, 8, 6, 6))
