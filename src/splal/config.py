@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .errors import ConfigurationError
+from .data import SyntheticSpec
+from .errors import ConfigurationError, InputDomainError
 from .selector import gamma2_from_gamma1, reachability_warning
 
 MODES = ("splal", "baseline")
@@ -45,9 +46,6 @@ class ExperimentConfig:
     # model / optimizer
     hidden_widths: tuple[int, ...] = (64, 32)
     learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     ema_decay: float = 0.99
 
     # schedule
@@ -60,16 +58,21 @@ class ExperimentConfig:
     # run control
     seeds: tuple[int, ...] = (0,)
     mode: str = "splal"
-    pseudo_weight: float = 1.0
-
-    # behavior switches
-    stop_gradient: bool = True
     soft_pseudo_labels: bool = True
-    pseudo_in_queue: bool = True
-    ema_for_pseudo_labeling: bool = False
 
     def effective_gamma2(self) -> float:
         return gamma2_from_gamma1(self.gamma1) if self.gamma2 is None else self.gamma2
+
+    def synthetic_spec(self) -> SyntheticSpec:
+        """The synthetic training set this config describes when data_csv is unset."""
+        return SyntheticSpec(
+            num_classes=self.num_classes,
+            class_counts=tuple(self.class_counts),
+            height=self.height,
+            width=self.width,
+            noise_sigma=self.noise_sigma,
+            seed=self.data_seed,
+        )
 
     def normalized(self) -> "ExperimentConfig":
         """Apply mode semantics: baseline trains supervised only, no alignment."""
@@ -82,21 +85,23 @@ class ExperimentConfig:
         def fail(name: str, msg: str):
             raise ConfigurationError(f"{name}: {msg}")
 
+        if self.mode not in MODES:
+            fail("mode", f"must be one of {MODES}, got {self.mode!r}")
+        if not self.seeds:
+            fail("seeds", "need at least one seed")
+        if len(set(self.seeds)) != len(self.seeds):
+            fail("seeds", f"each seed may appear once, got {','.join(map(str, self.seeds))}")
+        if min(self.seeds) < 0 or self.data_seed < 0:
+            fail("seeds/data_seed", "must be nonnegative")
+        if self.data_csv is None:
+            try:
+                self.synthetic_spec().validate()
+            except InputDomainError as exc:
+                raise ConfigurationError(str(exc)) from exc
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 fail(f.name, f"must be finite, got {value}")
-        if self.mode not in MODES:
-            fail("mode", f"must be one of {MODES}, got {self.mode!r}")
-        if self.data_csv is None:
-            if self.num_classes < 2:
-                fail("num_classes", "need at least 2 classes")
-            if len(self.class_counts) != self.num_classes:
-                fail("class_counts", f"length {len(self.class_counts)} != num_classes {self.num_classes}")
-            if self.height < 8 or self.width < 8:
-                fail("height/width", "grids must be at least 8x8")
-            if self.noise_sigma < 0:
-                fail("noise_sigma", "must be nonnegative")
         if not (0 < self.labeled_ratio <= 1):
             fail("labeled_ratio", f"must lie in (0, 1], got {self.labeled_ratio}")
         if abs(self.lam1 + self.lam2 - 1.0) > 1e-9 or self.lam1 < 0 or self.lam2 < 0:
@@ -104,8 +109,10 @@ class ExperimentConfig:
         alphas = (self.alpha1, self.alpha2, self.alpha3)
         if min(alphas) < 0 or abs(sum(alphas) - 1.0) > 1e-9:
             fail("alpha1/alpha2/alpha3", f"must be nonnegative and sum to 1, got {alphas}")
-        if not (0 < self.gamma1 <= 1):
-            fail("gamma1", f"must lie in (0, 1], got {self.gamma1}")
+        # The gate needs gamma1 > 1/K: a uniform posterior must not pass it.
+        chance = 1 / self.num_classes if self.num_classes > 0 else 0.0
+        if not (chance < self.gamma1 <= 1):
+            fail("gamma1", f"must lie in (1/num_classes, 1] = ({chance:g}, 1], got {self.gamma1}")
         g2 = self.effective_gamma2()
         if not (0 <= g2 < self.gamma1):
             fail("gamma2", f"must lie in [0, gamma1), got {g2}")
@@ -123,14 +130,6 @@ class ExperimentConfig:
             fail("batch_size", "must be >= 1")
         if self.queue_capacity < 1:
             fail("queue_capacity", "must be >= 1")
-        if not (0 < self.pseudo_weight <= 1):
-            fail("pseudo_weight", f"must lie in (0, 1], got {self.pseudo_weight}")
-        if not self.seeds:
-            fail("seeds", "need at least one seed")
-        if len(set(self.seeds)) != len(self.seeds):
-            fail("seeds", f"each seed may appear once, got {','.join(map(str, self.seeds))}")
-        if min(self.seeds) < 0 or self.data_seed < 0:
-            fail("seeds/data_seed", "must be nonnegative")
         if any(width < 1 for width in self.hidden_widths):
             fail("hidden_widths", f"every width must be >= 1, got {self.hidden_widths}")
 
@@ -138,40 +137,40 @@ class ExperimentConfig:
         msg = reachability_warning(self.num_classes, self.temperature, self.gamma1)
         if msg is not None:
             notes.append(msg)
-            warnings.warn(msg, UserWarning, stacklevel=2)
+            # Warned from this line, so the registry a forked worker inherits
+            # shows one line per command, not one per validating process.
+            warnings.warn(msg, UserWarning, stacklevel=1)
         return notes
 
 
-_BOOL_FIELDS = {"stop_gradient", "soft_pseudo_labels", "pseudo_in_queue", "ema_for_pseudo_labeling"}
-_TUPLE_INT_FIELDS = {"class_counts", "hidden_widths", "seeds"}
-_OPTIONAL_STR_FIELDS = {"data_csv", "test_csv"}
+def _parse_bool(raw: str) -> bool:
+    if raw.lower() in ("true", "1", "yes"):
+        return True
+    if raw.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError(raw)
 
 
-def _parse_value(name: str, raw: str, target_type):
+# One parser per field annotation (annotations are strings under
+# `from __future__ import annotations`); a field type needs an entry here.
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "bool": _parse_bool,
+    "tuple[int, ...]": lambda raw: tuple(int(part) for part in raw.split(",") if part.strip()),
+    "str | None": lambda raw: None if raw.lower() in ("", "none") else raw,
+    "float | None": lambda raw: None if raw.lower() in ("", "none", "auto") else float(raw),
+}
+
+
+def _parse_value(name: str, raw: str, annotation: str):
+    parse = _PARSERS[annotation]
     raw = raw.strip()
-    if name in _OPTIONAL_STR_FIELDS:
-        return None if raw.lower() in ("", "none") else raw
-    if name == "gamma2":
-        return None if raw.lower() in ("", "none", "auto") else float(raw)
-    if name in _BOOL_FIELDS:
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigurationError(f"{name}: expected a boolean, got {raw!r}")
-    if name in _TUPLE_INT_FIELDS:
-        try:
-            return tuple(int(part) for part in raw.split(",") if part.strip())
-        except ValueError:
-            raise ConfigurationError(f"{name}: expected comma-separated integers, got {raw!r}")
     try:
-        if target_type is int:
-            return int(raw)
-        if target_type is float:
-            return float(raw)
+        return parse(raw)
     except ValueError:
-        raise ConfigurationError(f"{name}: cannot parse {raw!r} as {target_type.__name__}")
-    return raw
+        raise ConfigurationError(f"{name}: cannot parse {raw!r} as {annotation}") from None
 
 
 def load_config(path) -> ExperimentConfig:
@@ -182,8 +181,7 @@ def load_config(path) -> ExperimentConfig:
 
 def parse_config(text: str, cls=ExperimentConfig, what: str = "config"):
     """Flat key = value text into an instance of the dataclass `cls`."""
-    known = {f.name: f for f in fields(cls)}
-    type_map = {"int": int, "float": float, "str": str}
+    known = {f.name: f.type for f in fields(cls)}
     values: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -195,16 +193,14 @@ def parse_config(text: str, cls=ExperimentConfig, what: str = "config"):
         key = key.strip()
         if key not in known:
             raise ConfigurationError(f"{what} line {lineno}: unknown key {key!r}")
-        base = str(known[key].type).replace("builtins.", "")
-        target = type_map.get(base.split(" ")[0], str)
-        values[key] = _parse_value(key, raw, target)
+        values[key] = _parse_value(key, raw, known[key])
     return cls(**values)
 
 
-def config_to_text(cfg: ExperimentConfig) -> str:
-    """Echo a config as a flat key = value file (diffable provenance)."""
+def config_to_text(cfg) -> str:
+    """Echo a config (or spec) dataclass as the flat key = value text parse_config reads."""
     lines = []
-    for f in fields(ExperimentConfig):
+    for f in fields(cfg):
         value = getattr(cfg, f.name)
         if isinstance(value, tuple):
             value = ",".join(str(v) for v in value)

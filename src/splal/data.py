@@ -61,6 +61,8 @@ class SyntheticSpec:
     seed: int = 0
 
     def validate(self) -> None:
+        """Raise InputDomainError, its message starting with the offending field."""
+        counts = self.class_counts
         if self.num_classes < 2:
             raise InputDomainError("num_classes: need at least 2 classes")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
@@ -68,11 +70,11 @@ class SyntheticSpec:
         if self.seed < 0:
             raise InputDomainError(f"seed: must be nonnegative, got {self.seed}")
         if self.height < 8 or self.width < 8:
-            raise InputDomainError("grids must be at least 8x8")
-        if len(self.class_counts) != self.num_classes:
-            raise InputDomainError("class_counts length must equal num_classes")
-        if any(c < 1 for c in self.class_counts):
-            raise InputDomainError("every class needs at least one sample")
+            raise InputDomainError(f"height/width: must be at least 8x8, got {self.height}x{self.width}")
+        if len(counts) != self.num_classes:
+            raise InputDomainError(f"class_counts: length {len(counts)} != num_classes {self.num_classes}")
+        if any(c < 1 for c in counts):
+            raise InputDomainError(f"class_counts: every class needs at least one sample, got {counts}")
 
 
 def _centered_coords(h: int, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -171,18 +171,15 @@ def _train_epochs(
 ) -> list[dict]:
     """Train on the labeled pool; optionally keep the bank and EMA fresh.
 
-    Targets, weights, class ids and the queue mask are built once per call;
-    a batch's grids are gathered from the pool, never for the whole pool.
+    Targets, weights and class ids are built once per call; a batch's grids
+    are gathered from the pool, never for the whole pool.
     """
     logs = []
     rows = state.labeled_rows
     n = len(rows)
     targets = state.Y[rows]
     class_ids = targets.argmax(axis=1)
-    code = state.provenance[rows]
-    ground = code == BY_TRUTH
-    weights = np.where(ground, 1.0, cfg.pseudo_weight)
-    queued = ground | ((code == BY_PSEUDO) & cfg.pseudo_in_queue)
+    weights = np.ones(n)
     for epoch in range(epochs):
         order = rng_shuffle.permutation(n)
         sums = np.zeros(3)
@@ -192,8 +189,7 @@ def _train_epochs(
             grids = state.pool.grids[rows[idx]]
             weak, strong, _ = make_views(grids, rng_augment)
             breakdown, grads = total_loss(
-                params, grids, targets[idx], weights[idx], weak, strong,
-                cfg.lam1, cfg.lam2, stop_gradient=cfg.stop_gradient,
+                params, grids, targets[idx], weights[idx], weak, strong, cfg.lam1, cfg.lam2
             )
             adam_step(params, grads, opt)
             if not params.all_finite():
@@ -201,9 +197,7 @@ def _train_epochs(
             if ema is not None:
                 ema_update(ema, params)
             if bank is not None:
-                feats = encode(params, _flat(grids))
-                keep = queued[idx]
-                bank.push(class_ids[idx][keep], feats[keep])
+                bank.push(class_ids[idx], encode(params, _flat(grids)))
             sums += (breakdown.classification, breakdown.alignment, breakdown.total)
             num_batches += 1
         mean = sums / max(num_batches, 1)
@@ -280,11 +274,10 @@ def run_stage(
     The unlabeled pool goes through one forward pass and one gate call; the
     selection, the audits and the control arm all read those arrays.
     """
-    feature_params = ema.shadow if cfg.ema_for_pseudo_labeling else params
     pool = state.pool
     unlabeled = state.unlabeled_rows
     ids, truth = pool.ids[unlabeled], pool.truth[unlabeled]
-    fwd = forward(feature_params, _flat(pool.grids[unlabeled]))
+    fwd = forward(params, _flat(pool.grids[unlabeled]))
     feats, probs = fwd.features, fwd.probabilities
     del fwd  # its inputs and activations would otherwise stay alive through retraining
     g = gate(bank.prototypes(), feats, cfg.gamma1, cfg.effective_gamma2(), cfg.temperature)
@@ -298,7 +291,7 @@ def run_stage(
         )
 
     rows = state.labeled_rows
-    labeled = (encode(feature_params, _flat(pool.grids[rows])), state.Y[rows], pool.ids[rows])
+    labeled = (encode(params, _flat(pool.grids[rows])), state.Y[rows], pool.ids[rows])
     chosen = np.flatnonzero(g.reliable)
     pseudo_acc, pred = _ensemble_accuracy(chosen, truth, probs, feats, g.posterior, labeled, cfg)
 
@@ -393,14 +386,7 @@ def build_pools(cfg: ExperimentConfig, seed: int) -> tuple[PoolView, PoolView, P
             raise ConfigurationError("test_csv: shape metadata differs from data_csv")
         require_labels(test, "test_csv")
     else:
-        spec = SyntheticSpec(
-            num_classes=cfg.num_classes,
-            class_counts=tuple(cfg.class_counts),
-            height=cfg.height,
-            width=cfg.width,
-            noise_sigma=cfg.noise_sigma,
-            seed=cfg.data_seed,
-        )
+        spec = cfg.synthetic_spec()
         train = _synthetic_pool(spec)
         test = _synthetic_pool(balanced_test_spec(spec, per_class=cfg.test_per_class))
     # Sort only when needed: freeing a copy of an already sorted 3k-row pool
@@ -429,9 +415,7 @@ def run(cfg: ExperimentConfig, seed: int, collect_audits: bool = False) -> RunRe
     params = init_params(
         input_dim, cfg.hidden_widths, cfg.num_classes, substream(seed, STREAM_INIT)
     )
-    opt = OptimizerState.for_params(
-        params, cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
-    )
+    opt = OptimizerState.for_params(params, cfg.learning_rate)
     bank = PrototypeBank(cfg.num_classes, params.feature_dim, cfg.queue_capacity)
     rng_shuffle = substream(seed, STREAM_SHUFFLE)
     rng_augment = substream(seed, STREAM_AUGMENT)

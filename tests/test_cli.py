@@ -1,6 +1,8 @@
 import concurrent.futures
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -103,6 +105,30 @@ class TestGenerateData:
         assert not out.exists()
 
 
+DATASET_RULES = [
+    "num_classes = 1\nclass_counts = 5", "class_counts = 1,2", "class_counts = 500,0,60,20",
+    "height = 4", "width = 7", "noise_sigma = -0.1", "noise_sigma = nan",
+]
+
+
+@pytest.mark.parametrize("lines", DATASET_RULES)
+def test_dataset_rule_reads_the_same_from_config_and_spec(tmp_path, capsys, lines):
+    # One set of synthetic-dataset rules: generate-data reports a data error
+    # (exit 2), a training config a config error (exit 1), with one message.
+    spec, cfg = tmp_path / "spec.txt", tmp_path / "exp.cfg"
+    spec.write_text(lines + "\n")
+    cfg.write_text(lines + "\n")
+    assert main(["generate-data", "--spec", str(spec), "--out", str(tmp_path / "x.csv")]) == 2
+    spec_err = capsys.readouterr().err
+    assert main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 1
+    assert not (tmp_path / "o" / "seed_0").exists()
+    cfg_err = capsys.readouterr().err
+    assert spec_err.startswith("error: ") and cfg_err.startswith("config error: ")
+    message = spec_err.removeprefix("error: ")
+    assert cfg_err.removeprefix("config error: ") == message
+    assert lines.partition(" =")[0] in message.partition(":")[0]
+
+
 class TestTrain:
     def test_artifacts_and_exit_code(self, tmp_path, capsys):
         cfg_path, cfg = write_config(tmp_path)
@@ -159,6 +185,12 @@ class TestTrain:
         assert main(["train", "--config", str(cfg_path), "--out-dir", str(out)]) == 1
         assert capsys.readouterr().err.startswith("config error: seeds: ")
         assert not (out / "seed_1").exists()
+
+    def test_unparseable_gamma2_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text("gamma2 = high\n")
+        assert main(["train", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("config error: gamma2: ")
 
     def test_checkpoint_records_the_data_grid_shape(self, tmp_path):
         # the CSV grids are 8x8; the config keeps the 16x16 synthetic default
@@ -472,6 +504,45 @@ class TestUsageErrors:
         parser = build_parser()
         args = parser.parse_args(["generate-data", "--out", "x.csv"])
         assert args.command == "generate-data"
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+UNATTAINABLE_GATE_CONFIG = """\
+num_classes = 7
+class_counts = 6,6,6,6,6,6,6
+height = 8
+width = 8
+test_per_class = 2
+temperature = 1.0
+hidden_widths = 8,4
+epochs_warmup = 1
+epochs_stage = 1
+stages = 1
+seeds = 0,1,2
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity calls")
+@pytest.mark.parametrize("one_core", [True, False], ids=["one-core", "all-cores"])
+def test_unattainable_gate_warns_once_per_command(tmp_path, one_core):
+    # Pinned to one core the seeds run in-process; unrestricted they may go to
+    # forked workers. Either way stderr carries the warning once, while every
+    # run still records it in its metrics.
+    cfg, out = tmp_path / "exp.cfg", tmp_path / "o"
+    cfg.write_text(UNATTAINABLE_GATE_CONFIG)
+    core = min(os.sched_getaffinity(0))
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(SRC)
+    proc = subprocess.run(
+        [sys.executable, "-m", "splal.cli", "train", "--config", str(cfg), "--out-dir", str(out)],
+        env=env, capture_output=True, text=True, timeout=300,
+        preexec_fn=(lambda: os.sched_setaffinity(0, {core})) if one_core else None,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.count(": UserWarning: ") == 1, proc.stderr
+    for seed in (0, 1, 2):
+        notes = json.loads((out / f"seed_{seed}" / "metrics.json").read_text())["config_warnings"]
+        assert len(notes) == 1 and "unattainable" in notes[0]
 
 
 # --- property: malformed inputs end in an exit code, never a traceback -------

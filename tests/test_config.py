@@ -1,7 +1,25 @@
+import re
+from dataclasses import asdict, fields
+from pathlib import Path
+
 import pytest
 
 from splal.config import ExperimentConfig, config_to_text, load_config, parse_config
+from splal.data import SyntheticSpec
 from splal.errors import ConfigurationError
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# A value other than the default for every field, so each annotation's parser
+# and the echo are exercised; a field added without a parser fails here.
+NON_DEFAULT = dict(
+    data_csv="train.csv", test_csv="test.csv", num_classes=3, class_counts=(7, 5, 3),
+    height=9, width=10, noise_sigma=0.25, data_seed=4, test_per_class=6, labeled_ratio=0.3,
+    gamma1=0.95, gamma2=0.02, temperature=0.2, alpha1=0.3, alpha2=0.3, alpha3=0.4, knn_k=7,
+    lam1=0.7, lam2=0.3, hidden_widths=(8, 4), learning_rate=0.005, ema_decay=0.9,
+    stages=2, epochs_warmup=3, epochs_stage=4, batch_size=16, queue_capacity=32,
+    seeds=(3, 1, 2), mode="baseline", soft_pseudo_labels=False,
+)
 
 
 class TestDefaults:
@@ -55,7 +73,7 @@ class TestValidate:
             ({"stages": -1}, "stages"),
             ({"batch_size": 0}, "batch_size"),
             ({"queue_capacity": 0}, "queue_capacity"),
-            ({"pseudo_weight": 0.0}, "pseudo_weight"),
+            ({"gamma1": 0.25, "gamma2": 0.1}, "gamma1"),  # gamma1 <= 1/K
             ({"seeds": ()}, "seeds"),
             ({"seeds": (1, 1)}, "seeds"),
         ],
@@ -72,6 +90,15 @@ class TestValidate:
             notes = cfg.validate()
         assert len(notes) == 1
 
+    @pytest.mark.parametrize("num_classes,gamma1", [(4, 0.25), (2, 0.5), (3, 1 / 3), (4, 0.2)])
+    def test_gamma1_at_or_below_chance_rejected(self, num_classes, gamma1):
+        # A uniform posterior would pass such a gate; the selector rejects it
+        # at stage 1, so validation must reject it before the warm-up.
+        cfg = ExperimentConfig(num_classes=num_classes, class_counts=(9,) * num_classes,
+                               gamma1=gamma1, gamma2=0.1 * gamma1)
+        with pytest.raises(ConfigurationError, match="^gamma1: "):
+            cfg.validate()
+
     def test_csv_mode_skips_synthetic_checks(self):
         cfg = ExperimentConfig(data_csv="d.csv", test_csv="t.csv", class_counts=(1, 2))
         assert cfg.validate() == []
@@ -81,7 +108,7 @@ class TestParsing:
     def test_round_trip_through_text(self):
         cfg = ExperimentConfig(
             gamma1=0.95, temperature=0.2, seeds=(3, 4, 5), hidden_widths=(8, 4),
-            mode="baseline", stop_gradient=False, data_csv="x.csv",
+            mode="baseline", soft_pseudo_labels=False, data_csv="x.csv",
         )
         again = parse_config(config_to_text(cfg))
         assert again == cfg
@@ -93,7 +120,7 @@ class TestParsing:
             gamma1 = 0.9
             gamma2 = auto
             seeds = 1,2,3
-            stop_gradient = false
+            soft_pseudo_labels = false
             mode = baseline
             data_csv = none
             """
@@ -101,7 +128,7 @@ class TestParsing:
         assert cfg.gamma1 == 0.9
         assert cfg.gamma2 is None
         assert cfg.seeds == (1, 2, 3)
-        assert cfg.stop_gradient is False
+        assert cfg.soft_pseudo_labels is False
         assert cfg.mode == "baseline"
         assert cfg.data_csv is None
 
@@ -117,9 +144,36 @@ class TestParsing:
         with pytest.raises(ConfigurationError, match="gamma1"):
             parse_config("gamma1 = high")
 
+    def test_every_field_round_trips(self):
+        default = asdict(ExperimentConfig())
+        assert set(NON_DEFAULT) == set(default)
+        assert all(NON_DEFAULT[name] != default[name] for name in default)
+        cfg = ExperimentConfig(**NON_DEFAULT)
+        assert parse_config(config_to_text(cfg)) == cfg
+
+    def test_every_spec_field_round_trips(self):
+        spec = SyntheticSpec(num_classes=3, class_counts=(4, 3, 2), height=9, width=11,
+                             noise_sigma=0.05, seed=7)
+        assert all(getattr(spec, f.name) != f.default for f in fields(SyntheticSpec))
+        assert parse_config(config_to_text(spec), SyntheticSpec, "spec") == spec
+
+    @pytest.mark.parametrize("key", [
+        "pseudo_weight", "pseudo_in_queue", "ema_for_pseudo_labeling", "stop_gradient",
+        "adam_beta1", "adam_beta2", "adam_eps",
+    ])
+    def test_retired_key_is_unknown(self, key):
+        with pytest.raises(ConfigurationError, match=f"unknown key '{key}'"):
+            parse_config(f"{key} = 1")
+
+    def test_readme_example_parses_and_validates(self):
+        block = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
+        cfg = parse_config(block)
+        assert cfg.validate() == []
+        assert (cfg.seeds, cfg.gamma2, cfg.lam2, cfg.mode) == ((0, 1, 2, 3, 4), None, 0.40, "splal")
+
     def test_bad_bool_rejected(self):
-        with pytest.raises(ConfigurationError, match="stop_gradient"):
-            parse_config("stop_gradient = maybe")
+        with pytest.raises(ConfigurationError, match="soft_pseudo_labels"):
+            parse_config("soft_pseudo_labels = maybe")
 
     def test_bad_tuple_rejected(self):
         with pytest.raises(ConfigurationError, match="seeds"):

@@ -91,6 +91,13 @@ class TestCosineSimilarity:
         with pytest.raises(InputDomainError):
             cosine_matrix(np.ones((2, 1)), np.ones((1, 4)))
 
+    def test_tiny_rows_keep_their_direction(self):
+        # Unscaled, the squared norm of `a` underflows into subnormals and
+        # cosine(a / 8, a + 1) read 0.99967.
+        a = np.full(2, 4.82257118e-160)
+        for scaled in (a, a / 8):
+            assert cosine(scaled, a + 1.0) == pytest.approx(1.0, abs=1e-12)
+
     @given(finite_vec, st.floats(min_value=0.1, max_value=100))
     def test_symmetric_and_scale_invariant(self, a, lam):
         b = a + 1.0  # deterministic second vector of matching length

@@ -98,8 +98,7 @@ class TestWarmup:
         cfg = tiny_config()
         rng = np.random.default_rng(0)
         params = init_params(64, cfg.hidden_widths, 4, rng)
-        opt = OptimizerState.for_params(params, cfg.learning_rate,
-                                        cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+        opt = OptimizerState.for_params(params, cfg.learning_rate)
         bank = PrototypeBank(4, params.feature_dim, cfg.queue_capacity)
         state = DatasetState.split(pool_of(rng.uniform(size=(2, 8, 8)), [0, 1]), np.arange(2), 4)
         with pytest.raises(ConfigurationError, match="unseeded"):
@@ -109,8 +108,7 @@ class TestWarmup:
         cfg = tiny_config()
         rng = np.random.default_rng(1)
         params = init_params(64, cfg.hidden_widths, 4, rng)
-        opt = OptimizerState.for_params(params, cfg.learning_rate,
-                                        cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+        opt = OptimizerState.for_params(params, cfg.learning_rate)
         bank = PrototypeBank(4, params.feature_dim, cfg.queue_capacity)
         state = DatasetState.split(pool_of(rng.uniform(size=(6, 8, 8)), [0, 1, 2, 3, 0, 2]), np.arange(6), 4)
         ema, logs = warmup(params, opt, state, cfg, rng, rng, bank)
@@ -351,8 +349,7 @@ def test_feature_batch_shape():
     cfg = tiny_config(num_classes=3, class_counts=(3, 2, 2), hidden_widths=(6, 5), epochs_warmup=1)
     rng = np.random.default_rng(0)
     params = init_params(16, cfg.hidden_widths, 3, rng)
-    opt = OptimizerState.for_params(params, cfg.learning_rate,
-                                    cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+    opt = OptimizerState.for_params(params, cfg.learning_rate)
     bank = PrototypeBank(3, params.feature_dim, cfg.queue_capacity)
     state = DatasetState.split(pool_of(rng.uniform(size=(7, 4, 4)), [0, 0, 0, 1, 1, 2, 2]), np.arange(7), 3)
     warmup(params, opt, state, cfg, rng, rng, bank)
