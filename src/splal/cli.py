@@ -63,13 +63,15 @@ def cmd_generate_data(args) -> int:
     spec = SyntheticSpec()
     if args.spec:
         spec = parse_config(Path(args.spec).read_text(), SyntheticSpec, "spec")
+    test_spec = balanced_test_spec(spec, per_class=args.test_per_class)
+    if args.test_out:
+        test_spec.validate()  # before anything is written
     samples = generate(spec)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_csv(samples, out, spec.height, spec.width, spec.num_classes)
     write_manifest(out.with_suffix(out.suffix + ".manifest.json"), spec, out)
     if args.test_out:
-        test_spec = balanced_test_spec(spec, per_class=args.test_per_class)
         test_samples = generate(test_spec)
         test_out = Path(args.test_out)
         save_csv(test_samples, test_out, spec.height, spec.width, spec.num_classes)

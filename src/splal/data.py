@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import csv
 import hashlib
-from array import array
+import itertools
 import json
 import math
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -180,60 +181,119 @@ def save_csv(samples: Pool, path, height: int, width: int, num_classes: int) -> 
 
 
 def load_csv(path) -> tuple[Pool, int, int, int]:
-    """Inverse of save_csv, rows in file order; raises ParseError with a line number on bad input."""
+    """Inverse of save_csv, rows in file order; raises ParseError with a line number on bad input.
+
+    One numpy pass parses the data rows into a record array, the row rules
+    are array checks on its fields, and the grids are a view of it. When a
+    line fails to parse, the rows above it are checked first, so the first
+    bad line in the file is the one reported.
+    """
     path = Path(path)
     with path.open() as fh:
-        header = fh.readline().strip()
-        if not header.startswith("#"):
-            raise ParseError("missing metadata comment line", line=1)
-        try:
-            meta = dict(part.split("=") for part in header.lstrip("# ").split())
-            h, w, k = int(meta["H"]), int(meta["W"]), int(meta["K"])
-        except (ValueError, KeyError) as exc:
-            raise ParseError(f"bad metadata line: {exc}", line=1)
-        if min(h, w, k) < 1:
-            raise ParseError(f"H, W and K must be positive, got H={h} W={w} K={k}", line=1)
-        reader = csv.reader(fh)
-        try:
-            columns = next(reader)
-        except StopIteration:
+        h, w, k = _read_metadata(fh.readline())
+        fields = 2 + h * w
+        header = fh.readline()
+        if not header:
             raise ParseError("missing column header", line=2)
-        expected_cols = 2 + h * w
-        if len(columns) != expected_cols:
-            raise ParseError(
-                f"expected {expected_cols} columns, found {len(columns)}", line=2
-            )
-        labels: list[int] = []
-        # One flat buffer that the grid array views, so no per-row arrays
-        # and no stacked copy of them sit beside it.
-        pixels = array("d")
-        first_line: dict[int, int] = {}
-        for lineno, row in enumerate(reader, start=3):
-            if len(row) != expected_cols:
-                raise ParseError(
-                    f"expected {expected_cols} fields, found {len(row)}", line=lineno
-                )
-            try:
-                sid = int(row[0])
-                label = int(row[1])
-                values = [float(v) for v in row[2:]]
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno)
-            if label < -1 or label >= k:
-                raise ParseError(f"label {label} out of range for K={k}", line=lineno)
-            if not -2**63 <= sid < 2**63:
-                raise ParseError(f"sample id {sid} does not fit in 64 bits", line=lineno)
-            if not all(map(math.isfinite, values)):
-                raise ParseError("non-finite pixel value", line=lineno)
-            if sid in first_line:
-                raise ParseError(f"duplicate sample id {sid} (first on line {first_line[sid]})", line=lineno)
-            first_line[sid] = lineno
-            labels.append(label)
-            pixels.fromlist(values)
-    if not labels:
+        columns = next(csv.reader([header]))
+        if len(columns) != fields:
+            raise ParseError(f"expected {fields} columns, found {len(columns)}", line=2)
+        dtype = np.dtype([("id", np.int64), ("label", np.int64), ("px", np.float64, (h, w))])
+        start = fh.tell()
+        # numpy pulls one line at a time and fails on the line it just pulled,
+        # so the count of lines handed over names the failing line.
+        pulled, last = 0, ""
+
+        def data_lines():
+            nonlocal pulled, last
+            for pulled, last in enumerate(fh, start=1):
+                if last == "\n":  # numpy would skip it
+                    raise ParseError(f"expected {fields} fields, found 0", line=pulled + 2)
+                if '"' in last and next(csv.reader([last]))[-1].endswith("\n"):
+                    # numpy would read on into the next line for the closing quote
+                    raise ParseError("unclosed double quote", line=pulled + 2)
+                yield last
+
+        try:
+            rows = _parse_rows(data_lines(), dtype)
+        except ParseError as exc:
+            failure = exc
+        except (ValueError, DeprecationWarning) as exc:
+            failure = ParseError(_row_error(last, fields, exc), line=pulled + 2)
+        else:
+            failure = None
+        if failure is not None:
+            fh.seek(start)
+            _check_rows(_parse_rows(itertools.islice(fh, failure.line - 3), dtype), k)
+            raise failure
+    _check_rows(rows, k)
+    if not len(rows):
         raise ParseError("no data rows", line=3)
-    grids = np.frombuffer(pixels).reshape(len(labels), h, w)
-    return Pool(np.array(list(first_line)), grids, np.array(labels)), h, w, k
+    return Pool(rows["id"], rows["px"], rows["label"]), h, w, k
+
+
+def _read_metadata(line: str) -> tuple[int, int, int]:
+    """(H, W, K) from the `# H=.. W=.. K=..` first line."""
+    line = line.strip()
+    if not line.startswith("#"):
+        raise ParseError("missing metadata comment line", line=1)
+    try:
+        meta = dict(part.split("=") for part in line.lstrip("# ").split())
+        h, w, k = int(meta["H"]), int(meta["W"]), int(meta["K"])
+    except (ValueError, KeyError) as exc:
+        raise ParseError(f"bad metadata line: {exc}", line=1)
+    if min(h, w, k) < 1:
+        raise ParseError(f"H, W and K must be positive, got H={h} W={w} K={k}", line=1)
+    return h, w, k
+
+
+def _parse_rows(lines, dtype: np.dtype) -> np.ndarray:
+    """Data lines as a 1-d record array, or ValueError from numpy's C reader."""
+    with warnings.catch_warnings():
+        # numpy 1.x parses an integer field that fails as an integer through
+        # float, with a DeprecationWarning: "1.0" would pass and an id past
+        # 2**63 would wrap. As an error it fails the line.
+        warnings.simplefilter("error", DeprecationWarning)
+        warnings.simplefilter("ignore", UserWarning)  # no rows: the caller says so
+        return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
+                          quotechar='"', ndmin=1)
+
+
+def _row_error(line: str, fields: int, exc: Exception) -> str:
+    """Message for the data line numpy failed to parse."""
+    row = next(csv.reader([line]))
+    if len(row) != fields:
+        return f"expected {fields} fields, found {len(row)}"
+    try:
+        sid = int(row[0])
+    except ValueError:
+        sid = 0
+    if not -2**63 <= sid < 2**63:
+        return f"sample id {sid} does not fit in 64 bits"
+    return str(exc).partition(" at row ")[0]
+
+
+def _check_rows(rows: np.ndarray, k: int) -> None:
+    """Raise ParseError at the first row with a label outside [-1, K), a non-finite pixel or a repeated id."""
+    ids, labels = rows["id"], rows["label"]
+    bad_label = (labels < -1) | (labels >= k)
+    # Row reductions, not an isfinite mask the size of the pool: freeing
+    # that mask raised the large-pool peak RSS by ~0.2 MB.
+    px = rows["px"]
+    non_finite = ~(np.isfinite(px.min(axis=(1, 2))) & np.isfinite(px.max(axis=(1, 2))))
+    unique_ids, first = np.unique(ids, return_index=True)
+    repeated = np.ones(len(rows), dtype=bool)
+    repeated[first] = False
+    bad = bad_label | non_finite | repeated
+    if not bad.any():
+        return
+    i = int(bad.argmax())
+    if bad_label[i]:
+        raise ParseError(f"label {labels[i]} out of range for K={k}", line=i + 3)
+    if non_finite[i]:
+        raise ParseError("non-finite pixel value", line=i + 3)
+    first_row = first[np.searchsorted(unique_ids, ids[i])]
+    raise ParseError(f"duplicate sample id {ids[i]} (first on line {first_row + 3})", line=i + 3)
 
 
 def require_labels(samples: Pool, source: str) -> None:

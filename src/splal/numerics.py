@@ -18,3 +18,12 @@ def softmax_rows(Z: np.ndarray) -> np.ndarray:
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
 
+
+def pow2_scaled_rows(M: np.ndarray) -> np.ndarray:
+    """Each row times the power of two that puts its largest |entry| in [0.5, 1).
+
+    An exact rescaling, so no ratio within a row changes, but the squared
+    norm of a row of tiny entries no longer underflows into subnormals.
+    """
+    exponent = np.frexp(np.abs(M).max(axis=1, keepdims=True, initial=0.0))[1]
+    return np.ldexp(M, -exponent)

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InputDomainError
+from .numerics import pow2_scaled_rows
 
 ALPHA_TOL = 1e-9
 
@@ -23,7 +24,7 @@ class Ensemble:
 
 def _unit_rows(X: np.ndarray) -> np.ndarray:
     """Rows scaled to unit norm; a dead (all-zero) row stays zero."""
-    X = np.asarray(X, dtype=np.float64)
+    X = pow2_scaled_rows(np.asarray(X, dtype=np.float64))
     norms = np.linalg.norm(X, axis=1, keepdims=True)
     return np.divide(X, norms, out=np.zeros(X.shape), where=norms != 0.0)
 

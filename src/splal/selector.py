@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InputDomainError
-from .numerics import softmax_rows
+from .numerics import pow2_scaled_rows, softmax_rows
 
 DEFAULT_TEMPERATURE = 0.1
 
@@ -29,12 +29,6 @@ class GateResult:
     winners: np.ndarray           # (N,) winning class, -1 where unreliable
 
 
-def _pow2_scaled_rows(M: np.ndarray) -> np.ndarray:
-    """Each row times the power of two that puts its largest |entry| in [0.5, 1)."""
-    exponent = np.frexp(np.abs(M).max(axis=1, keepdims=True, initial=0.0))[1]
-    return np.ldexp(M, -exponent)
-
-
 def cosine_matrix(prototypes: np.ndarray, features: np.ndarray) -> np.ndarray:
     """(N, K) cosine similarities of feature rows against prototype rows.
 
@@ -45,9 +39,7 @@ def cosine_matrix(prototypes: np.ndarray, features: np.ndarray) -> np.ndarray:
     F = np.asarray(features, dtype=np.float64)
     if P.ndim != 2 or F.ndim != 2 or P.shape[1] != F.shape[1]:
         raise InputDomainError(f"cosine_matrix shape mismatch: prototypes {P.shape}, features {F.shape}")
-    # An exact rescaling, so no cosine changes, but the squared norm of a row
-    # of tiny entries no longer underflows into subnormals.
-    P, F = _pow2_scaled_rows(P), _pow2_scaled_rows(F)
+    P, F = pow2_scaled_rows(P), pow2_scaled_rows(F)
     # Row sums of elementwise products, not a matmul, so each row's result
     # does not depend on how many rows share the call; one prototype at a
     # time keeps the temporary at (N, d).

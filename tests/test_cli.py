@@ -104,6 +104,15 @@ class TestGenerateData:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    def test_unusable_test_spec_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        out.mkdir()
+        code = main(["generate-data", "--out", str(out / "train.csv"),
+                     "--test-out", str(out / "test.csv"), "--test-per-class", "0"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: class_counts: ")
+        assert list(out.iterdir()) == []
+
 
 DATASET_RULES = [
     "num_classes = 1\nclass_counts = 5", "class_counts = 1,2", "class_counts = 500,0,60,20",
@@ -569,6 +578,13 @@ alpha1 = 0.2
 lam2 = 0.4
 queue_capacity = 8
 seeds = 0
+gamma2 = 0.05
+mode = splal
+soft_pseudo_labels = true
+alpha2 = 0.1
+alpha3 = 0.7
+lam1 = 0.6
+ema_decay = 0.99
 """
 
 
@@ -585,11 +601,18 @@ def _apply_edit(lines: list[str], edit) -> None:
         return
     if kind == "drop_rows":
         del lines[2:]
-    if len(lines) == 2:
+    if kind == "blank_line":
+        lines.insert(2 + row % (len(lines) - 1), "")
+        return
+    data = [i for i in range(2, len(lines)) if lines[i]]
+    if not data:
         return  # no data row left to edit
-    i = 2 + row % (len(lines) - 2)
+    i = data[row % len(data)]
     fields = lines[i].split(",")
-    if kind == "label":
+    if kind == "quote_field":
+        j = row % len(fields)
+        fields[j] = f'"{fields[j]}"'
+    elif kind == "label":
         fields[1] = value
     elif kind == "pixel":
         fields[2 + row % (len(fields) - 2)] = value
@@ -604,7 +627,8 @@ EDITS = st.one_of(
     st.tuples(st.just("config"), st.integers(0, 40), st.sampled_from(["value", "drop"]),
               st.sampled_from(BAD_VALUES)),
     st.tuples(st.sampled_from(["train", "test"]), st.integers(0, 200),
-              st.sampled_from(["label", "pixel", "dup_id", "drop_field", "drop_rows", "meta"]),
+              st.sampled_from(["label", "pixel", "dup_id", "drop_field", "drop_rows", "meta",
+                               "blank_line", "quote_field"]),
               st.sampled_from(BAD_VALUES)),
 )
 

@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from splal.errors import ConfigurationError, InputDomainError
 from splal.model import ModelParams, forward
-from splal.pseudo import combine, ensemble, knn_prediction
+from splal.pseudo import _unit_rows, combine, ensemble, knn_prediction
 from splal.selector import gate
 
 ALPHAS = (0.2, 0.1, 0.7)
@@ -64,6 +64,13 @@ def brute_force_knn(feature, feats, labels, ids, k):
 
 
 class TestKnnPrediction:
+    def test_tiny_rows_scale_to_unit_norm(self):
+        # Unscaled, the squared norm underflows into subnormals and the row's
+        # norm read 0.99960.
+        rows = _unit_rows(np.array([[5.3e-161, 5.3e-161], [3.0, 4.0], [0.0, 0.0]]))
+        assert np.linalg.norm(rows[0]) == pytest.approx(1.0, abs=1e-15)
+        np.testing.assert_array_equal(rows[1:], [[0.6, 0.8], [0.0, 0.0]])
+
     def test_unanimous_neighbors(self):
         feats = np.array([[1.0, 0.0], [0.9, 0.1], [0.8, 0.2], [-1.0, 0.0]])
         labels = np.stack([np.eye(3)[2]] * 3 + [np.eye(3)[0]])
