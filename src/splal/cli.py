@@ -152,9 +152,9 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     live, ema, meta = load_checkpoint(args.checkpoint)
     samples, h, w, k = load_csv(args.data)
-    if h * w != ema.input_dim:
+    if (h, w) != (meta["height"], meta["width"]):
         raise ConfigurationError(
-            f"data: grid size {h}x{w} does not match checkpoint input width {ema.input_dim}"
+            f"data: grid shape {h}x{w} does not match the checkpoint's {meta['height']}x{meta['width']}"
         )
     if k != ema.num_classes:
         raise ConfigurationError(

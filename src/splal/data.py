@@ -85,14 +85,9 @@ def _centered_coords(h: int, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return yy + np.zeros((h, w)), xx + np.zeros((h, w)), rr
 
 
-def render_pattern(class_id: int, h: int, w: int, rng: np.random.Generator) -> np.ndarray:
-    """Noise-free pattern for one sample of a class; symmetric under both flips."""
-    return _render(class_id, _centered_coords(h, w), rng)
-
-
 def _render(class_id: int, coords: tuple[np.ndarray, np.ndarray, np.ndarray],
             rng: np.random.Generator) -> np.ndarray:
-    """render_pattern over precomputed _centered_coords, which it does not modify."""
+    """One sample's noise-free, flip-symmetric class pattern over _centered_coords (not modified)."""
     yy, xx, rr = coords
     h, w = rr.shape
     scale = min(h, w) / 16.0

@@ -105,16 +105,6 @@ def _sweep(scores: np.ndarray, positives: np.ndarray) -> tuple[float, list[tuple
     return twice_u / 2 / (n_pos * n_neg), [(float("inf"), 0.0, 0.0), *points]
 
 
-def binary_auc_exact(scores: np.ndarray, positives: np.ndarray) -> float:
-    """P(score_pos > score_neg) + half tie credit."""
-    return _sweep(scores, positives)[0]
-
-
-def roc_points(scores: np.ndarray, positives: np.ndarray) -> list[tuple[float, float, float]]:
-    """(threshold, FPR, TPR) at every distinct score, thresholds descending."""
-    return _sweep(scores, positives)[1]
-
-
 @dataclass
 class AucReport:
     macro_auc: float

@@ -21,6 +21,11 @@ from .numerics import LOG_EPS, softmax_rows
 
 CHECKPOINT_VERSION = 1
 
+# Adam's moment decays and denominator guard.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 _Layout = tuple[tuple[int, int, tuple[int, ...]], ...]
 
@@ -251,35 +256,11 @@ def ce_value_and_dlogits(
     return value, dlogits
 
 
-def backward(
-    params: ModelParams,
-    X: np.ndarray,
-    targets: np.ndarray,
-    weights: np.ndarray | None = None,
-) -> tuple[float, Gradients]:
-    """Value and exact gradient of the weighted mean cross-entropy on a batch."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[None, :]
-    if X.shape[0] == 0:
-        raise InputDomainError("backward on empty batch")
-    targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    if weights is None:
-        weights = np.ones(X.shape[0])
-    weights = np.asarray(weights, dtype=np.float64)
-    fwd = forward(params, X)
-    value, dlogits = ce_value_and_dlogits(fwd, targets, weights)
-    return value, backward_from_dlogits(params, fwd, dlogits)
-
-
 @dataclass
 class OptimizerState:
     """Adam moment accumulators, each one vector laid out like ModelParams.flat."""
 
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: np.ndarray = field(default_factory=lambda: np.zeros(0))
     v: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -289,12 +270,9 @@ class OptimizerState:
         self._scratch = np.empty((2, self.m.size))
 
     @staticmethod
-    def for_params(params: ModelParams, learning_rate: float = 1e-3,
-                   beta1: float = 0.9, beta2: float = 0.999,
-                   eps: float = 1e-8) -> "OptimizerState":
+    def for_params(params: ModelParams, learning_rate: float = 1e-3) -> "OptimizerState":
         return OptimizerState(
-            learning_rate=learning_rate, beta1=beta1, beta2=beta2, eps=eps,
-            m=np.zeros_like(params.flat), v=np.zeros_like(params.flat),
+            learning_rate=learning_rate, m=np.zeros_like(params.flat), v=np.zeros_like(params.flat)
         )
 
 
@@ -316,18 +294,18 @@ def adam_step(params: ModelParams, grads: Gradients, state: OptimizerState) -> N
         raise TrainingError("non-finite gradient in adam_step")
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     m, v, (step, denom) = state.m, state.v, state._scratch
-    m *= state.beta1
-    m += np.multiply(g, 1.0 - state.beta1, out=step)
-    v *= state.beta2
-    np.multiply(g, 1.0 - state.beta2, out=step)
+    m *= ADAM_BETA1
+    m += np.multiply(g, 1.0 - ADAM_BETA1, out=step)
+    v *= ADAM_BETA2
+    np.multiply(g, 1.0 - ADAM_BETA2, out=step)
     step *= g
     v += step
     np.divide(v, bc2, out=denom)
     np.sqrt(denom, out=denom)
-    denom += state.eps
+    denom += ADAM_EPS
     np.divide(m, bc1, out=step)
     step *= state.learning_rate
     step /= denom
@@ -372,14 +350,17 @@ def save_checkpoint(path, live: ModelParams, ema: ModelParams, meta: dict) -> No
 def load_checkpoint(path) -> tuple[ModelParams, ModelParams, dict]:
     """(live, ema, meta) from save_checkpoint's file.
 
-    A file that is not such a container, lacks one of its entries, or holds
-    layers that do not chain, raises InputDomainError naming the file.
+    A file that is not such a container, lacks one of its entries (the
+    meta's grid shape and class count included), or holds layers that do not
+    chain, raises InputDomainError naming the file.
     """
     try:
         with np.load(path) as data:
             meta = json.loads(bytes(data["meta"]).decode())
             if meta.get("version") != CHECKPOINT_VERSION:
                 raise InputDomainError(f"{path}: unsupported checkpoint version: {meta.get('version')}")
+            if not {"height", "width", "num_classes"} <= meta.keys():
+                raise InputDomainError(f"{path}: checkpoint meta lacks height, width or num_classes")
             n = meta["num_hidden"]
             out = []
             for tag in ("live", "ema"):
@@ -388,6 +369,6 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelParams, dict]:
                     out.append(ModelParams(hidden=hidden, classifier=(data[f"{tag}_cW"], data[f"{tag}_cb"])))
                 except InputDomainError as exc:
                     raise InputDomainError(f"{path}: {tag} weights: {exc}") from exc
-    except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, EOFError, zipfile.BadZipFile) as exc:
         raise InputDomainError(f"{path}: not a readable checkpoint ({type(exc).__name__}: {exc})") from exc
     return out[0], out[1], meta

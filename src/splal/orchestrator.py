@@ -44,7 +44,7 @@ from .model import (
 )
 from .prototypes import PrototypeBank
 from .pseudo import Ensemble, ensemble
-from .selector import gate
+from .selector import GateResult, gate
 
 # Named sub-streams derived from the master seed.
 STREAM_INIT = 0
@@ -61,6 +61,9 @@ def substream(master_seed: int, stream: int) -> np.random.Generator:
 # Provenance code per pool row; PROVENANCE[code] is the name a record reports.
 UNLABELED, BY_TRUTH, BY_PSEUDO = 0, 1, 2
 PROVENANCE = (None, GROUND_TRUTH, PSEUDO)
+
+# The loss terms each epoch's log row averages over its batches.
+LOSSES = ("classification", "alignment", "total")
 
 
 @dataclass
@@ -141,6 +144,18 @@ class StageReport:
     epoch_losses: list[dict]
 
 
+@dataclass(frozen=True)
+class StageAudit:
+    """One stage's decisions, as the arrays `run_stage` computed them."""
+
+    stage: int
+    ids: np.ndarray        # (N,) the stage's unlabeled ids, ascending
+    gate: GateResult       # over those N rows
+    chosen: np.ndarray     # (M,) indices into ids of the reliable rows
+    pred: Ensemble         # (M, K) rows over the chosen rows; combined's argmax is the label
+    truth: np.ndarray      # (M,) hidden truth of the chosen rows
+
+
 @dataclass
 class RunResult:
     live: ModelParams
@@ -150,7 +165,18 @@ class RunResult:
     warmup_losses: list[dict]
     metrics: dict
     test_samples: Pool
-    audits: dict | None = None
+    stage_audits: list[StageAudit] | None = None
+
+    @property
+    def audits(self) -> dict | None:
+        """`{"pseudo": records}`, one (stage, sample_id, predicted) dict per pseudo-label, built on access."""
+        if self.stage_audits is None:
+            return None
+        return {"pseudo": [
+            {"stage": a.stage, "sample_id": sid, "predicted": c}
+            for a in self.stage_audits
+            for sid, c in zip(a.ids[a.chosen].tolist(), a.pred.combined.argmax(axis=1).tolist())
+        ]}
 
 
 def _flat(grids: np.ndarray) -> np.ndarray:
@@ -180,11 +206,11 @@ def _train_epochs(
     targets = state.Y[rows]
     class_ids = targets.argmax(axis=1)
     weights = np.ones(n)
+    starts = range(0, n, cfg.batch_size)
     for epoch in range(epochs):
         order = rng_shuffle.permutation(n)
         sums = np.zeros(3)
-        num_batches = 0
-        for start in range(0, n, cfg.batch_size):
+        for start in starts:
             idx = order[start : start + cfg.batch_size]
             grids = state.pool.grids[rows[idx]]
             weak, strong, _ = make_views(grids, rng_augment)
@@ -199,17 +225,8 @@ def _train_epochs(
             if bank is not None:
                 bank.push(class_ids[idx], encode(params, _flat(grids)))
             sums += (breakdown.classification, breakdown.alignment, breakdown.total)
-            num_batches += 1
-        mean = sums / max(num_batches, 1)
-        logs.append(
-            {
-                "stage": stage,
-                "epoch": epoch,
-                "classification": float(mean[0]),
-                "alignment": float(mean[1]),
-                "total": float(mean[2]),
-            }
-        )
+        mean = sums / max(len(starts), 1)
+        logs.append({"stage": stage, "epoch": epoch, **dict(zip(LOSSES, mean.tolist()))})
     return logs
 
 
@@ -267,12 +284,11 @@ def run_stage(
     rng_shuffle: np.random.Generator,
     rng_augment: np.random.Generator,
     rng_audit: np.random.Generator,
-    audits: dict | None = None,
-) -> StageReport:
+) -> tuple[StageReport, StageAudit]:
     """One selection / pseudo-labeling / migration / re-optimization round.
 
     The unlabeled pool goes through one forward pass and one gate call; the
-    selection, the audits and the control arm all read those arrays.
+    selection, the audit and the control arm all read those arrays.
     """
     pool = state.pool
     unlabeled = state.unlabeled_rows
@@ -281,14 +297,6 @@ def run_stage(
     feats, probs = fwd.features, fwd.probabilities
     del fwd  # its inputs and activations would otherwise stay alive through retraining
     g = gate(bank.prototypes(), feats, cfg.gamma1, cfg.effective_gamma2(), cfg.temperature)
-    if audits is not None:
-        audits["selector"].extend(
-            {"stage": state.stage, "sample_id": sid, "similarities": w, "posterior": v,
-             "reliable": ok, "winning_class": winner if ok else None}
-            for sid, w, v, ok, winner in zip(
-                ids.tolist(), g.similarities, g.posterior, g.reliable.tolist(), g.winners.tolist()
-            )
-        )
 
     rows = state.labeled_rows
     labeled = (encode(params, _flat(pool.grids[rows])), state.Y[rows], pool.ids[rows])
@@ -303,20 +311,10 @@ def run_stage(
 
     # Migration: selected samples get a permanent pseudo-label and move pools.
     picked = unlabeled[chosen]
-    again = picked[state.provenance[picked] != UNLABELED]
-    if len(again):
-        raise TrainingError(f"sample {pool.ids[again[0]]} pseudo-labeled twice")
     winners = pred.combined.argmax(axis=1)
     state.Y[picked] = pred.combined if cfg.soft_pseudo_labels else np.eye(cfg.num_classes)[winners]
     state.provenance[picked] = BY_PSEUDO
     state.labeled_rows = np.concatenate([rows, picked])
-    if audits is not None:
-        audits["pseudo"].extend(
-            {"stage": state.stage, "sample_id": int(ids[i]),
-             "linear": pred.linear[j], "knn": pred.knn[j], "sim": pred.similarity[j],
-             "combined": pred.combined[j], "predicted": int(winners[j]), "true_label": int(truth[i])}
-            for j, i in enumerate(chosen)
-        )
     state.check_invariants()
 
     logs = _train_epochs(
@@ -330,8 +328,9 @@ def run_stage(
         random_subset_accuracy=random_acc,
         epoch_losses=logs,
     )
+    audit = StageAudit(state.stage, ids, g, chosen, pred, truth[chosen])
     state.stage += 1
-    return report
+    return report, audit
 
 
 def evaluate_params(params: ModelParams, samples: Pool, num_classes: int) -> dict:
@@ -343,16 +342,10 @@ def evaluate_params(params: ModelParams, samples: Pool, num_classes: int) -> dic
     summ = metrics_mod.summary(matrix)
     auc = metrics_mod.auc_ovr(probs, truths)
     return {
-        "accuracy": summ.accuracy,
-        "macro_f1": summ.macro_f1,
-        "macro_precision": summ.macro_precision,
-        "macro_recall": summ.macro_recall,
-        "macro_specificity": summ.macro_specificity,
+        **asdict(summ),
         "macro_auc": auc.macro_auc,
-        "per_class": summ.per_class,
         "per_class_auc": {str(k): v for k, v in auc.per_class_auc.items()},
         "auc_excluded_classes": auc.excluded_classes,
-        "zero_support_classes": summ.zero_support_classes,
         "confusion": matrix.tolist(),
         "roc": {str(k): pts for k, pts in auc.roc.items()},
     }
@@ -423,19 +416,19 @@ def run(cfg: ExperimentConfig, seed: int, collect_audits: bool = False) -> RunRe
 
     ema, warmup_losses = warmup(params, opt, state, cfg, rng_shuffle, rng_augment, bank)
 
-    audits = {"selector": [], "pseudo": []} if collect_audits else None
+    stage_audits: list[StageAudit] | None = [] if collect_audits else None
     stage_reports: list[StageReport] = []
     while state.stage < cfg.stages and len(state.unlabeled_rows):
-        report = run_stage(
-            state, params, ema, opt, bank, cfg,
-            rng_shuffle, rng_augment, rng_audit, audits,
+        report, audit = run_stage(
+            state, params, ema, opt, bank, cfg, rng_shuffle, rng_augment, rng_audit
         )
         stage_reports.append(report)
-        state.check_invariants()
+        if stage_audits is not None:
+            stage_audits.append(audit)
 
     metrics = evaluate_params(ema.shadow, test_samples, cfg.num_classes)
     metrics["config_warnings"] = notes
-    result = RunResult(
+    return RunResult(
         live=params,
         ema=ema,
         state=state,
@@ -443,18 +436,17 @@ def run(cfg: ExperimentConfig, seed: int, collect_audits: bool = False) -> RunRe
         warmup_losses=warmup_losses,
         metrics=metrics,
         test_samples=test_samples,
-        audits=audits,
+        stage_audits=stage_audits,
     )
-    return result
 
 
-def _write_csv(path: Path, rows) -> None:
+def _write_csv(path: Path, rows, header=None) -> None:
+    """Write the header, if given, then the rows as the iterable yields them."""
     with path.open("w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
-
-
-def _reprs(values) -> list[str]:
-    return [repr(float(x)) for x in values]
+        writer = csv.writer(fh)
+        if header is not None:
+            writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_metrics(out: Path, metrics: dict) -> None:
@@ -463,7 +455,22 @@ def write_metrics(out: Path, metrics: dict) -> None:
     (out / "metrics.json").write_text(json.dumps(body, indent=2, sort_keys=True) + "\n")
     _write_csv(out / "confusion.csv", metrics["confusion"])
     for key, points in metrics["roc"].items():
-        _write_csv(out / f"roc_class{key}.csv", [["threshold", "fpr", "tpr"], *map(_reprs, points)])
+        _write_csv(out / f"roc_class{key}.csv", (map(repr, p) for p in points), ["threshold", "fpr", "tpr"])
+
+
+def _selector_rows(a: StageAudit):
+    g = a.gate
+    columns = (a.ids, g.similarities, g.posterior, g.reliable, g.winners)
+    for sid, w, v, ok, winner in zip(*(c.tolist() for c in columns)):
+        yield [a.stage, sid, *map(repr, w), *map(repr, v), int(ok), winner if ok else ""]
+
+
+def _pseudo_rows(a: StageAudit):
+    p = a.pred
+    hits = p.combined.argmax(axis=1) == a.truth
+    columns = (a.ids[a.chosen], p.linear, p.knn, p.similarity, p.combined, a.truth, hits)
+    for sid, *parts, truth, hit in zip(*(c.tolist() for c in columns)):
+        yield [a.stage, sid, *(repr(x) for part in parts for x in part), truth, int(hit)]
 
 
 def write_run_dir(out_dir, cfg: ExperimentConfig, seed: int, result: RunResult) -> None:
@@ -473,11 +480,11 @@ def write_run_dir(out_dir, cfg: ExperimentConfig, seed: int, result: RunResult) 
     (out / "config.txt").write_text(config_to_text(cfg))
 
     epochs = result.warmup_losses + [row for rep in result.stage_reports for row in rep.epoch_losses]
-    losses = ("classification", "alignment", "total")
-    _write_csv(out / "loss_log.csv", [
-        ["stage", "epoch", *losses],
-        *([row["stage"], row["epoch"], *_reprs(row[key] for key in losses)] for row in epochs),
-    ])
+    _write_csv(
+        out / "loss_log.csv",
+        ([row["stage"], row["epoch"], *(repr(row[key]) for key in LOSSES)] for row in epochs),
+        ["stage", "epoch", *LOSSES],
+    )
     write_metrics(out, result.metrics)
     (out / "stage_reports.json").write_text(
         json.dumps([asdict(r) for r in result.stage_reports], indent=2) + "\n"
@@ -488,23 +495,15 @@ def write_run_dir(out_dir, cfg: ExperimentConfig, seed: int, result: RunResult) 
         {"seed": seed, "num_classes": cfg.num_classes, "height": height, "width": width},
     )
 
-    if result.audits is not None:
+    if result.stage_audits is not None:
+        # Rows are made one stage at a time, so no audit CSV is held whole.
         k = range(cfg.num_classes)
-        _write_csv(out / "selector_audit.csv", [
-            ["stage", "sample_id", *(f"w{i}" for i in k), *(f"v{i}" for i in k),
-             "reliable", "winning_class"],
-            *([rec["stage"], rec["sample_id"], *_reprs(rec["similarities"]), *_reprs(rec["posterior"]),
-               int(rec["reliable"]), "" if rec["winning_class"] is None else rec["winning_class"]]
-              for rec in result.audits["selector"]),
-        ])
+        _write_csv(
+            out / "selector_audit.csv", (row for a in result.stage_audits for row in _selector_rows(a)),
+            ["stage", "sample_id", *(f"w{i}" for i in k), *(f"v{i}" for i in k), "reliable", "winning_class"],
+        )
         parts = ("linear", "knn", "sim", "combined")
-
-        def pseudo_row(rec: dict) -> list:
-            truth = rec["true_label"]
-            return [rec["stage"], rec["sample_id"], *(x for p in parts for x in _reprs(rec[p])),
-                    truth, int(rec["predicted"] == truth)]
-
-        _write_csv(out / "pseudo_audit.csv", [
+        _write_csv(
+            out / "pseudo_audit.csv", (row for a in result.stage_audits for row in _pseudo_rows(a)),
             ["stage", "sample_id", *(f"{p}{i}" for p in parts for i in k), "true_label", "correct"],
-            *map(pseudo_row, result.audits["pseudo"]),
-        ])
+        )

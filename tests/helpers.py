@@ -1,0 +1,41 @@
+"""Convenience forms the tests call and the engine does not.
+
+Each is a thin wrapper over the engine's own building blocks, so a test that
+uses one still exercises the code a run goes through.
+"""
+
+import numpy as np
+
+from splal.data import _centered_coords, _render
+from splal.errors import InputDomainError
+from splal.metrics import _sweep
+from splal.model import backward_from_dlogits, ce_value_and_dlogits, forward
+
+
+def backward(params, X, targets, weights=None):
+    """Value and exact gradient of the weighted mean cross-entropy on a batch."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim == 1:
+        X = X[None, :]
+    if X.shape[0] == 0:
+        raise InputDomainError("backward on empty batch")
+    targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
+    weights = np.ones(X.shape[0]) if weights is None else np.asarray(weights, dtype=np.float64)
+    fwd = forward(params, X)
+    value, dlogits = ce_value_and_dlogits(fwd, targets, weights)
+    return value, backward_from_dlogits(params, fwd, dlogits)
+
+
+def binary_auc_exact(scores, positives):
+    """P(score_pos > score_neg) + half tie credit."""
+    return _sweep(scores, positives)[0]
+
+
+def roc_points(scores, positives):
+    """(threshold, FPR, TPR) at every distinct score, thresholds descending."""
+    return _sweep(scores, positives)[1]
+
+
+def render_pattern(class_id, h, w, rng):
+    """Noise-free pattern for one sample of a class; symmetric under both flips."""
+    return _render(class_id, _centered_coords(h, w), rng)

@@ -247,13 +247,49 @@ class TestEvaluate:
         ])
         assert code == 1
 
-    @pytest.mark.parametrize("kind", ["not-npz", "no-meta", "layers-do-not-chain"])
+    def test_grid_shape_mismatch_with_equal_size_exits_one(self, tmp_path, capsys):
+        # 4x16 has the 8x8 checkpoint's 64 inputs, but not its grid shape
+        cfg_path, _ = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+        lines = (out / "seed_0" / "test.csv").read_text().splitlines(keepends=True)
+        bad = tmp_path / "reshaped.csv"
+        bad.write_text("".join(["# H=4 W=16 K=4\n", *lines[1:]]))
+        capsys.readouterr()
+        code = main([
+            "evaluate", "--checkpoint", str(out / "seed_0" / "checkpoint.npz"),
+            "--data", str(bad), "--out-dir", str(tmp_path / "e"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "4x16" in err and "8x8" in err
+        assert not (tmp_path / "e").exists()
+
+    @pytest.mark.parametrize("key", ["height", "width", "num_classes"])
+    def test_checkpoint_meta_without_shape_exits_two(self, tmp_path, capsys, key):
+        ckpt = tmp_path / "ckpt.npz"
+        net = init_params(64, (16, 8), 4, np.random.default_rng(0))
+        meta = {"seed": 0, "num_classes": 4, "height": 8, "width": 8}
+        del meta[key]
+        save_checkpoint(ckpt, net, net, meta)
+        _, test = write_csv_pair(tmp_path)
+        code = main([
+            "evaluate", "--checkpoint", str(ckpt), "--data", str(test),
+            "--out-dir", str(tmp_path / "e"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(ckpt) in err and key in err
+
+    @pytest.mark.parametrize("kind", ["not-npz", "no-meta", "meta-not-an-object", "layers-do-not-chain"])
     def test_malformed_checkpoint_exits_two(self, tmp_path, capsys, kind):
         ckpt = tmp_path / "ckpt.npz"
         if kind == "not-npz":
             ckpt.write_text("not a checkpoint\n")
         elif kind == "no-meta":
             np.savez(ckpt, live_cW=np.zeros((2, 2)))
+        elif kind == "meta-not-an-object":
+            np.savez(ckpt, meta=np.frombuffer(json.dumps([1, 2]).encode(), dtype=np.uint8))
         else:
             net = init_params(256, (64, 32), 4, np.random.default_rng(0))
             save_checkpoint(ckpt, net, net, {"seed": 0, "num_classes": 4, "height": 16, "width": 16})

@@ -9,12 +9,13 @@ from splal.data import (
     balanced_test_spec,
     generate,
     load_csv,
-    render_pattern,
     save_csv,
     split_labeled,
     write_manifest,
 )
 from splal.errors import InputDomainError, ParseError
+
+from helpers import render_pattern
 
 DEFAULT = SyntheticSpec()
 

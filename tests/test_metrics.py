@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 from splal.errors import EvaluationError, InputDomainError
 from splal.metrics import (
     auc_ovr,
-    binary_auc_exact,
     confusion,
-    roc_points,
     summary,
 )
+
+from helpers import binary_auc_exact, roc_points
 
 
 class TestConfusion:

@@ -11,7 +11,6 @@ from splal.model import (
     ModelParams,
     OptimizerState,
     adam_step,
-    backward,
     ce_value_and_dlogits,
     ema_update,
     encode,
@@ -21,6 +20,8 @@ from splal.model import (
     save_checkpoint,
 )
 from splal.numerics import LOG_EPS
+
+from helpers import backward
 
 
 def tiny_net(rng, input_dim=4, widths=(3,), classes=3):
@@ -249,7 +250,7 @@ class TestCheckpoint:
         ema = tiny_net(rng, input_dim=6, widths=(5, 4), classes=3)
         x = rng.normal(size=6)
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, live, ema, {"seed": 42})
+        save_checkpoint(path, live, ema, {"seed": 42, "num_classes": 3, "height": 2, "width": 3})
         live2, ema2, meta = load_checkpoint(path)
         assert meta["seed"] == 42
         assert np.array_equal(

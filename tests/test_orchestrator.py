@@ -164,8 +164,9 @@ class TestFullRun:
             result = run(cfg, seed=seed, collect_audits=True)
             split_seed = int(substream(seed, STREAM_SPLIT).integers(0, 2**31 - 1))
             expected = pool.ids[split_labeled(pool, cfg.labeled_ratio, split_seed)[0]].tolist()
-            for stage in range(len(result.stage_reports)):
-                expected += sorted(rec["sample_id"] for rec in result.audits["pseudo"] if rec["stage"] == stage)
+            assert [a.stage for a in result.stage_audits] == list(range(len(result.stage_reports)))
+            for audit in result.stage_audits:
+                expected += sorted(audit.ids[audit.chosen].tolist())
             assert [s.sample_id for s in result.state.labeled] == expected
             unlabeled = [s.sample_id for s in result.state.unlabeled]
             assert unlabeled == sorted(unlabeled)
@@ -212,14 +213,17 @@ class TestFullRun:
     def test_audit_collection(self):
         cfg = tiny_config()
         result = run(cfg, seed=9, collect_audits=True)
-        assert result.audits is not None
-        stages_seen = {rec["stage"] for rec in result.audits["selector"]}
+        assert result.stage_audits is not None
+        stages_seen = {a.stage for a in result.stage_audits}
         assert stages_seen <= set(range(cfg.stages))
-        # every migration left a pseudo-label audit record, and vice versa
+        for a in result.stage_audits:
+            assert len(a.gate.reliable) == len(a.ids)
+            assert len(a.pred.combined) == len(a.truth) == len(a.chosen) == a.gate.reliable.sum()
+        # every migration left a pseudo-label audit row, and vice versa
         n_pseudo = len([s for s in result.state.labeled if s.provenance == PSEUDO])
-        assert len(result.audits["pseudo"]) == n_pseudo
-        audited_ids = {rec["sample_id"] for rec in result.audits["pseudo"]}
-        assert audited_ids == {s.sample_id for s in result.state.labeled if s.provenance == PSEUDO}
+        audited = [sid for a in result.stage_audits for sid in a.ids[a.chosen].tolist()]
+        assert len(audited) == n_pseudo
+        assert set(audited) == {s.sample_id for s in result.state.labeled if s.provenance == PSEUDO}
 
 
 class TestSyntheticPoolCache:
