@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from splal.cli import (
     ALPHA_GRID,
     LAMBDA2_GRID,
+    METRIC_KEYS,
     SWEEPS,
     build_parser,
     main,
@@ -153,6 +154,19 @@ class TestTrain:
         assert agg[0] == "metric,mean,sd"
         assert len(agg) == 7
         assert "accuracy=" in capsys.readouterr().out
+
+    def test_aggregate_csv_bytes(self, tmp_path):
+        # csv's excel dialect: \r\n row ends; each mean and sd is written by repr
+        cfg_path, _ = write_config(tmp_path)
+        cfg_path.write_text(cfg_path.read_text().replace("seeds = 0", "seeds = 0,1"))
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+        per_seed = [json.loads((out / f"seed_{seed}" / "metrics.json").read_text()) for seed in (0, 1)]
+        expected = b"metric,mean,sd\r\n"
+        for key in METRIC_KEYS:
+            values = np.array([m[key] for m in per_seed])
+            expected += f"{key},{float(values.mean())!r},{float(values.std())!r}\r\n".encode()
+        assert (out / "aggregate.csv").read_bytes() == expected
 
     def test_missing_config_exits_two(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.cfg"),
@@ -398,6 +412,21 @@ class TestAblate:
             assert 0.0 <= float(fields["macro_f1"]) <= 1.0
             assert 0.0 <= float(fields["minority_recall"]) <= 1.0
 
+
+    def test_sweep_csv_bytes(self, tmp_path):
+        # csv's excel dialect: \r\n row ends; each metric is written by repr
+        cfg = tiny_config(mode="baseline", seeds=(0,), epochs_warmup=1)
+        path = tmp_path / "label-ratio.csv"
+        rows = run_sweep(cfg, "label-ratio", path)
+        expected = (b"sweep,value,seed,accuracy,macro_f1,macro_auc,macro_precision,"
+                    b"macro_recall,macro_specificity,minority_recall\r\n")
+        for row in rows:
+            metrics = [row[key] for key in (*METRIC_KEYS, "minority_recall")]
+            assert all(type(v) is float for v in metrics)
+            expected += ",".join(["label-ratio", row["value"], str(row["seed"]), *map(repr, metrics)]).encode()
+            expected += b"\r\n"
+        assert [row["value"] for row in rows] == ["0.05", "0.1", "0.2", "0.3"]
+        assert path.read_bytes() == expected
 
     def test_minority_class_comes_from_the_data(self, tmp_path):
         # three classes in the CSV; the config's synthetic class_counts has four
