@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 usage/config error, 2 runtime/data error.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from dataclasses import replace
@@ -26,7 +25,7 @@ from .data import (
 )
 from .errors import ConfigurationError, SplalError
 from .model import load_checkpoint
-from .orchestrator import evaluate_params, run, write_metrics, write_run_dir
+from .orchestrator import evaluate_params, run, write_csv, write_metrics, write_run_dir
 
 USAGE_EXIT = 1
 RUNTIME_EXIT = 2
@@ -69,23 +68,22 @@ def cmd_generate_data(args) -> int:
     samples = generate(spec)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    save_csv(samples, out, spec.height, spec.width, spec.num_classes)
+    save_csv(samples, out, spec.num_classes)
     write_manifest(out.with_suffix(out.suffix + ".manifest.json"), spec, out)
     if args.test_out:
         test_samples = generate(test_spec)
         test_out = Path(args.test_out)
-        save_csv(test_samples, test_out, spec.height, spec.width, spec.num_classes)
+        save_csv(test_samples, test_out, spec.num_classes)
         write_manifest(test_out.with_suffix(test_out.suffix + ".manifest.json"), test_spec, test_out)
     print(f"wrote {len(samples)} samples to {out}")
     return 0
 
 
-def _aggregate_rows(per_seed: dict[int, dict]) -> list[tuple[str, float, float]]:
-    rows = []
+def _aggregate_rows(per_seed: dict[int, dict]):
+    """One (metric, mean, sd) CSV row per metric over the seeds, floats by repr."""
     for key in METRIC_KEYS:
         values = np.array([m[key] for m in per_seed.values()])
-        rows.append((key, float(values.mean()), float(values.std(ddof=0))))
-    return rows
+        yield key, repr(float(values.mean())), repr(float(values.std(ddof=0)))
 
 
 def _map_runs(job, jobs: list[tuple]) -> list:
@@ -119,8 +117,7 @@ def _train_job(cfg: ExperimentConfig, seed: int, seed_dir: Path) -> dict:
     """One seed's run and run directory; returns its metrics."""
     result = run(cfg, seed, collect_audits=True)
     write_run_dir(seed_dir, cfg, seed, result)
-    height, width = result.test_samples.grids.shape[1:]
-    save_csv(result.test_samples, seed_dir / "test.csv", height, width, cfg.num_classes)
+    save_csv(result.test_samples, seed_dir / "test.csv", cfg.num_classes)
     return result.metrics
 
 
@@ -131,11 +128,7 @@ def run_training(cfg: ExperimentConfig, out_dir) -> dict[int, dict]:
     (out / "config.txt").write_text(config_to_text(cfg))
     metrics = _map_runs(_train_job, [(cfg, seed, out / f"seed_{seed}") for seed in cfg.seeds])
     per_seed = dict(zip(cfg.seeds, metrics))
-    with (out / "aggregate.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "mean", "sd"])
-        for name, mean, sd in _aggregate_rows(per_seed):
-            writer.writerow([name, repr(mean), repr(sd)])
+    write_csv(out / "aggregate.csv", _aggregate_rows(per_seed), ["metric", "mean", "sd"])
     return per_seed
 
 
@@ -161,7 +154,7 @@ def cmd_evaluate(args) -> int:
             f"data: {k} classes do not match checkpoint classifier width {ema.num_classes}"
         )
     require_labels(samples, "data")
-    metrics = evaluate_params(ema, samples, k)
+    metrics = evaluate_params(ema, samples)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_metrics(out, metrics)
@@ -222,13 +215,8 @@ def run_sweep(cfg: ExperimentConfig, sweep: str, out_csv) -> list[dict]:
     rows = _map_runs(_sweep_job, jobs)
     out_csv = Path(out_csv)
     out_csv.parent.mkdir(parents=True, exist_ok=True)
-    with out_csv.open("w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh, fieldnames=["sweep", "value", "seed", *METRIC_KEYS, "minority_recall"]
-        )
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+    columns = ["sweep", "value", "seed", *METRIC_KEYS, "minority_recall"]
+    write_csv(out_csv, ([row[c] for c in columns] for row in rows), columns)
     return rows
 
 

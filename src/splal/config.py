@@ -98,6 +98,8 @@ class ExperimentConfig:
                 self.synthetic_spec().validate()
             except InputDomainError as exc:
                 raise ConfigurationError(str(exc)) from exc
+        elif self.test_csv is None:
+            fail("test_csv", "required when data_csv is given")
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):

@@ -34,7 +34,6 @@ class Sample:
     """
 
     sample_id: int
-    grid: np.ndarray
     true_label: int | None
     visible_label: np.ndarray | None = None
     provenance: str | None = None
@@ -133,12 +132,12 @@ def generate(spec: SyntheticSpec) -> Pool:
     return Pool(np.arange(len(truth)), grids, truth)
 
 
-def balanced_test_spec(spec: SyntheticSpec, per_class: int = 50, seed_offset: int = 10_000) -> SyntheticSpec:
+def balanced_test_spec(spec: SyntheticSpec, per_class: int = 50) -> SyntheticSpec:
     """Held-out evaluation spec: same patterns, balanced counts, disjoint seed."""
     return replace(
         spec,
         class_counts=tuple(per_class for _ in spec.class_counts),
-        seed=spec.seed + seed_offset,
+        seed=spec.seed + 10_000,
     )
 
 
@@ -163,10 +162,10 @@ def split_labeled(pool: Pool, ratio: float, seed: int) -> tuple[np.ndarray, np.n
     return np.flatnonzero(labeled), np.flatnonzero(~labeled)
 
 
-def save_csv(samples: Pool, path, height: int, width: int, num_classes: int) -> None:
-    """Pixel CSV with a metadata comment line; floats at 17 significant digits."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+def save_csv(samples: Pool, path, num_classes: int) -> None:
+    """Pixel CSV with a metadata comment line; each float by repr, the shortest form that round-trips."""
+    _, height, width = samples.grids.shape
+    with Path(path).open("w", newline="") as fh:
         fh.write(f"# H={height} W={width} K={num_classes}\n")
         writer = csv.writer(fh)
         writer.writerow(["id", "label"] + [f"p{i}" for i in range(height * width)])

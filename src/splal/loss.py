@@ -49,13 +49,7 @@ def make_views(
     horizontal then vertical, in grid order.
     """
     flips = rng.random((len(grids), 2)) < FLIP_PROB
-    weak, strong = replay_views(grids, flips)
-    return weak, strong, flips
-
-
-def replay_views(grids: np.ndarray, flips: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The views make_views returned with these (B, 2) flip bits."""
-    return weak_augment(grids, flips[:, 0], flips[:, 1]), strong_augment(grids)
+    return weak_augment(grids, flips[:, 0], flips[:, 1]), strong_augment(grids), flips
 
 
 def total_loss(

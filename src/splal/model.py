@@ -203,10 +203,6 @@ def forward(params: ModelParams, X: np.ndarray) -> ForwardRecord:
 class Gradients(_FlatLayers):
     """Gradient arrays shaped identically to ModelParams, laid out like its `flat`."""
 
-    @staticmethod
-    def zeros_like(params: ModelParams) -> "Gradients":
-        return Gradients._over(np.zeros_like(params.flat), params._layout)
-
 
 def backward_from_dlogits(
     params: ModelParams, fwd: ForwardRecord, dlogits: np.ndarray

@@ -130,7 +130,7 @@ class PoolView:
         for r in self.rows.tolist():
             code = int(s.provenance[r])
             yield Sample(
-                int(s.pool.ids[r]), s.pool.grids[r], int(s.pool.truth[r]),
+                int(s.pool.ids[r]), int(s.pool.truth[r]),
                 None if code == UNLABELED else s.Y[r].copy(), PROVENANCE[code],
             )
 
@@ -241,8 +241,6 @@ def warmup(
 ) -> tuple[EmaParams, list[dict]]:
     """Supervised warm-up, then seed the bank with one push of the whole labeled pool."""
     rows = state.labeled_rows
-    if not len(rows):
-        raise ConfigurationError("warm-up requires a nonempty labeled pool")
     class_ids = state.Y[rows].argmax(axis=1)
     missing = set(range(cfg.num_classes)) - set(class_ids.tolist())
     if missing:
@@ -333,12 +331,12 @@ def run_stage(
     return report, audit
 
 
-def evaluate_params(params: ModelParams, samples: Pool, num_classes: int) -> dict:
+def evaluate_params(params: ModelParams, samples: Pool) -> dict:
     """Metrics report dict for a parameter snapshot on a labeled evaluation set."""
     truths = samples.truth
     probs = forward(params, _flat(samples.grids)).probabilities
     predictions = probs.argmax(axis=1)
-    matrix = metrics_mod.confusion(predictions, truths, num_classes)
+    matrix = metrics_mod.confusion(predictions, truths, params.num_classes)
     summ = metrics_mod.summary(matrix)
     auc = metrics_mod.auc_ovr(probs, truths)
     return {
@@ -372,8 +370,6 @@ def build_pools(cfg: ExperimentConfig, seed: int) -> tuple[PoolView, PoolView, P
             raise ConfigurationError(
                 f"data_csv: file declares {k} classes, config says {cfg.num_classes}"
             )
-        if cfg.test_csv is None:
-            raise ConfigurationError("test_csv: required when data_csv is given")
         test, th, tw, tk = load_csv(cfg.test_csv)
         if (th, tw, tk) != (h, w, k):
             raise ConfigurationError("test_csv: shape metadata differs from data_csv")
@@ -426,7 +422,7 @@ def run(cfg: ExperimentConfig, seed: int, collect_audits: bool = False) -> RunRe
         if stage_audits is not None:
             stage_audits.append(audit)
 
-    metrics = evaluate_params(ema.shadow, test_samples, cfg.num_classes)
+    metrics = evaluate_params(ema.shadow, test_samples)
     metrics["config_warnings"] = notes
     return RunResult(
         live=params,
@@ -440,7 +436,7 @@ def run(cfg: ExperimentConfig, seed: int, collect_audits: bool = False) -> RunRe
     )
 
 
-def _write_csv(path: Path, rows, header=None) -> None:
+def write_csv(path: Path, rows, header=None) -> None:
     """Write the header, if given, then the rows as the iterable yields them."""
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -453,9 +449,9 @@ def write_metrics(out: Path, metrics: dict) -> None:
     """metrics.json (without the ROC points), confusion.csv and one roc_class<k>.csv per class."""
     body = {key: value for key, value in metrics.items() if key != "roc"}
     (out / "metrics.json").write_text(json.dumps(body, indent=2, sort_keys=True) + "\n")
-    _write_csv(out / "confusion.csv", metrics["confusion"])
+    write_csv(out / "confusion.csv", metrics["confusion"])
     for key, points in metrics["roc"].items():
-        _write_csv(out / f"roc_class{key}.csv", (map(repr, p) for p in points), ["threshold", "fpr", "tpr"])
+        write_csv(out / f"roc_class{key}.csv", (map(repr, p) for p in points), ["threshold", "fpr", "tpr"])
 
 
 def _selector_rows(a: StageAudit):
@@ -480,7 +476,7 @@ def write_run_dir(out_dir, cfg: ExperimentConfig, seed: int, result: RunResult) 
     (out / "config.txt").write_text(config_to_text(cfg))
 
     epochs = result.warmup_losses + [row for rep in result.stage_reports for row in rep.epoch_losses]
-    _write_csv(
+    write_csv(
         out / "loss_log.csv",
         ([row["stage"], row["epoch"], *(repr(row[key]) for key in LOSSES)] for row in epochs),
         ["stage", "epoch", *LOSSES],
@@ -498,12 +494,12 @@ def write_run_dir(out_dir, cfg: ExperimentConfig, seed: int, result: RunResult) 
     if result.stage_audits is not None:
         # Rows are made one stage at a time, so no audit CSV is held whole.
         k = range(cfg.num_classes)
-        _write_csv(
+        write_csv(
             out / "selector_audit.csv", (row for a in result.stage_audits for row in _selector_rows(a)),
             ["stage", "sample_id", *(f"w{i}" for i in k), *(f"v{i}" for i in k), "reliable", "winning_class"],
         )
         parts = ("linear", "knn", "sim", "combined")
-        _write_csv(
+        write_csv(
             out / "pseudo_audit.csv", (row for a in result.stage_audits for row in _pseudo_rows(a)),
             ["stage", "sample_id", *(f"{p}{i}" for p in parts for i in k), "true_label", "correct"],
         )

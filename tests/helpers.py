@@ -6,10 +6,11 @@ uses one still exercises the code a run goes through.
 
 import numpy as np
 
+from splal.augment import strong_augment, weak_augment
 from splal.data import _centered_coords, _render
 from splal.errors import InputDomainError
 from splal.metrics import _sweep
-from splal.model import backward_from_dlogits, ce_value_and_dlogits, forward
+from splal.model import Gradients, backward_from_dlogits, ce_value_and_dlogits, forward
 
 
 def backward(params, X, targets, weights=None):
@@ -24,6 +25,16 @@ def backward(params, X, targets, weights=None):
     fwd = forward(params, X)
     value, dlogits = ce_value_and_dlogits(fwd, targets, weights)
     return value, backward_from_dlogits(params, fwd, dlogits)
+
+
+def zero_gradients(params):
+    """All-zero gradients laid out like the params."""
+    return Gradients._over(np.zeros_like(params.flat), params._layout)
+
+
+def replay_views(grids, flips):
+    """The weak and strong views make_views returned with these (B, 2) flip bits."""
+    return weak_augment(grids, flips[:, 0], flips[:, 1]), strong_augment(grids)
 
 
 def binary_auc_exact(scores, positives):

@@ -3,7 +3,9 @@ import pytest
 
 from splal.augment import _KERNEL, FLIP_PROB, _gaussian_kernel_3x3, strong_augment, weak_augment
 from splal.errors import InputDomainError
-from splal.loss import make_views, replay_views
+from splal.loss import make_views
+
+from helpers import replay_views
 
 
 class TestWeakAugment:

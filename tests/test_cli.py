@@ -201,6 +201,14 @@ class TestTrain:
         assert err.startswith("error: ") and "line 3: no data rows" in err
         assert not (out / "seed_0").exists()
 
+    def test_data_csv_without_test_csv_exits_one_writing_nothing(self, tmp_path, capsys):
+        train, _ = write_csv_pair(tmp_path)
+        cfg_path, _ = write_config(tmp_path, data_csv=str(train))
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg_path), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == "config error: test_csv: required when data_csv is given\n"
+        assert not (out / "config.txt").exists()
+
     def test_repeated_seed_exits_one_before_training(self, tmp_path, capsys):
         cfg_path, _ = write_config(tmp_path)
         cfg_path.write_text(cfg_path.read_text().replace("seeds = 0", "seeds = 1,1"))
@@ -411,7 +419,6 @@ class TestAblate:
             fields = dict(zip(header, line.split(",")))
             assert 0.0 <= float(fields["macro_f1"]) <= 1.0
             assert 0.0 <= float(fields["minority_recall"]) <= 1.0
-
 
     def test_sweep_csv_bytes(self, tmp_path):
         # csv's excel dialect: \r\n row ends; each metric is written by repr
@@ -705,8 +712,8 @@ def test_train_on_mutated_inputs_exits_cleanly(edits):
         tmp = Path(tmp)
         train, test = tmp / "train.csv", tmp / "test.csv"
         spec = SyntheticSpec(class_counts=(8, 6, 4, 2), height=8, width=8, seed=1)
-        save_csv(generate(spec), train, 8, 8, 4)
-        save_csv(generate(replace(spec, class_counts=(2, 2, 2, 2), seed=2)), test, 8, 8, 4)
+        save_csv(generate(spec), train, 4)
+        save_csv(generate(replace(spec, class_counts=(2, 2, 2, 2), seed=2)), test, 4)
         files = {
             "config": (tmp / "exp.cfg", PROPERTY_CONFIG.format(train=train, test=test)),
             "train": (train, train.read_text()),

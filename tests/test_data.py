@@ -127,7 +127,7 @@ class TestCsvRoundTrip:
         _, unlabeled = split_labeled(samples, 0.5, seed=0)
         samples.truth[unlabeled] = -1  # persist them as unlabeled rows
         path = tmp_path / "data.csv"
-        save_csv(samples, path, 16, 16, 4)
+        save_csv(samples, path, 4)
         loaded, h, w, k = load_csv(path)
         assert (h, w, k) == (16, 16, 4)
         assert len(loaded) == len(samples)
@@ -140,16 +140,27 @@ class TestCsvRoundTrip:
         order = np.random.default_rng(0).permutation(len(samples))
         shuffled = Pool(samples.ids[order], samples.grids[order], samples.truth[order])
         path = tmp_path / "data.csv"
-        save_csv(shuffled, path, 8, 8, 4)
+        save_csv(shuffled, path, 4)
         loaded, *_ = load_csv(path)
         np.testing.assert_array_equal(loaded.ids, shuffled.ids)
         np.testing.assert_array_equal(loaded.grids, shuffled.grids)
         np.testing.assert_array_equal(loaded.truth, shuffled.truth)
 
+    def test_non_square_shape_read_from_the_grids(self, tmp_path):
+        samples = generate(SyntheticSpec(class_counts=(3, 2, 2, 1), height=8, width=9))
+        path = tmp_path / "d.csv"
+        save_csv(samples, path, 4)
+        loaded, h, w, k = load_csv(path)
+        assert (h, w, k) == (8, 9, 4)
+        assert loaded.grids.shape == (8, 8, 9)
+        np.testing.assert_array_equal(loaded.ids, samples.ids)
+        np.testing.assert_array_equal(loaded.truth, samples.truth)
+        assert loaded.grids.tobytes() == samples.grids.tobytes()
+
     def test_metadata_line_format(self, tmp_path):
         path = tmp_path / "d.csv"
         save_csv(Pool(np.zeros(0, dtype=np.int64), np.zeros((0, 8, 9)), np.zeros(0, dtype=np.int64)),
-                 path, 8, 9, 3)
+                 path, 3)
         assert path.read_text().splitlines()[0] == "# H=8 W=9 K=3"
 
     def test_missing_metadata_rejected(self, tmp_path):
@@ -241,7 +252,7 @@ def test_manifest_contents(tmp_path):
     spec = SyntheticSpec(class_counts=(2, 2, 2, 2), seed=5)
     samples = generate(spec)
     csv_path = tmp_path / "d.csv"
-    save_csv(samples, csv_path, 16, 16, 4)
+    save_csv(samples, csv_path, 4)
     manifest_path = tmp_path / "d.manifest.json"
     write_manifest(manifest_path, spec, csv_path)
     manifest = json.loads(manifest_path.read_text())

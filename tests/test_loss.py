@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from splal.errors import ConfigurationError
-from splal.loss import make_views, replay_views, total_loss
+from splal.loss import make_views, total_loss
 from splal.model import forward, init_params
 
+from helpers import replay_views
 from test_model import finite_difference, max_rel_error
 
 

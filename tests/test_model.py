@@ -21,7 +21,7 @@ from splal.model import (
 )
 from splal.numerics import LOG_EPS
 
-from helpers import backward
+from helpers import backward, zero_gradients
 
 
 def tiny_net(rng, input_dim=4, widths=(3,), classes=3):
@@ -152,7 +152,7 @@ class TestAdam:
         params = tiny_net(rng)
         before = params.flatten()
         state = OptimizerState.for_params(params, learning_rate=0.1)
-        adam_step(params, Gradients.zeros_like(params), state)
+        adam_step(params, zero_gradients(params), state)
         np.testing.assert_array_equal(params.flatten(), before)
         assert state.step == 1
 
@@ -182,7 +182,7 @@ class TestAdam:
 
     def test_nonfinite_gradient_rejected(self):
         params = tiny_net(np.random.default_rng(4))
-        grads = Gradients.zeros_like(params)
+        grads = zero_gradients(params)
         grads.classifier[0][0, 0] = np.nan
         state = OptimizerState.for_params(params)
         with pytest.raises(TrainingError):
@@ -193,7 +193,7 @@ class TestAdam:
         params = tiny_net(rng)
         state = OptimizerState.for_params(params, learning_rate=0.5)
         for _ in range(20):
-            grads = Gradients.zeros_like(params)
+            grads = zero_gradients(params)
             for a in grads.arrays():
                 a[...] = rng.normal(scale=1e3, size=a.shape)
             adam_step(params, grads, state)
@@ -290,7 +290,7 @@ class TestFlatLayout:
 
     def test_all_finite_catches_nan_in_a_bias(self):
         params = tiny_net(np.random.default_rng(12))
-        grads = Gradients.zeros_like(params)
+        grads = zero_gradients(params)
         assert params.all_finite() and grads.all_finite()
         params.hidden[0][1][1] = np.nan
         grads.classifier[1][0] = np.inf
@@ -301,7 +301,7 @@ class TestFlatLayout:
         rng = np.random.default_rng(13)
         params = tiny_net(rng)
         backward(params, rng.normal(size=(5, 4)), np.eye(3)[[0, 1, 2, 0, 1]])
-        grads = Gradients.zeros_like(params)
+        grads = zero_gradients(params)
         assert not grads.flat.any()
         assert [a.shape for a in grads.arrays()] == [a.shape for a in params.arrays()]
 
@@ -329,7 +329,7 @@ class TestFlatLayout:
         params = tiny_net(rng)
         state = OptimizerState.for_params(tiny_net(rng, widths=(2,)))
         with pytest.raises(InputDomainError):
-            adam_step(params, Gradients.zeros_like(params), state)
+            adam_step(params, zero_gradients(params), state)
 
 
 # Per-tensor reference of the training step: every (W, b) its own array,

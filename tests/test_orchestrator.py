@@ -104,6 +104,17 @@ class TestWarmup:
         with pytest.raises(ConfigurationError, match="unseeded"):
             warmup(params, opt, state, cfg, rng, rng, bank)
 
+    def test_empty_labeled_pool_names_every_class(self):
+        cfg = tiny_config()
+        rng = np.random.default_rng(0)
+        params = init_params(64, cfg.hidden_widths, 4, rng)
+        opt = OptimizerState.for_params(params, cfg.learning_rate)
+        bank = PrototypeBank(4, params.feature_dim, cfg.queue_capacity)
+        state = DatasetState.split(pool_of(rng.uniform(size=(2, 8, 8)), [0, 1]), np.arange(0), 4)
+        with pytest.raises(ConfigurationError) as err:
+            warmup(params, opt, state, cfg, rng, rng, bank)
+        assert str(err.value) == "unseeded class: no labeled samples for classes [0, 1, 2, 3]"
+
     def test_seeds_every_class_queue(self):
         cfg = tiny_config()
         rng = np.random.default_rng(1)
@@ -189,7 +200,7 @@ class TestFullRun:
     def test_metrics_are_from_ema_shadow(self):
         cfg = tiny_config()
         result = run(cfg, seed=6)
-        again = evaluate_params(result.ema.shadow, result.test_samples, cfg.num_classes)
+        again = evaluate_params(result.ema.shadow, result.test_samples)
         assert again["accuracy"] == result.metrics["accuracy"]
         assert again["confusion"] == result.metrics["confusion"]
 
@@ -251,7 +262,7 @@ class TestCsvPools:
         spec = SyntheticSpec(class_counts=counts, height=8, width=8, seed=seed)
         samples = generate(spec)
         path = tmp_path / name
-        save_csv(samples, path, 8, 8, 4)
+        save_csv(samples, path, 4)
         return path
 
     def test_csv_pools_are_not_cached(self, tmp_path):
@@ -275,7 +286,7 @@ class TestCsvPools:
         pool = generate(spec)
         order = np.random.default_rng(1).permutation(len(pool))
         train = tmp_path / "train.csv"
-        save_csv(Pool(pool.ids[order], pool.grids[order], pool.truth[order]), train, 8, 8, 4)
+        save_csv(Pool(pool.ids[order], pool.grids[order], pool.truth[order]), train, 4)
         test = self._write(tmp_path, "test.csv", seed=99)
         labeled, unlabeled, _ = build_pools(tiny_config(data_csv=str(train), test_csv=str(test)), 0)
         state = labeled.state
