@@ -223,7 +223,6 @@ def run_sweep(cfg: ExperimentConfig, sweep: str, out_csv) -> list[dict]:
 def cmd_ablate(args) -> int:
     cfg = load_config(args.config)
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     rows = run_sweep(cfg, args.sweep, out / f"{args.sweep}.csv")
     print(f"wrote {len(rows)} rows to {out / (args.sweep + '.csv')}")
     return 0

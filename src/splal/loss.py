@@ -40,16 +40,20 @@ class LossBreakdown:
         return self.lam1 * self.classification + self.lam2 * self.alignment
 
 
-def make_views(
-    grids: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Weak and strong views of a (B, H, W) stack, and the (B, 2) flip bits behind them.
+def weak_views(grids: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Weak views of a (B, H, W) stack and the (B, 2) flip bits behind them.
 
     One (B, 2) draw takes the same stream as two scalar draws per grid,
     horizontal then vertical, in grid order.
     """
     flips = rng.random((len(grids), 2)) < FLIP_PROB
-    return weak_augment(grids, flips[:, 0], flips[:, 1]), strong_augment(grids), flips
+    return weak_augment(grids, flips[:, 0], flips[:, 1]), flips
+
+
+def make_views(grids: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weak and strong views of a (B, H, W) stack, and the (B, 2) flip bits behind them."""
+    weak, flips = weak_views(grids, rng)
+    return weak, strong_augment(grids), flips
 
 
 def total_loss(

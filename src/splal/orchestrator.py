@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics as metrics_mod
+from .augment import strong_augment
 from .config import ExperimentConfig, config_to_text
 from .data import (
     GROUND_TRUTH,
@@ -30,7 +31,7 @@ from .data import (
     split_labeled,
 )
 from .errors import ConfigurationError, TrainingError
-from .loss import total_loss, make_views
+from .loss import total_loss, weak_views
 from .model import (
     EmaParams,
     ModelParams,
@@ -197,9 +198,12 @@ def _train_epochs(
 ) -> list[dict]:
     """Train on the labeled pool; optionally keep the bank and EMA fresh.
 
-    Targets, weights and class ids are built once per call; a batch's grids
-    are gathered from the pool, never for the whole pool.
+    Targets, weights, class ids and strong views are built once per call, the
+    blur a batch-sized chunk at a time (one blur of the whole set would hold ~4x
+    the cache in temporaries); each batch gathers its grids and draws its flips.
     """
+    if not epochs:
+        return []  # nothing would read the cache
     logs = []
     rows = state.labeled_rows
     n = len(rows)
@@ -207,15 +211,19 @@ def _train_epochs(
     class_ids = targets.argmax(axis=1)
     weights = np.ones(n)
     starts = range(0, n, cfg.batch_size)
+    strong_all = np.empty((n,) + state.pool.grids.shape[1:])
+    for start in starts:
+        chunk = rows[start : start + cfg.batch_size]
+        strong_all[start : start + cfg.batch_size] = strong_augment(state.pool.grids[chunk])
     for epoch in range(epochs):
         order = rng_shuffle.permutation(n)
         sums = np.zeros(3)
         for start in starts:
             idx = order[start : start + cfg.batch_size]
             grids = state.pool.grids[rows[idx]]
-            weak, strong, _ = make_views(grids, rng_augment)
+            weak, _ = weak_views(grids, rng_augment)
             breakdown, grads = total_loss(
-                params, grids, targets[idx], weights[idx], weak, strong, cfg.lam1, cfg.lam2
+                params, grids, targets[idx], weights[idx], weak, strong_all[idx], cfg.lam1, cfg.lam2
             )
             adam_step(params, grads, opt)
             if not params.all_finite():

@@ -8,9 +8,13 @@ import numpy as np
 
 from splal.augment import strong_augment, weak_augment
 from splal.data import _centered_coords, _render
-from splal.errors import InputDomainError
+from splal.errors import InputDomainError, TrainingError
+from splal.loss import make_views, total_loss
 from splal.metrics import _sweep
-from splal.model import Gradients, backward_from_dlogits, ce_value_and_dlogits, forward
+from splal.model import (
+    Gradients, adam_step, backward_from_dlogits, ce_value_and_dlogits, ema_update, encode, forward,
+)
+from splal.orchestrator import LOSSES
 
 
 def backward(params, X, targets, weights=None):
@@ -35,6 +39,39 @@ def zero_gradients(params):
 def replay_views(grids, flips):
     """The weak and strong views make_views returned with these (B, 2) flip bits."""
     return weak_augment(grids, flips[:, 0], flips[:, 1]), strong_augment(grids)
+
+
+def train_epochs_per_batch(
+    params, opt, ema, state, epochs, cfg, rng_shuffle, rng_augment, bank=None, stage=-1
+):
+    """`orchestrator._train_epochs` with both views made per batch by make_views, nothing cached."""
+    logs = []
+    rows = state.labeled_rows
+    targets = state.Y[rows]
+    class_ids = targets.argmax(axis=1)
+    weights = np.ones(len(rows))
+    starts = range(0, len(rows), cfg.batch_size)
+    for epoch in range(epochs):
+        order = rng_shuffle.permutation(len(rows))
+        sums = np.zeros(3)
+        for start in starts:
+            idx = order[start : start + cfg.batch_size]
+            grids = state.pool.grids[rows[idx]]
+            weak, strong, _ = make_views(grids, rng_augment)
+            breakdown, grads = total_loss(
+                params, grids, targets[idx], weights[idx], weak, strong, cfg.lam1, cfg.lam2
+            )
+            adam_step(params, grads, opt)
+            if not params.all_finite():
+                raise TrainingError("non-finite parameters after optimizer step")
+            if ema is not None:
+                ema_update(ema, params)
+            if bank is not None:
+                bank.push(class_ids[idx], encode(params, grids.reshape(len(grids), -1)))
+            sums += (breakdown.classification, breakdown.alignment, breakdown.total)
+        mean = sums / max(len(starts), 1)
+        logs.append({"stage": stage, "epoch": epoch, **dict(zip(LOSSES, mean.tolist()))})
+    return logs
 
 
 def binary_auc_exact(scores, positives):

@@ -92,6 +92,13 @@ class TestStacks:
             np.testing.assert_array_equal(weak[i], weak_augment(x[i], fh[i], fv[i]))
             np.testing.assert_array_equal(strong[i], strong_augment(x[i]))
 
+    @pytest.mark.parametrize("chunk", [1, 3, 10])
+    def test_chunked_blur_matches_whole_stack(self, chunk):
+        # every output pixel takes the same nine multiply-adds whatever the stack size
+        x = np.random.default_rng(8).uniform(size=(10, 6, 5))
+        parts = np.concatenate([strong_augment(x[i : i + chunk]) for i in range(0, len(x), chunk)])
+        assert np.array_equal(parts, strong_augment(x))
+
     def test_input_stack_untouched(self):
         x = np.random.default_rng(7).uniform(size=(3, 4, 4))
         before = x.copy()

@@ -420,6 +420,13 @@ class TestAblate:
             assert 0.0 <= float(fields["macro_f1"]) <= 1.0
             assert 0.0 <= float(fields["minority_recall"]) <= 1.0
 
+    def test_invalid_config_exits_one_creating_no_out_dir(self, tmp_path, capsys):
+        cfg_path, _ = write_config(tmp_path, gamma1=2.0)
+        out = tmp_path / "ablate"
+        assert main(["ablate", "--config", str(cfg_path), "--sweep", "lambda2", "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error: gamma1")
+        assert not out.exists()
+
     def test_sweep_csv_bytes(self, tmp_path):
         # csv's excel dialect: \r\n row ends; each metric is written by repr
         cfg = tiny_config(mode="baseline", seeds=(0,), epochs_warmup=1)

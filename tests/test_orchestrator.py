@@ -1,12 +1,14 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from splal import orchestrator
 from splal.config import ExperimentConfig, load_config
 from splal.data import GROUND_TRUTH, PSEUDO, Pool, SyntheticSpec, generate, save_csv, split_labeled
 from splal.errors import ConfigurationError, TrainingError
-from splal.model import OptimizerState, init_params
+from splal.model import EmaParams, OptimizerState, init_params
 from splal.orchestrator import (
     _synthetic_pool,
     STREAM_AUGMENT,
@@ -15,6 +17,7 @@ from splal.orchestrator import (
     STREAM_SPLIT,
     BY_PSEUDO,
     DatasetState,
+    _train_epochs,
     build_pools,
     evaluate_params,
     run,
@@ -23,6 +26,8 @@ from splal.orchestrator import (
     write_run_dir,
 )
 from splal.prototypes import PrototypeBank
+
+from helpers import train_epochs_per_batch
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -127,6 +132,65 @@ class TestWarmup:
         assert [len(bank.queue_contents(k)) for k in range(4)] == [2, 1, 2, 1]
         # EMA shadow starts as an exact copy of the post-warm-up weights
         np.testing.assert_array_equal(ema.shadow.classifier[0], params.classifier[0])
+
+
+class TestStrongViewCache:
+    """`_train_epochs` blurs the labeled rows once per call; the bits match blurring every batch."""
+
+    @staticmethod
+    def _setup(n_pool, side, labeled_rows, cfg, seed=0):
+        rng = np.random.default_rng(seed)
+        pool = pool_of(rng.uniform(size=(n_pool, side, side)), rng.integers(0, 4, size=n_pool))
+        state = DatasetState.split(pool, labeled_rows, 4)
+        params = init_params(side * side, cfg.hidden_widths, 4, np.random.default_rng(seed + 1))
+        opt = OptimizerState.for_params(params, cfg.learning_rate)
+        ema = EmaParams.from_live(params, cfg.ema_decay)
+        bank = PrototypeBank(4, params.feature_dim, cfg.queue_capacity)
+        return state, params, opt, ema, bank
+
+    def test_matches_per_batch_reference(self):
+        # 45 labeled rows (not a multiple of the batch size 16), out of order as after a migration
+        cfg = tiny_config(queue_capacity=8)
+        rows = np.random.default_rng(5).permutation(61)[:45]
+        runs = []
+        for train in (_train_epochs, train_epochs_per_batch):
+            state, params, opt, ema, bank = self._setup(61, 8, rows, cfg)
+            shuffle, augment = np.random.default_rng(7), np.random.default_rng(8)
+            logs = train(params, opt, ema, state, 3, cfg, shuffle, augment, bank=bank, stage=1)
+            runs.append((logs, params, opt, ema, bank, shuffle, augment))
+        (logs, params, opt, ema, bank, shuffle, augment), ref = runs
+        assert logs == ref[0]
+        assert np.array_equal(params.flat, ref[1].flat)
+        assert np.array_equal(opt.m, ref[2].m) and np.array_equal(opt.v, ref[2].v)
+        assert np.array_equal(ema.shadow.flat, ref[3].shadow.flat)
+        for k in range(4):
+            assert np.array_equal(bank.queue_contents(k), ref[4].queue_contents(k))
+        assert shuffle.bit_generator.state == ref[5].bit_generator.state
+        assert augment.bit_generator.state == ref[6].bit_generator.state
+
+    def test_no_epochs_no_blur(self, monkeypatch):
+        cfg = tiny_config()
+        state, params, opt, _, _ = self._setup(20, 8, np.arange(20), cfg)
+        rng, blurred = np.random.default_rng(0), []
+        monkeypatch.setattr(orchestrator, "strong_augment", blurred.append)
+        assert _train_epochs(params, opt, None, state, 0, cfg, rng, rng) == []
+        assert blurred == []
+
+    def test_cache_is_filled_in_chunks(self):
+        # numpy reports its buffers to tracemalloc; blurring all n rows in one
+        # call peaks at ~4x the (n, H, W) cache, chunk by chunk at ~1x.
+        cfg = tiny_config(batch_size=32)
+        n = 3000
+        state, params, opt, _, _ = self._setup(n, 16, np.arange(n), cfg)
+        cache_bytes = n * 16 * 16 * 8
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            _train_epochs(params, opt, None, state, 1, cfg, rng, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cache_bytes <= peak < 2 * cache_bytes
 
 
 class TestFullRun:
