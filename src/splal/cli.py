@@ -23,7 +23,7 @@ from .data import (
     save_csv,
     write_manifest,
 )
-from .errors import ConfigurationError, SplalError
+from .errors import ConfigurationError, InputDomainError, SplalError
 from .model import load_checkpoint
 from .orchestrator import evaluate_params, run, write_csv, write_metrics, write_run_dir
 
@@ -63,8 +63,8 @@ def cmd_generate_data(args) -> int:
     if args.spec:
         spec = parse_config(Path(args.spec).read_text(), SyntheticSpec, "spec")
     test_spec = balanced_test_spec(spec, per_class=args.test_per_class)
-    if args.test_out:
-        test_spec.validate()  # before anything is written
+    if args.test_out and args.test_per_class < 1:  # checked before anything is written
+        raise InputDomainError(f"--test-per-class: must be >= 1, got {args.test_per_class}")
     samples = generate(spec)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

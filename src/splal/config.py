@@ -122,6 +122,8 @@ class ExperimentConfig:
             fail("temperature", f"must be positive, got {self.temperature}")
         if self.knn_k < 1:
             fail("knn_k", "must be >= 1")
+        if self.test_per_class < 1:
+            fail("test_per_class", f"must be >= 1, got {self.test_per_class}")
         if not (0 <= self.ema_decay <= 1):
             fail("ema_decay", f"must lie in [0, 1], got {self.ema_decay}")
         if self.learning_rate <= 0:

@@ -141,16 +141,17 @@ def balanced_test_spec(spec: SyntheticSpec, per_class: int = 50) -> SyntheticSpe
     )
 
 
-def split_labeled(pool: Pool, ratio: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+def split_labeled(pool: Pool, ratio: float, seed: int, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
     """Stratified split of an id-sorted pool; ceil(ratio * n_k) labeled per class, at least 1.
 
-    Returns the (labeled, unlabeled) row indices, each ascending.
+    Returns the (labeled, unlabeled) row indices, each ascending. Every one
+    of the `num_classes` classes needs a sample.
     """
     if not (0.0 < ratio <= 1.0):
         raise InputDomainError(f"labeled ratio must lie in (0, 1], got {ratio}")
     if (pool.truth < 0).any():
         raise InputDomainError(f"sample {pool.ids[pool.truth < 0][0]} has no label; cannot stratify")
-    counts = np.bincount(pool.truth)
+    counts = np.bincount(pool.truth, minlength=num_classes)
     if not counts.all():
         raise InputDomainError(f"classes with zero samples: {np.flatnonzero(counts == 0).tolist()}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))

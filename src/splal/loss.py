@@ -32,12 +32,7 @@ LAMBDA_TOL = 1e-9
 class LossBreakdown:
     classification: float
     alignment: float
-    lam1: float
-    lam2: float
-
-    @property
-    def total(self) -> float:
-        return self.lam1 * self.classification + self.lam2 * self.alignment
+    total: float  # lam1 * classification + lam2 * alignment
 
 
 def weak_views(grids: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -87,9 +82,7 @@ def total_loss(
     clipped_strong = np.clip(p_strong, LOG_EPS, 1.0)
     align_value = float(-(p_weak * np.log(clipped_strong)).sum(axis=1).mean())
 
-    breakdown = LossBreakdown(
-        classification=cls_value, alignment=align_value, lam1=lam1, lam2=lam2
-    )
+    breakdown = LossBreakdown(cls_value, align_value, lam1 * cls_value + lam2 * align_value)
     if not with_grads:
         return breakdown, None
 

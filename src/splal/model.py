@@ -155,16 +155,18 @@ def init_params(
 class ForwardRecord:
     """All intermediates of one forward pass over a batch of row vectors."""
 
-    inputs: np.ndarray                 # (B, D)
-    pre_activations: list[np.ndarray]  # per hidden layer, (B, width)
-    activations: list[np.ndarray]      # rectified, (B, width)
-    features: np.ndarray               # (B, d) last hidden activation
-    logits: np.ndarray                 # (B, K)
-    probabilities: np.ndarray          # (B, K), row softmax at unit temperature
+    layers: list[np.ndarray]   # the (B, D) input, then each hidden layer's rectified (B, width) output
+    logits: np.ndarray         # (B, K)
+    probabilities: np.ndarray  # (B, K), row softmax at unit temperature
+
+    @property
+    def features(self) -> np.ndarray:
+        """The (B, d) last hidden activation."""
+        return self.layers[-1]
 
 
-def _encode(params: ModelParams, X: np.ndarray) -> tuple[np.ndarray, list, list, np.ndarray]:
-    """The (B, D) input, the pre-activations and activations per hidden layer, and the features."""
+def _encode(params: ModelParams, X: np.ndarray) -> list[np.ndarray]:
+    """The (B, D) input, then each hidden layer's output, rectified in place."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:
         X = X[None, :]
@@ -172,32 +174,24 @@ def _encode(params: ModelParams, X: np.ndarray) -> tuple[np.ndarray, list, list,
         raise InputDomainError(
             f"input width {X.shape[1]} does not match model input {params.input_dim}"
         )
-    h = X
-    pre: list[np.ndarray] = []
-    act: list[np.ndarray] = []
+    layers = [X]
     for W, b in params.hidden:
-        a = h @ W + b
-        h = np.maximum(a, 0.0)
-        pre.append(a)
-        act.append(h)
-    return X, pre, act, h
+        h = layers[-1] @ W + b
+        layers.append(np.maximum(h, 0.0, out=h))
+    return layers
 
 
 def encode(params: ModelParams, X: np.ndarray) -> np.ndarray:
     """The (B, d) features alone: `forward(params, X).features`, bit for bit."""
-    return _encode(params, X)[3]
+    return _encode(params, X)[-1]
 
 
 def forward(params: ModelParams, X: np.ndarray) -> ForwardRecord:
     """Deterministic forward pass; X is (B, D) or a single flat (D,) vector."""
-    X, pre, act, h = _encode(params, X)
+    layers = _encode(params, X)
     Wc, bc = params.classifier
-    logits = h @ Wc + bc
-    probs = softmax_rows(logits)
-    return ForwardRecord(
-        inputs=X, pre_activations=pre, activations=act,
-        features=h, logits=logits, probabilities=probs,
-    )
+    logits = layers[-1] @ Wc + bc
+    return ForwardRecord(layers, logits, softmax_rows(logits))
 
 
 class Gradients(_FlatLayers):
@@ -210,7 +204,9 @@ def backward_from_dlogits(
     """Backpropagate an upstream (B, K) logit gradient to all parameters.
 
     Every gradient entry is written by one matmul or bias sum, straight
-    into its view, so the vector starts uninitialised.
+    into its view, so the vector starts uninitialised. A hidden unit passes
+    gradient where its rectified output is positive, which is exactly where
+    its pre-activation is.
     """
     grads = Gradients._over(np.empty_like(params.flat), params._layout)
     np.matmul(fwd.features.T, dlogits, out=grads.classifier[0])
@@ -218,9 +214,8 @@ def backward_from_dlogits(
     upstream, W_above = dlogits, params.classifier[0]
     for i in range(len(params.hidden) - 1, -1, -1):
         da = upstream @ W_above.T
-        da *= fwd.pre_activations[i] > 0
-        below = fwd.inputs if i == 0 else fwd.activations[i - 1]
-        np.matmul(below.T, da, out=grads.hidden[i][0])
+        da *= fwd.layers[i + 1] > 0
+        np.matmul(fwd.layers[i].T, da, out=grads.hidden[i][0])
         np.sum(da, axis=0, out=grads.hidden[i][1])
         upstream, W_above = da, params.hidden[i][0]
     return grads
@@ -308,23 +303,10 @@ def adam_step(params: ModelParams, grads: Gradients, state: OptimizerState) -> N
     params.flat -= step
 
 
-@dataclass
-class EmaParams:
-    """Shadow copy of the live weights, moved toward them with decay rho."""
-
-    shadow: ModelParams
-    decay: float
-
-    @staticmethod
-    def from_live(live: ModelParams, decay: float) -> "EmaParams":
-        return EmaParams(shadow=live.copy(), decay=decay)
-
-
-def ema_update(ema: EmaParams, live: ModelParams) -> None:
+def ema_update(shadow: ModelParams, live: ModelParams, rho: float) -> None:
     """shadow <- rho * shadow + (1 - rho) * live, elementwise, in place."""
-    rho = ema.decay
-    ema.shadow.flat *= rho
-    ema.shadow.flat += (1.0 - rho) * live.flat
+    shadow.flat *= rho
+    shadow.flat += (1.0 - rho) * live.flat
 
 
 def save_checkpoint(path, live: ModelParams, ema: ModelParams, meta: dict) -> None:

@@ -33,7 +33,6 @@ from .data import (
 from .errors import ConfigurationError, TrainingError
 from .loss import total_loss, weak_views
 from .model import (
-    EmaParams,
     ModelParams,
     OptimizerState,
     adam_step,
@@ -59,10 +58,6 @@ def substream(master_seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(stream,)))
 
 
-# Provenance code per pool row; PROVENANCE[code] is the name a record reports.
-UNLABELED, BY_TRUTH, BY_PSEUDO = 0, 1, 2
-PROVENANCE = (None, GROUND_TRUTH, PSEUDO)
-
 # The loss terms each epoch's log row averages over its batches.
 LOSSES = ("classification", "alignment", "total")
 
@@ -71,31 +66,29 @@ LOSSES = ("classification", "alignment", "total")
 class DatasetState:
     """The labeled and unlabeled pools over one id-sorted training pool.
 
-    `Y` holds the visible labels (zero rows while unlabeled) and `provenance`
-    a code per row. `labeled_rows` lists the labeled rows in join order: the
-    initial split ascending, then each stage's picks ascending. Training
+    `labeled_rows` lists the labeled rows in join order: the initial split
+    ascending (its first `num_truth` entries), then each stage's picks
+    ascending. `targets` holds their label rows in the same order. Training
     batches are drawn by position in that list, so its order is part of the
-    behaviour. The unlabeled rows are the rows with no provenance, in id order.
+    behaviour. The unlabeled rows are the other rows, in id order.
     """
 
     pool: Pool
-    Y: np.ndarray
-    provenance: np.ndarray
     labeled_rows: np.ndarray
+    targets: np.ndarray
+    num_truth: int
     stage: int = 0
 
     @classmethod
     def split(cls, pool: Pool, labeled_rows: np.ndarray, num_classes: int) -> "DatasetState":
         """Ground-truth one-hot labels on the given rows; every other row unlabeled."""
-        Y = np.zeros((len(pool), num_classes))
-        Y[labeled_rows, pool.truth[labeled_rows]] = 1.0
-        provenance = np.full(len(pool), UNLABELED, dtype=np.int8)
-        provenance[labeled_rows] = BY_TRUTH
-        return cls(pool, Y, provenance, labeled_rows)
+        return cls(pool, labeled_rows, np.eye(num_classes)[pool.truth[labeled_rows]], len(labeled_rows))
 
     @property
     def unlabeled_rows(self) -> np.ndarray:
-        return np.flatnonzero(self.provenance == UNLABELED)
+        free = np.ones(len(self.pool), dtype=bool)
+        free[self.labeled_rows] = False
+        return np.flatnonzero(free)
 
     @property
     def labeled(self) -> "PoolView":
@@ -106,14 +99,10 @@ class DatasetState:
         return PoolView(self, self.unlabeled_rows)
 
     def check_invariants(self) -> None:
-        """Every pool row is in exactly one of the labeled and unlabeled pools."""
-        lab = self.labeled_rows
-        both = np.sort(lab[self.provenance[lab] == UNLABELED])
-        if len(both):
-            raise TrainingError(f"pools overlap: {self.pool.ids[both][:5].tolist()}")
-        n_lab, n_unl = len(lab), len(self.unlabeled_rows)
-        if n_lab + n_unl != len(self.pool):
-            raise TrainingError(f"pool conservation violated: {n_lab} + {n_unl} != {len(self.pool)}")
+        """No row joined the labeled pool twice, so every row is in exactly one pool."""
+        twice = np.bincount(self.labeled_rows, minlength=len(self.pool)) > 1
+        if twice.any():
+            raise TrainingError(f"rows joined the labeled pool twice: {self.pool.ids[twice][:5].tolist()}")
 
 
 @dataclass(frozen=True)
@@ -128,11 +117,13 @@ class PoolView:
 
     def __iter__(self):
         s = self.state
-        for r in self.rows.tolist():
-            code = int(s.provenance[r])
+        position = np.full(len(s.pool), -1)  # of each row in labeled_rows
+        position[s.labeled_rows] = np.arange(len(s.labeled_rows))
+        for r, p in zip(self.rows.tolist(), position[self.rows].tolist()):
             yield Sample(
                 int(s.pool.ids[r]), int(s.pool.truth[r]),
-                None if code == UNLABELED else s.Y[r].copy(), PROVENANCE[code],
+                None if p < 0 else s.targets[p].copy(),
+                None if p < 0 else GROUND_TRUTH if p < s.num_truth else PSEUDO,
             )
 
 
@@ -160,7 +151,7 @@ class StageAudit:
 @dataclass
 class RunResult:
     live: ModelParams
-    ema: EmaParams
+    ema: ModelParams  # the EMA shadow of the live weights
     state: DatasetState
     stage_reports: list[StageReport]
     warmup_losses: list[dict]
@@ -187,7 +178,7 @@ def _flat(grids: np.ndarray) -> np.ndarray:
 def _train_epochs(
     params: ModelParams,
     opt: OptimizerState,
-    ema: EmaParams | None,
+    ema: ModelParams | None,
     state: DatasetState,
     epochs: int,
     cfg: ExperimentConfig,
@@ -205,9 +196,8 @@ def _train_epochs(
     if not epochs:
         return []  # nothing would read the cache
     logs = []
-    rows = state.labeled_rows
+    rows, targets = state.labeled_rows, state.targets
     n = len(rows)
-    targets = state.Y[rows]
     class_ids = targets.argmax(axis=1)
     weights = np.ones(n)
     starts = range(0, n, cfg.batch_size)
@@ -229,7 +219,7 @@ def _train_epochs(
             if not params.all_finite():
                 raise TrainingError("non-finite parameters after optimizer step")
             if ema is not None:
-                ema_update(ema, params)
+                ema_update(ema, params, cfg.ema_decay)
             if bank is not None:
                 bank.push(class_ids[idx], encode(params, _flat(grids)))
             sums += (breakdown.classification, breakdown.alignment, breakdown.total)
@@ -246,10 +236,13 @@ def warmup(
     rng_shuffle: np.random.Generator,
     rng_augment: np.random.Generator,
     bank,
-) -> tuple[EmaParams, list[dict]]:
-    """Supervised warm-up, then seed the bank with one push of the whole labeled pool."""
+) -> tuple[ModelParams, list[dict]]:
+    """Supervised warm-up, then seed the bank with one push of the whole labeled pool.
+
+    Returns the EMA shadow, a copy of the warmed-up weights, and the epoch logs.
+    """
     rows = state.labeled_rows
-    class_ids = state.Y[rows].argmax(axis=1)
+    class_ids = state.targets.argmax(axis=1)
     missing = set(range(cfg.num_classes)) - set(class_ids.tolist())
     if missing:
         raise ConfigurationError(f"unseeded class: no labeled samples for classes {sorted(missing)}")
@@ -257,8 +250,7 @@ def warmup(
         params, opt, None, state, cfg.epochs_warmup, cfg, rng_shuffle, rng_augment
     )
     bank.push(class_ids, encode(params, _flat(state.pool.grids[rows])))
-    ema = EmaParams.from_live(params, cfg.ema_decay)
-    return ema, logs
+    return params.copy(), logs
 
 
 def _ensemble_accuracy(
@@ -283,7 +275,7 @@ def _ensemble_accuracy(
 def run_stage(
     state: DatasetState,
     params: ModelParams,
-    ema: EmaParams,
+    ema: ModelParams,
     opt: OptimizerState,
     bank,
     cfg: ExperimentConfig,
@@ -301,11 +293,11 @@ def run_stage(
     ids, truth = pool.ids[unlabeled], pool.truth[unlabeled]
     fwd = forward(params, _flat(pool.grids[unlabeled]))
     feats, probs = fwd.features, fwd.probabilities
-    del fwd  # its inputs and activations would otherwise stay alive through retraining
+    del fwd  # its layer outputs would otherwise stay alive through retraining
     g = gate(bank.prototypes(), feats, cfg.gamma1, cfg.effective_gamma2(), cfg.temperature)
 
     rows = state.labeled_rows
-    labeled = (encode(params, _flat(pool.grids[rows])), state.Y[rows], pool.ids[rows])
+    labeled = (encode(params, _flat(pool.grids[rows])), state.targets, pool.ids[rows])
     chosen = np.flatnonzero(g.reliable)
     pseudo_acc, pred = _ensemble_accuracy(chosen, truth, probs, feats, g.posterior, labeled, cfg)
 
@@ -316,11 +308,11 @@ def run_stage(
         random_acc, _ = _ensemble_accuracy(pick, truth, probs, feats, g.posterior, labeled, cfg)
 
     # Migration: selected samples get a permanent pseudo-label and move pools.
-    picked = unlabeled[chosen]
     winners = pred.combined.argmax(axis=1)
-    state.Y[picked] = pred.combined if cfg.soft_pseudo_labels else np.eye(cfg.num_classes)[winners]
-    state.provenance[picked] = BY_PSEUDO
-    state.labeled_rows = np.concatenate([rows, picked])
+    labels = pred.combined if cfg.soft_pseudo_labels else np.eye(cfg.num_classes)[winners]
+    state.labeled_rows, state.targets = (
+        np.concatenate([rows, unlabeled[chosen]]), np.concatenate([state.targets, labels])
+    )
     state.check_invariants()
 
     logs = _train_epochs(
@@ -392,7 +384,7 @@ def build_pools(cfg: ExperimentConfig, seed: int) -> tuple[PoolView, PoolView, P
         order = np.argsort(train.ids, kind="stable")
         train = Pool(train.ids[order], train.grids[order], train.truth[order])
     split_rng_seed = int(substream(seed, STREAM_SPLIT).integers(0, 2**31 - 1))
-    labeled_rows, _ = split_labeled(train, cfg.labeled_ratio, split_rng_seed)
+    labeled_rows, _ = split_labeled(train, cfg.labeled_ratio, split_rng_seed, cfg.num_classes)
     state = DatasetState.split(train, labeled_rows, cfg.num_classes)
     return state.labeled, state.unlabeled, test
 
@@ -430,7 +422,7 @@ def run(cfg: ExperimentConfig, seed: int, collect_audits: bool = False) -> RunRe
         if stage_audits is not None:
             stage_audits.append(audit)
 
-    metrics = evaluate_params(ema.shadow, test_samples)
+    metrics = evaluate_params(ema, test_samples)
     metrics["config_warnings"] = notes
     return RunResult(
         live=params,
@@ -495,7 +487,7 @@ def write_run_dir(out_dir, cfg: ExperimentConfig, seed: int, result: RunResult) 
     )
     height, width = result.state.pool.grids.shape[1:]
     save_checkpoint(
-        out / "checkpoint.npz", result.live, result.ema.shadow,
+        out / "checkpoint.npz", result.live, result.ema,
         {"seed": seed, "num_classes": cfg.num_classes, "height": height, "width": width},
     )
 

@@ -101,10 +101,12 @@ def gamma2_from_gamma1(gamma1: float) -> float:
 
 
 def max_attainable_posterior(num_classes: int, temperature: float) -> float:
-    """Largest softmax entry reachable from cosine similarities in [-1, 1]."""
-    hi = math.exp(1.0 / temperature)
-    lo = math.exp(-1.0 / temperature)
-    return hi / (hi + (num_classes - 1) * lo)
+    """Largest softmax entry reachable from cosine similarities in [-1, 1].
+
+    That is e^(1/t) / (e^(1/t) + (K - 1) e^(-1/t)), written so that no
+    exponent is positive and a tiny temperature cannot overflow.
+    """
+    return 1.0 / (1.0 + (num_classes - 1) * math.exp(-2.0 / temperature))
 
 
 def reachability_warning(num_classes: int, temperature: float, gamma1: float) -> str | None:

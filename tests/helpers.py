@@ -46,8 +46,7 @@ def train_epochs_per_batch(
 ):
     """`orchestrator._train_epochs` with both views made per batch by make_views, nothing cached."""
     logs = []
-    rows = state.labeled_rows
-    targets = state.Y[rows]
+    rows, targets = state.labeled_rows, state.targets
     class_ids = targets.argmax(axis=1)
     weights = np.ones(len(rows))
     starts = range(0, len(rows), cfg.batch_size)
@@ -65,7 +64,7 @@ def train_epochs_per_batch(
             if not params.all_finite():
                 raise TrainingError("non-finite parameters after optimizer step")
             if ema is not None:
-                ema_update(ema, params)
+                ema_update(ema, params, cfg.ema_decay)
             if bank is not None:
                 bank.push(class_ids[idx], encode(params, grids.reshape(len(grids), -1)))
             sums += (breakdown.classification, breakdown.alignment, breakdown.total)

@@ -111,7 +111,7 @@ class TestGenerateData:
         code = main(["generate-data", "--out", str(out / "train.csv"),
                      "--test-out", str(out / "test.csv"), "--test-per-class", "0"])
         assert code == 2
-        assert capsys.readouterr().err.startswith("error: class_counts: ")
+        assert capsys.readouterr().err == "error: --test-per-class: must be >= 1, got 0\n"
         assert list(out.iterdir()) == []
 
 
@@ -208,6 +208,29 @@ class TestTrain:
         assert main(["train", "--config", str(cfg_path), "--out-dir", str(out)]) == 1
         assert capsys.readouterr().err == "config error: test_csv: required when data_csv is given\n"
         assert not (out / "config.txt").exists()
+
+    def test_zero_test_per_class_exits_one_writing_nothing(self, tmp_path, capsys):
+        cfg_path, _ = write_config(tmp_path, test_per_class=0)
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg_path), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == "config error: test_per_class: must be >= 1, got 0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_tiny_temperature_exits_zero(self, tmp_path, command):
+        # exp(1/t) overflows a float below t ~ 0.0014; the gate's reachable cap must not
+        cfg_path, _ = write_config(tmp_path, temperature=1e-3)
+        sweep = ["--sweep", "gamma1"] if command == "ablate" else []
+        assert main([command, "--config", str(cfg_path), "--out-dir", str(tmp_path / "o"), *sweep]) == 0
+
+    @pytest.mark.parametrize("missing", [(3,), (1,), (1, 3)])
+    def test_training_csv_without_a_class_exits_two(self, tmp_path, capsys, missing):
+        train, test = write_csv_pair(tmp_path)
+        lines = train.read_text().splitlines(keepends=True)
+        train.write_text("".join(lines[:2] + [r for r in lines[2:] if int(r.split(",")[1]) not in missing]))
+        cfg_path, _ = write_config(tmp_path, data_csv=str(train), test_csv=str(test))
+        assert main(["train", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: classes with zero samples: {list(missing)}\n"
 
     def test_repeated_seed_exits_one_before_training(self, tmp_path, capsys):
         cfg_path, _ = write_config(tmp_path)
@@ -635,7 +658,7 @@ def test_unattainable_gate_warns_once_per_command(tmp_path, one_core):
 
 # --- property: malformed inputs end in an exit code, never a traceback -------
 
-BAD_VALUES = ("nan", "inf", "1e309", "-1", "0", "2", "0.5", "abc", "")
+BAD_VALUES = ("nan", "inf", "1e309", "-1", "0", "2", "0.5", "1e-3", "abc", "")
 PROPERTY_CONFIG = """\
 data_csv = {train}
 test_csv = {test}

@@ -76,6 +76,7 @@ class TestValidate:
             ({"gamma1": 0.25, "gamma2": 0.1}, "gamma1"),  # gamma1 <= 1/K
             ({"seeds": ()}, "seeds"),
             ({"seeds": (1, 1)}, "seeds"),
+            ({"test_per_class": 0}, "test_per_class"),
         ],
     )
     def test_rejections_name_the_field(self, kwargs, field):

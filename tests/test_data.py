@@ -87,21 +87,21 @@ class TestBalancedTestSpec:
 class TestSplit:
     def test_stratified_ceil_counts(self):
         samples = generate(DEFAULT)
-        labeled, unlabeled = split_labeled(samples, 0.10, seed=0)
+        labeled, unlabeled = split_labeled(samples, 0.10, seed=0, num_classes=4)
         assert np.bincount(samples.truth[labeled]).tolist() == [50, 20, 6, 2]
         assert len(labeled) + len(unlabeled) == len(samples)
         assert (np.diff(labeled) > 0).all() and (np.diff(unlabeled) > 0).all()
 
     def test_minimum_one_per_class(self):
         samples = generate(SyntheticSpec(class_counts=(40, 40, 40, 3)))
-        labeled, _ = split_labeled(samples, 0.01, seed=1)
+        labeled, _ = split_labeled(samples, 0.01, seed=1, num_classes=4)
         per = np.bincount(samples.truth[labeled], minlength=4)
         assert (per >= 1).all()
         assert per[3] == 1  # ceil(0.01 * 3) = 1
 
     def test_disjoint_ids(self):
         samples = generate(SyntheticSpec(class_counts=(10, 10, 10, 10)))
-        labeled, unlabeled = split_labeled(samples, 0.3, seed=2)
+        labeled, unlabeled = split_labeled(samples, 0.3, seed=2, num_classes=4)
         ids_l = set(samples.ids[labeled].tolist())
         ids_u = set(samples.ids[unlabeled].tolist())
         assert not (ids_l & ids_u)
@@ -110,21 +110,30 @@ class TestSplit:
     def test_split_deterministic(self):
         a = generate(SyntheticSpec(class_counts=(20, 20, 20, 20)))
         b = generate(SyntheticSpec(class_counts=(20, 20, 20, 20)))
-        la, _ = split_labeled(a, 0.25, seed=3)
-        lb, _ = split_labeled(b, 0.25, seed=3)
+        la, _ = split_labeled(a, 0.25, seed=3, num_classes=4)
+        lb, _ = split_labeled(b, 0.25, seed=3, num_classes=4)
         np.testing.assert_array_equal(la, lb)
 
     def test_bad_ratio_rejected(self):
         samples = generate(SyntheticSpec(class_counts=(5, 5, 5, 5)))
         for ratio in (0.0, -0.1, 1.5):
             with pytest.raises(InputDomainError):
-                split_labeled(samples, ratio, seed=0)
+                split_labeled(samples, ratio, seed=0, num_classes=4)
+
+    @pytest.mark.parametrize("missing", [(3,), (1,), (0, 1, 3)])
+    def test_every_missing_class_named(self, missing):
+        samples = generate(SyntheticSpec(class_counts=(5, 5, 5, 5)))
+        keep = ~np.isin(samples.truth, missing)
+        pool = Pool(samples.ids[keep], samples.grids[keep], samples.truth[keep])
+        with pytest.raises(InputDomainError) as err:
+            split_labeled(pool, 0.5, seed=0, num_classes=4)
+        assert str(err.value) == f"classes with zero samples: {list(missing)}"
 
 
 class TestCsvRoundTrip:
     def test_bit_exact_round_trip(self, tmp_path):
         samples = generate(SyntheticSpec(class_counts=(4, 3, 2, 1)))
-        _, unlabeled = split_labeled(samples, 0.5, seed=0)
+        _, unlabeled = split_labeled(samples, 0.5, seed=0, num_classes=4)
         samples.truth[unlabeled] = -1  # persist them as unlabeled rows
         path = tmp_path / "data.csv"
         save_csv(samples, path, 4)

@@ -6,7 +6,6 @@ import pytest
 from splal.errors import InputDomainError, TrainingError
 from splal.loss import make_views, total_loss
 from splal.model import (
-    EmaParams,
     Gradients,
     ModelParams,
     OptimizerState,
@@ -204,43 +203,39 @@ class TestEma:
     def test_decay_zero_copies_live(self):
         rng = np.random.default_rng(6)
         live = tiny_net(rng)
-        ema = EmaParams.from_live(tiny_net(rng), decay=0.0)
-        ema_update(ema, live)
-        np.testing.assert_array_equal(ema.shadow.flatten(), live.flatten())
+        shadow = tiny_net(rng)
+        ema_update(shadow, live, 0.0)
+        np.testing.assert_array_equal(shadow.flatten(), live.flatten())
 
     def test_decay_one_freezes_shadow(self):
         rng = np.random.default_rng(7)
         live = tiny_net(rng)
-        ema = EmaParams.from_live(tiny_net(rng), decay=1.0)
-        before = ema.shadow.flatten()
-        ema_update(ema, live)
-        np.testing.assert_array_equal(ema.shadow.flatten(), before)
+        shadow = tiny_net(rng)
+        before = shadow.flatten()
+        ema_update(shadow, live, 1.0)
+        np.testing.assert_array_equal(shadow.flatten(), before)
 
     def test_two_half_updates(self):
         live = ModelParams(hidden=[], classifier=(np.array([[1.0]]), np.array([1.0])))
         shadow = ModelParams(hidden=[], classifier=(np.array([[0.0]]), np.array([0.0])))
-        ema = EmaParams(shadow=shadow, decay=0.5)
-        ema_update(ema, live)
-        ema_update(ema, live)
-        assert ema.shadow.classifier[0][0, 0] == pytest.approx(0.75, abs=1e-15)
+        ema_update(shadow, live, 0.5)
+        ema_update(shadow, live, 0.5)
+        assert shadow.classifier[0][0, 0] == pytest.approx(0.75, abs=1e-15)
 
     def test_closed_form_on_scalar_sequence(self):
         rng = np.random.default_rng(8)
         rho = 0.9
         shadow0 = 0.3
         lives = rng.normal(size=12)
-        ema = EmaParams(
-            shadow=ModelParams(hidden=[], classifier=(np.array([[shadow0]]), np.array([0.0]))),
-            decay=rho,
-        )
+        shadow = ModelParams(hidden=[], classifier=(np.array([[shadow0]]), np.array([0.0])))
         for value in lives:
             live = ModelParams(hidden=[], classifier=(np.array([[value]]), np.array([0.0])))
-            ema_update(ema, live)
+            ema_update(shadow, live, rho)
         t = len(lives)
         expected = rho ** t * shadow0 + (1 - rho) * sum(
             rho ** (t - 1 - i) * lives[i] for i in range(t)
         )
-        assert ema.shadow.classifier[0][0, 0] == pytest.approx(expected, abs=1e-12)
+        assert shadow.classifier[0][0, 0] == pytest.approx(expected, abs=1e-12)
 
 
 class TestCheckpoint:
@@ -335,16 +330,21 @@ class TestFlatLayout:
 # Per-tensor reference of the training step: every (W, b) its own array,
 # every expression a fresh temporary, as the update rules are written.
 
-def ref_backward(arrays, fwd, dlogits):
-    Ws = arrays[::2]
+def ref_backward(arrays, X, dlogits):
+    # The forward pass is recomputed here, each pre-activation from the
+    # weights and the layer below, so nothing is read from a ForwardRecord.
+    Ws, bs = arrays[::2], arrays[1::2]
+    below, pre = [X], []
+    for W, b in zip(Ws[:-1], bs[:-1]):
+        pre.append(below[-1] @ W + b)
+        below.append(np.maximum(pre[-1], 0.0))
     grads = [np.zeros_like(a) for a in arrays]
-    grads[-2][...] = fwd.features.T @ dlogits
+    grads[-2][...] = below[-1].T @ dlogits
     grads[-1][...] = dlogits.sum(axis=0)
     dh = dlogits @ Ws[-1].T
     for i in range(len(Ws) - 2, -1, -1):
-        da = dh * (fwd.pre_activations[i] > 0)
-        below = fwd.inputs if i == 0 else fwd.activations[i - 1]
-        grads[2 * i][...] = below.T @ da
+        da = dh * (pre[i] > 0)
+        grads[2 * i][...] = below[i].T @ da
         grads[2 * i + 1][...] = da.sum(axis=0)
         dh = da @ Ws[i].T
     return grads
@@ -376,7 +376,7 @@ class TestFusedStepMatchesPerTensorReference:
         rng = np.random.default_rng(16)
         params = init_params(side * side, widths, classes, rng)
         opt = OptimizerState.for_params(params, learning_rate=0.01)
-        ema = EmaParams.from_live(params, 0.9)
+        shadow = params.copy()
         ref = [a.copy() for a in params.arrays()]
         ref_m = [np.zeros_like(a) for a in ref]
         ref_v = [np.zeros_like(a) for a in ref]
@@ -391,25 +391,26 @@ class TestFusedStepMatchesPerTensorReference:
                                   stop_gradient=stop_gradient)
 
             net = ModelParams(hidden=list(zip(ref[:-2:2], ref[1:-2:2])), classifier=(ref[-2], ref[-1]))
-            fwd, fwd_weak, fwd_strong = (forward(net, x.reshape(B, -1)) for x in (grids, weak, strong))
+            X, X_weak, X_strong = (x.reshape(B, -1) for x in (grids, weak, strong))
+            fwd, fwd_weak, fwd_strong = (forward(net, x) for x in (X, X_weak, X_strong))
             _, dlogits = ce_value_and_dlogits(fwd, targets, weights)
-            ref_grads = ref_backward(ref, fwd, lam1 * dlogits)
+            ref_grads = ref_backward(ref, X, lam1 * dlogits)
             p_weak, p_strong = fwd_weak.probabilities, fwd_strong.probabilities
-            parts = [(fwd_strong, lam2 * (p_strong - p_weak) / B)]
+            parts = [(X_strong, lam2 * (p_strong - p_weak) / B)]
             if not stop_gradient:
                 dprobs = lam2 * (-np.log(np.clip(p_strong, LOG_EPS, 1.0))) / B
                 inner = (dprobs * p_weak).sum(axis=1, keepdims=True)
-                parts.append((fwd_weak, p_weak * (dprobs - inner)))
-            for record, dl in parts:
-                for mine, theirs in zip(ref_grads, ref_backward(ref, record, dl)):
+                parts.append((X_weak, p_weak * (dprobs - inner)))
+            for x, dl in parts:
+                for mine, theirs in zip(ref_grads, ref_backward(ref, x, dl)):
                     mine += 1.0 * theirs
             assert np.array_equal(grads.flat, concat(ref_grads))
 
             adam_step(params, grads, opt)
             ref_adam(ref, ref_grads, ref_m, ref_v, t, 0.01, 0.9, 0.999, 1e-8)
-            ema_update(ema, params)
+            ema_update(shadow, params, 0.9)
             ref_ema(ref_shadow, ref, 0.9)
             assert np.array_equal(params.flat, concat(ref))
             assert np.array_equal(opt.m, concat(ref_m))
             assert np.array_equal(opt.v, concat(ref_v))
-            assert np.array_equal(ema.shadow.flat, concat(ref_shadow))
+            assert np.array_equal(shadow.flat, concat(ref_shadow))

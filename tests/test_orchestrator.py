@@ -8,14 +8,13 @@ from splal import orchestrator
 from splal.config import ExperimentConfig, load_config
 from splal.data import GROUND_TRUTH, PSEUDO, Pool, SyntheticSpec, generate, save_csv, split_labeled
 from splal.errors import ConfigurationError, TrainingError
-from splal.model import EmaParams, OptimizerState, init_params
+from splal.model import OptimizerState, init_params
 from splal.orchestrator import (
     _synthetic_pool,
     STREAM_AUGMENT,
     STREAM_INIT,
     STREAM_SHUFFLE,
     STREAM_SPLIT,
-    BY_PSEUDO,
     DatasetState,
     _train_epochs,
     build_pools,
@@ -74,28 +73,22 @@ def pool_of(grids, truth) -> Pool:
 
 
 class TestInvariants:
-    def _state(self, n=2):
-        # Row 0 labeled, the rest unlabeled.
-        return DatasetState.split(pool_of(np.zeros((n, 2, 2)), np.zeros(n, dtype=int)), np.array([0]), 1)
+    def _state(self, n=3):
+        # Row 0 labeled, the rest unlabeled; ids 10, 11, ...
+        pool = Pool(np.arange(10, 10 + n), np.zeros((n, 2, 2)), np.zeros(n, dtype=int))
+        return DatasetState.split(pool, np.array([0]), 1)
 
-    def test_overlap_detected(self):
+    def test_row_joined_twice_detected(self):
         state = self._state()
-        state.labeled_rows = np.array([0, 1])  # row 1 joined without a provenance
-        with pytest.raises(TrainingError, match="overlap"):
+        state.labeled_rows = np.array([0, 2, 1, 2])  # row 2 joined twice
+        with pytest.raises(TrainingError, match=r"joined the labeled pool twice: \[12\]"):
             state.check_invariants()
-
-    def test_conservation_detected(self):
-        state = self._state(3)
-        state.provenance[1] = BY_PSEUDO  # pseudo-labeled, but never joined the labeled rows
-        with pytest.raises(TrainingError, match=r"conservation violated: 1 \+ 1 != 3"):
-            state.check_invariants()
-        state = self._state(3)
-        state.labeled_rows = np.array([0, 0])  # joined twice
-        with pytest.raises(TrainingError, match="conservation"):
-            state.check_invariants()
+        assert state.unlabeled_rows.tolist() == []
 
     def test_valid_state_passes(self):
-        self._state().check_invariants()
+        state = self._state()
+        state.check_invariants()
+        assert state.unlabeled_rows.tolist() == [1, 2]
 
 
 class TestWarmup:
@@ -131,7 +124,7 @@ class TestWarmup:
         assert len(logs) == cfg.epochs_warmup
         assert [len(bank.queue_contents(k)) for k in range(4)] == [2, 1, 2, 1]
         # EMA shadow starts as an exact copy of the post-warm-up weights
-        np.testing.assert_array_equal(ema.shadow.classifier[0], params.classifier[0])
+        np.testing.assert_array_equal(ema.classifier[0], params.classifier[0])
 
 
 class TestStrongViewCache:
@@ -144,7 +137,7 @@ class TestStrongViewCache:
         state = DatasetState.split(pool, labeled_rows, 4)
         params = init_params(side * side, cfg.hidden_widths, 4, np.random.default_rng(seed + 1))
         opt = OptimizerState.for_params(params, cfg.learning_rate)
-        ema = EmaParams.from_live(params, cfg.ema_decay)
+        ema = params.copy()
         bank = PrototypeBank(4, params.feature_dim, cfg.queue_capacity)
         return state, params, opt, ema, bank
 
@@ -162,7 +155,7 @@ class TestStrongViewCache:
         assert logs == ref[0]
         assert np.array_equal(params.flat, ref[1].flat)
         assert np.array_equal(opt.m, ref[2].m) and np.array_equal(opt.v, ref[2].v)
-        assert np.array_equal(ema.shadow.flat, ref[3].shadow.flat)
+        assert np.array_equal(ema.flat, ref[3].flat)
         for k in range(4):
             assert np.array_equal(bank.queue_contents(k), ref[4].queue_contents(k))
         assert shuffle.bit_generator.state == ref[5].bit_generator.state
@@ -199,7 +192,7 @@ class TestFullRun:
         a = run(cfg, seed=7)
         b = run(cfg, seed=7)
         np.testing.assert_array_equal(a.live.classifier[0], b.live.classifier[0])
-        np.testing.assert_array_equal(a.ema.shadow.classifier[0], b.ema.shadow.classifier[0])
+        np.testing.assert_array_equal(a.ema.classifier[0], b.ema.classifier[0])
         assert a.metrics["accuracy"] == b.metrics["accuracy"]
         assert a.metrics["confusion"] == b.metrics["confusion"]
         assert [r.num_selected for r in a.stage_reports] == [
@@ -225,7 +218,8 @@ class TestFullRun:
             assert s.visible_label is not None
             assert s.true_label is not None  # hidden truth never erased
         pseudo = {s.sample_id for s in result.state.labeled if s.provenance == PSEUDO}
-        assert pseudo == set(result.state.pool.ids[result.state.provenance == BY_PSEUDO].tolist())
+        state = result.state
+        assert pseudo == set(state.pool.ids[state.labeled_rows[state.num_truth:]].tolist())
         for s in result.state.unlabeled:
             assert s.provenance is None and s.visible_label is None
 
@@ -238,7 +232,7 @@ class TestFullRun:
         for seed in range(4):
             result = run(cfg, seed=seed, collect_audits=True)
             split_seed = int(substream(seed, STREAM_SPLIT).integers(0, 2**31 - 1))
-            expected = pool.ids[split_labeled(pool, cfg.labeled_ratio, split_seed)[0]].tolist()
+            expected = pool.ids[split_labeled(pool, cfg.labeled_ratio, split_seed, 4)[0]].tolist()
             assert [a.stage for a in result.stage_audits] == list(range(len(result.stage_reports)))
             for audit in result.stage_audits:
                 expected += sorted(audit.ids[audit.chosen].tolist())
@@ -264,7 +258,7 @@ class TestFullRun:
     def test_metrics_are_from_ema_shadow(self):
         cfg = tiny_config()
         result = run(cfg, seed=6)
-        again = evaluate_params(result.ema.shadow, result.test_samples)
+        again = evaluate_params(result.ema, result.test_samples)
         assert again["accuracy"] == result.metrics["accuracy"]
         assert again["confusion"] == result.metrics["confusion"]
 
@@ -317,7 +311,7 @@ class TestSyntheticPoolCache:
         assert _synthetic_pool.cache_info().hits == 4
         assert json.dumps(again.metrics) == json.dumps(fresh.metrics)
         assert np.array_equal(again.live.flat, fresh.live.flat)
-        assert np.array_equal(again.ema.shadow.flat, fresh.ema.shadow.flat)
+        assert np.array_equal(again.ema.flat, fresh.ema.flat)
         assert again.warmup_losses == fresh.warmup_losses
 
 
@@ -419,7 +413,7 @@ class TestRunDir:
         write_run_dir(out, cfg, 12, result)
         live, ema, meta = load_checkpoint(out / "checkpoint.npz")
         np.testing.assert_array_equal(live.classifier[0], result.live.classifier[0])
-        np.testing.assert_array_equal(ema.classifier[0], result.ema.shadow.classifier[0])
+        np.testing.assert_array_equal(ema.classifier[0], result.ema.classifier[0])
         assert meta["seed"] == 12
 
 

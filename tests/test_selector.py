@@ -209,6 +209,11 @@ class TestReachability:
         assert cap == pytest.approx(math.e / (math.e + 6 / math.e), abs=1e-12)
         assert cap == pytest.approx(0.552, abs=1e-3)
 
+    def test_tiny_temperature_cap_is_one(self):
+        # exp(1 / 1e-3) would overflow a float; the cap does not need it
+        assert max_attainable_posterior(4, 1e-3) == 1.0
+        assert reachability_warning(4, 1e-3, 0.99) is None
+
     def test_warning_when_gate_unattainable(self):
         msg = reachability_warning(7, 1.0, 0.99)
         assert msg is not None and "unattainable" in msg
