@@ -18,8 +18,7 @@ from .data import (
     SyntheticSpec,
     balanced_test_spec,
     generate,
-    load_csv,
-    require_labels,
+    load_eval_csv,
     save_csv,
     write_manifest,
 )
@@ -144,16 +143,7 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     live, ema, meta = load_checkpoint(args.checkpoint)
-    samples, h, w, k = load_csv(args.data)
-    if (h, w) != (meta["height"], meta["width"]):
-        raise ConfigurationError(
-            f"data: grid shape {h}x{w} does not match the checkpoint's {meta['height']}x{meta['width']}"
-        )
-    if k != ema.num_classes:
-        raise ConfigurationError(
-            f"data: {k} classes do not match checkpoint classifier width {ema.num_classes}"
-        )
-    require_labels(samples, "data")
+    samples = load_eval_csv(args.data, "data", meta["height"], meta["width"], ema.num_classes)
     metrics = evaluate_params(ema, samples)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

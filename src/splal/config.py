@@ -7,9 +7,9 @@ import warnings
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .data import SyntheticSpec
-from .errors import ConfigurationError, InputDomainError
-from .selector import gamma2_from_gamma1, reachability_warning
+from .data import SyntheticSpec, check_num_classes
+from .errors import ConfigurationError, InputDomainError, check_convex
+from .selector import check_gate, gamma2_from_gamma1, reachability_warning
 
 MODES = ("splal", "baseline")
 
@@ -93,12 +93,13 @@ class ExperimentConfig:
             fail("seeds", f"each seed may appear once, got {','.join(map(str, self.seeds))}")
         if min(self.seeds) < 0 or self.data_seed < 0:
             fail("seeds/data_seed", "must be nonnegative")
-        if self.data_csv is None:
-            try:
+        try:
+            check_num_classes(self.num_classes)
+            if self.data_csv is None:
                 self.synthetic_spec().validate()
-            except InputDomainError as exc:
-                raise ConfigurationError(str(exc)) from exc
-        elif self.test_csv is None:
+        except InputDomainError as exc:
+            raise ConfigurationError(str(exc)) from exc
+        if self.data_csv is not None and self.test_csv is None:
             fail("test_csv", "required when data_csv is given")
         for f in fields(self):
             value = getattr(self, f.name)
@@ -106,20 +107,9 @@ class ExperimentConfig:
                 fail(f.name, f"must be finite, got {value}")
         if not (0 < self.labeled_ratio <= 1):
             fail("labeled_ratio", f"must lie in (0, 1], got {self.labeled_ratio}")
-        if abs(self.lam1 + self.lam2 - 1.0) > 1e-9 or self.lam1 < 0 or self.lam2 < 0:
-            fail("lam1/lam2", f"must be nonnegative and sum to 1, got ({self.lam1}, {self.lam2})")
-        alphas = (self.alpha1, self.alpha2, self.alpha3)
-        if min(alphas) < 0 or abs(sum(alphas) - 1.0) > 1e-9:
-            fail("alpha1/alpha2/alpha3", f"must be nonnegative and sum to 1, got {alphas}")
-        # The gate needs gamma1 > 1/K: a uniform posterior must not pass it.
-        chance = 1 / self.num_classes if self.num_classes > 0 else 0.0
-        if not (chance < self.gamma1 <= 1):
-            fail("gamma1", f"must lie in (1/num_classes, 1] = ({chance:g}, 1], got {self.gamma1}")
-        g2 = self.effective_gamma2()
-        if not (0 <= g2 < self.gamma1):
-            fail("gamma2", f"must lie in [0, gamma1), got {g2}")
-        if self.temperature <= 0:
-            fail("temperature", f"must be positive, got {self.temperature}")
+        check_convex("lam1/lam2", (self.lam1, self.lam2))
+        check_convex("alpha1/alpha2/alpha3", (self.alpha1, self.alpha2, self.alpha3))
+        check_gate(self.num_classes, self.gamma1, self.effective_gamma2(), self.temperature)
         if self.knn_k < 1:
             fail("knn_k", "must be >= 1")
         if self.test_per_class < 1:

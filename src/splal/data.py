@@ -63,8 +63,7 @@ class SyntheticSpec:
     def validate(self) -> None:
         """Raise InputDomainError, its message starting with the offending field."""
         counts = self.class_counts
-        if self.num_classes < 2:
-            raise InputDomainError("num_classes: need at least 2 classes")
+        check_num_classes(self.num_classes)
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise InputDomainError(f"noise_sigma: must be finite and nonnegative, got {self.noise_sigma}")
         if self.seed < 0:
@@ -75,6 +74,12 @@ class SyntheticSpec:
             raise InputDomainError(f"class_counts: length {len(counts)} != num_classes {self.num_classes}")
         if any(c < 1 for c in counts):
             raise InputDomainError(f"class_counts: every class needs at least one sample, got {counts}")
+
+
+def check_num_classes(num_classes: int) -> None:
+    """Raise InputDomainError unless there are at least 2 classes, whatever the data source."""
+    if num_classes < 2:
+        raise InputDomainError("num_classes: need at least 2 classes")
 
 
 def _centered_coords(h: int, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -291,13 +296,19 @@ def _check_rows(rows: np.ndarray, k: int) -> None:
     raise ParseError(f"duplicate sample id {ids[i]} (first on line {first_row + 3})", line=i + 3)
 
 
-def require_labels(samples: Pool, source: str) -> None:
-    """Reject an evaluation set with unlabeled (label -1) rows."""
+def load_eval_csv(path, source: str, height: int, width: int, num_classes: int) -> Pool:
+    """An evaluation CSV's pool; ConfigurationError unless it fits the model and every row is labeled."""
+    samples, h, w, k = load_csv(path)
+    if (h, w) != (height, width):
+        raise ConfigurationError(f"{source}: grid shape {h}x{w} does not match the model's {height}x{width}")
+    if k != num_classes:
+        raise ConfigurationError(f"{source}: {k} classes do not match the model's {num_classes}")
     unlabeled = samples.ids[samples.truth < 0]
     if len(unlabeled):
         raise ConfigurationError(
             f"{source}: evaluation set must be fully labeled; unlabeled ids {unlabeled[:5].tolist()}"
         )
+    return samples
 
 
 def file_sha256(path) -> str:

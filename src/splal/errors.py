@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the engine."""
+"""Exception hierarchy shared across the engine, and the one convexity rule for weights."""
 
 
 class SplalError(Exception):
@@ -29,3 +29,10 @@ class ParseError(SplalError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+def check_convex(name: str, weights) -> None:
+    """Raise ConfigurationError, naming the fields, unless the weights are nonnegative and sum to 1."""
+    if not (abs(sum(weights) - 1.0) <= 1e-9 and min(weights) >= 0):
+        got = ", ".join(map(str, weights))
+        raise ConfigurationError(f"{name}: must be nonnegative and sum to 1, got ({got})")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import FLIP_PROB, strong_augment, weak_augment
-from .errors import ConfigurationError
+from .errors import check_convex
 from .model import (
     Gradients,
     ModelParams,
@@ -24,8 +24,6 @@ from .model import (
     forward,
 )
 from .numerics import LOG_EPS
-
-LAMBDA_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -55,7 +53,7 @@ def total_loss(
     params: ModelParams,
     grids: np.ndarray,
     targets: np.ndarray,
-    weights: np.ndarray,
+    weights: np.ndarray | float,
     weak_grids: np.ndarray,
     strong_grids: np.ndarray,
     lam1: float,
@@ -68,8 +66,7 @@ def total_loss(
     Views must be precomputed (see make_views) so the whole computation is
     a pure function of its arguments.
     """
-    if abs(lam1 + lam2 - 1.0) > LAMBDA_TOL or lam1 < 0 or lam2 < 0:
-        raise ConfigurationError(f"loss weights must be nonnegative and sum to 1, got ({lam1}, {lam2})")
+    check_convex("lam1/lam2", (lam1, lam2))
     B = grids.shape[0]
     flat = grids.reshape(B, -1)
     fwd = forward(params, flat)

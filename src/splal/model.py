@@ -228,12 +228,13 @@ def dlogits_from_dprobs(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
 
 
 def ce_value_and_dlogits(
-    fwd: ForwardRecord, targets: np.ndarray, weights: np.ndarray
+    fwd: ForwardRecord, targets: np.ndarray, weights: np.ndarray | float
 ) -> tuple[float, np.ndarray]:
     """Weighted mean cross-entropy over a batch and its logit gradient.
 
     Targets are rows on the probability simplex; the gradient treats them
-    as constants (stop-gradient on the target side).
+    as constants (stop-gradient on the target side). The weights are one
+    per row, or one scalar for every row.
     """
     if targets.shape != fwd.probabilities.shape:
         raise InputDomainError(
@@ -243,7 +244,7 @@ def ce_value_and_dlogits(
     clipped = np.clip(fwd.probabilities, LOG_EPS, 1.0)
     per_sample = -(targets * np.log(clipped)).sum(axis=1)
     value = float((weights * per_sample).sum() / B)
-    dlogits = (weights[:, None] * (fwd.probabilities - targets)) / B
+    dlogits = (np.reshape(weights, (-1, 1)) * (fwd.probabilities - targets)) / B
     return value, dlogits
 
 

@@ -27,7 +27,7 @@ from .data import (
     balanced_test_spec,
     generate,
     load_csv,
-    require_labels,
+    load_eval_csv,
     split_labeled,
 )
 from .errors import ConfigurationError, TrainingError
@@ -172,7 +172,7 @@ class RunResult:
 
 
 def _flat(grids: np.ndarray) -> np.ndarray:
-    return grids.reshape(len(grids), -1)
+    return grids.reshape(len(grids), np.prod(grids.shape[1:], dtype=int))  # n may be 0
 
 
 def _train_epochs(
@@ -189,9 +189,10 @@ def _train_epochs(
 ) -> list[dict]:
     """Train on the labeled pool; optionally keep the bank and EMA fresh.
 
-    Targets, weights, class ids and strong views are built once per call, the
-    blur a batch-sized chunk at a time (one blur of the whole set would hold ~4x
-    the cache in temporaries); each batch gathers its grids and draws its flips.
+    Class ids and strong views are built once per call, the blur a
+    batch-sized chunk at a time (one blur of the whole set would hold ~4x the
+    cache in temporaries); each batch gathers its grids and draws its flips.
+    Every row weighs 1.
     """
     if not epochs:
         return []  # nothing would read the cache
@@ -199,7 +200,6 @@ def _train_epochs(
     rows, targets = state.labeled_rows, state.targets
     n = len(rows)
     class_ids = targets.argmax(axis=1)
-    weights = np.ones(n)
     starts = range(0, n, cfg.batch_size)
     strong_all = np.empty((n,) + state.pool.grids.shape[1:])
     for start in starts:
@@ -213,7 +213,7 @@ def _train_epochs(
             grids = state.pool.grids[rows[idx]]
             weak, _ = weak_views(grids, rng_augment)
             breakdown, grads = total_loss(
-                params, grids, targets[idx], weights[idx], weak, strong_all[idx], cfg.lam1, cfg.lam2
+                params, grids, targets[idx], 1.0, weak, strong_all[idx], cfg.lam1, cfg.lam2
             )
             adam_step(params, grads, opt)
             if not params.all_finite():
@@ -240,12 +240,10 @@ def warmup(
     """Supervised warm-up, then seed the bank with one push of the whole labeled pool.
 
     Returns the EMA shadow, a copy of the warmed-up weights, and the epoch logs.
+    A class with no labeled row stays unseeded, and `bank.prototypes()` names it.
     """
     rows = state.labeled_rows
     class_ids = state.targets.argmax(axis=1)
-    missing = set(range(cfg.num_classes)) - set(class_ids.tolist())
-    if missing:
-        raise ConfigurationError(f"unseeded class: no labeled samples for classes {sorted(missing)}")
     logs = _train_epochs(
         params, opt, None, state, cfg.epochs_warmup, cfg, rng_shuffle, rng_augment
     )
@@ -370,10 +368,7 @@ def build_pools(cfg: ExperimentConfig, seed: int) -> tuple[PoolView, PoolView, P
             raise ConfigurationError(
                 f"data_csv: file declares {k} classes, config says {cfg.num_classes}"
             )
-        test, th, tw, tk = load_csv(cfg.test_csv)
-        if (th, tw, tk) != (h, w, k):
-            raise ConfigurationError("test_csv: shape metadata differs from data_csv")
-        require_labels(test, "test_csv")
+        test = load_eval_csv(cfg.test_csv, "test_csv", h, w, k)
     else:
         spec = cfg.synthetic_spec()
         train = _synthetic_pool(spec)

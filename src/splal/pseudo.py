@@ -6,10 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InputDomainError
+from .errors import ConfigurationError, InputDomainError, check_convex
 from .numerics import pow2_scaled_rows
-
-ALPHA_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -67,9 +65,8 @@ def combine(
     alphas: tuple[float, float, float],
 ) -> np.ndarray:
     """Elementwise convex combination of the three component predictions."""
+    check_convex("alpha1/alpha2/alpha3", alphas)
     a1, a2, a3 = alphas
-    if min(a1, a2, a3) < 0 or abs(a1 + a2 + a3 - 1.0) > ALPHA_TOL:
-        raise ConfigurationError(f"alphas must be nonnegative and sum to 1, got {alphas}")
     if not (np.shape(linear) == np.shape(knn) == np.shape(similarity)):
         raise InputDomainError("component prediction length mismatch")
     return a1 * np.asarray(linear) + a2 * np.asarray(knn) + a3 * np.asarray(similarity)

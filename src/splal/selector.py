@@ -49,13 +49,22 @@ def cosine_matrix(prototypes: np.ndarray, features: np.ndarray) -> np.ndarray:
     return np.clip(W, -1.0, 1.0)
 
 
+def check_gate(num_classes: int, gamma1: float, gamma2: float, temperature: float) -> None:
+    """Raise ConfigurationError, naming the field, unless the gate's parameters are in range.
+
+    gamma1 must exceed 1/K, so a uniform posterior cannot pass the gate.
+    """
+    chance = 1 / num_classes
+    if not (chance < gamma1 <= 1):
+        raise ConfigurationError(f"gamma1: must lie in (1/num_classes, 1] = ({chance:g}, 1], got {gamma1}")
+    if not (0 <= gamma2 < gamma1):
+        raise ConfigurationError(f"gamma2: must lie in [0, gamma1), got {gamma2}")
+    if not temperature > 0:
+        raise ConfigurationError(f"temperature: must be positive, got {temperature}")
+
+
 def two_thresholds(posterior: np.ndarray, gamma1: float, gamma2: float) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise criterion on (N, K) posteriors: (reliable mask, winners or -1)."""
-    k = posterior.shape[1]
-    if not (gamma1 > 1.0 / k and gamma1 <= 1.0):
-        raise ConfigurationError(f"gamma1 must lie in (1/{k}, 1], got {gamma1}")
-    if not (0.0 <= gamma2 < gamma1):
-        raise ConfigurationError(f"gamma2 must lie in [0, gamma1), got {gamma2}")
     above = posterior >= gamma1
     reliable = (above.sum(axis=1) == 1) & ((posterior <= gamma2) | above).all(axis=1)
     return reliable, np.where(reliable, above.argmax(axis=1), -1)
@@ -73,9 +82,8 @@ def gate(
     A dead feature has all-zero similarities, hence a uniform posterior,
     which can never clear gamma1 > 1/K: it is unreliable, not an error.
     """
-    if temperature <= 0:
-        raise ConfigurationError(f"softmax temperature must be positive, got {temperature}")
     W = cosine_matrix(prototypes, features)
+    check_gate(W.shape[1], gamma1, gamma2, temperature)
     V = softmax_rows(W / temperature)
     reliable, winners = two_thresholds(V, gamma1, gamma2)
     return GateResult(similarities=W, posterior=V, reliable=reliable, winners=winners)

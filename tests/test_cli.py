@@ -209,6 +209,28 @@ class TestTrain:
         assert capsys.readouterr().err == "config error: test_csv: required when data_csv is given\n"
         assert not (out / "config.txt").exists()
 
+    @pytest.mark.parametrize("num_classes", [0, -3, 1])
+    def test_csv_config_with_under_two_classes_exits_one_writing_nothing(self, tmp_path, capsys, num_classes):
+        train, test = write_csv_pair(tmp_path)
+        cfg_path, _ = write_config(tmp_path, data_csv=str(train), test_csv=str(test), num_classes=num_classes)
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg_path), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == "config error: num_classes: need at least 2 classes\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("meta,message", [
+        ("# H=4 W=16 K=4", "grid shape 4x16 does not match the model's 8x8"),
+        ("# H=8 W=8 K=5", "5 classes do not match the model's 4"),
+    ])
+    def test_test_csv_mismatch_names_both_values(self, tmp_path, capsys, meta, message):
+        train, test = write_csv_pair(tmp_path)
+        test.write_text("".join([meta + "\n", *test.read_text().splitlines(keepends=True)[1:]]))
+        cfg_path, _ = write_config(tmp_path, data_csv=str(train), test_csv=str(test))
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg_path), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: test_csv: {message}\n"
+        assert not (out / "seed_0").exists()
+
     def test_zero_test_per_class_exits_one_writing_nothing(self, tmp_path, capsys):
         cfg_path, _ = write_config(tmp_path, test_per_class=0)
         out = tmp_path / "o"
@@ -308,6 +330,19 @@ class TestEvaluate:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "4x16" in err and "8x8" in err
+        assert not (tmp_path / "e").exists()
+
+    def test_class_count_mismatch_names_both_values(self, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt.npz"
+        net = init_params(64, (16, 8), 3, np.random.default_rng(0))
+        save_checkpoint(ckpt, net, net, {"seed": 0, "num_classes": 3, "height": 8, "width": 8})
+        _, test = write_csv_pair(tmp_path)  # K=4
+        code = main([
+            "evaluate", "--checkpoint", str(ckpt), "--data", str(test),
+            "--out-dir", str(tmp_path / "e"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "config error: data: 4 classes do not match the model's 3\n"
         assert not (tmp_path / "e").exists()
 
     @pytest.mark.parametrize("key", ["height", "width", "num_classes"])

@@ -4,9 +4,15 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
 from splal.config import ExperimentConfig, config_to_text, load_config, parse_config
 from splal.data import SyntheticSpec
 from splal.errors import ConfigurationError
+from splal.loss import total_loss
+from splal.model import init_params
+from splal.pseudo import combine
+from splal.selector import gate
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -99,6 +105,41 @@ class TestValidate:
                                gamma1=gamma1, gamma2=0.1 * gamma1)
         with pytest.raises(ConfigurationError, match="^gamma1: "):
             cfg.validate()
+
+    @pytest.mark.parametrize(
+        "field,kwargs",
+        [
+            ("lam1/lam2", {"lam1": 0.7, "lam2": 0.4}),
+            ("lam1/lam2", {"lam1": 1.1, "lam2": -0.1}),
+            ("alpha1/alpha2/alpha3", {"alpha1": 0.5, "alpha2": 0.5, "alpha3": 0.5}),
+            ("alpha1/alpha2/alpha3", {"alpha1": -0.1, "alpha2": 0.4, "alpha3": 0.7}),
+            ("gamma1", {"gamma1": 0.2, "gamma2": 0.1}),  # 1/K = 0.25
+            ("gamma1", {"gamma1": 1.5, "gamma2": 0.1}),
+            ("gamma2", {"gamma1": 0.9, "gamma2": 0.95}),
+            ("gamma2", {"gamma1": 0.9, "gamma2": -0.1}),
+            ("temperature", {"temperature": 0.0}),
+            ("temperature", {"temperature": -1.0}),
+        ],
+    )
+    def test_config_and_library_call_raise_the_same_text(self, field, kwargs):
+        # Each rule is checked in one place: the call that consumes the value
+        # raises what validate() raises for the same values.
+        cfg = ExperimentConfig(**kwargs)
+        with pytest.raises(ConfigurationError) as from_config:
+            cfg.validate()
+        rng = np.random.default_rng(0)
+        grids = rng.uniform(size=(2, 8, 8))
+        p, eye = np.full(4, 0.25), np.eye(cfg.num_classes)
+        with pytest.raises(ConfigurationError) as from_call:
+            if field == "lam1/lam2":
+                params = init_params(64, (8,), 4, rng)
+                total_loss(params, grids, np.eye(4)[[0, 1]], 1.0, grids, grids, cfg.lam1, cfg.lam2)
+            elif field == "alpha1/alpha2/alpha3":
+                combine(p, p, p, (cfg.alpha1, cfg.alpha2, cfg.alpha3))
+            else:
+                gate(eye, eye, cfg.gamma1, cfg.effective_gamma2(), cfg.temperature)
+        assert str(from_config.value).startswith(f"{field}: ")
+        assert str(from_call.value) == str(from_config.value)
 
     def test_csv_mode_skips_synthetic_checks(self):
         cfg = ExperimentConfig(data_csv="d.csv", test_csv="t.csv", class_counts=(1, 2))

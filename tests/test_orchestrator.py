@@ -99,8 +99,9 @@ class TestWarmup:
         opt = OptimizerState.for_params(params, cfg.learning_rate)
         bank = PrototypeBank(4, params.feature_dim, cfg.queue_capacity)
         state = DatasetState.split(pool_of(rng.uniform(size=(2, 8, 8)), [0, 1]), np.arange(2), 4)
-        with pytest.raises(ConfigurationError, match="unseeded"):
-            warmup(params, opt, state, cfg, rng, rng, bank)
+        warmup(params, opt, state, cfg, rng, rng, bank)
+        with pytest.raises(ConfigurationError, match=r"^unseeded class queues: \[2, 3\]$"):
+            bank.prototypes()
 
     def test_empty_labeled_pool_names_every_class(self):
         cfg = tiny_config()
@@ -109,9 +110,10 @@ class TestWarmup:
         opt = OptimizerState.for_params(params, cfg.learning_rate)
         bank = PrototypeBank(4, params.feature_dim, cfg.queue_capacity)
         state = DatasetState.split(pool_of(rng.uniform(size=(2, 8, 8)), [0, 1]), np.arange(0), 4)
+        warmup(params, opt, state, cfg, rng, rng, bank)
         with pytest.raises(ConfigurationError) as err:
-            warmup(params, opt, state, cfg, rng, rng, bank)
-        assert str(err.value) == "unseeded class: no labeled samples for classes [0, 1, 2, 3]"
+            bank.prototypes()
+        assert str(err.value) == "unseeded class queues: [0, 1, 2, 3]"
 
     def test_seeds_every_class_queue(self):
         cfg = tiny_config()

@@ -68,8 +68,6 @@ class TestIsReliable:
 
     def test_threshold_ordering_enforced(self):
         with pytest.raises(ConfigurationError):
-            is_reliable(np.array([0.9, 0.1]), 0.6, 0.7)
-        with pytest.raises(ConfigurationError):
             gate(np.eye(2), np.eye(2), 0.6, 0.7)
 
     def test_uniqueness_automatic_above_half_by_enumeration(self):
