@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputDomainError
+from .errors import InputDomainError, check_array
 
 BLUR_SIGMA = 1.0
 FLIP_PROB = 0.5
@@ -24,31 +24,16 @@ def _gaussian_kernel_3x3(sigma: float = BLUR_SIGMA) -> np.ndarray:
 _KERNEL = _gaussian_kernel_3x3()
 
 
-def _grids(x, name: str, min_side: int) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (2, 3) or x.shape[-2] < min_side or x.shape[-1] < min_side:
-        raise InputDomainError(
-            f"{name} needs an HxW grid or a stack of them, at least {min_side}x{min_side}, "
-            f"got shape {x.shape}"
-        )
-    return x
-
-
 def weak_augment(x: np.ndarray, flip_h: bool | np.ndarray, flip_v: bool | np.ndarray) -> np.ndarray:
     """Horizontal then vertical flip per the draw bits.
 
     For a (B, H, W) stack, flip_h and flip_v are (B,) bool masks, one bit per grid.
     """
-    x = _grids(x, "weak_augment", 1)
-    if x.ndim == 2:
-        return weak_augment(x[None], [flip_h], [flip_v])[0]
-    flip_h = np.asarray(flip_h, dtype=bool)
-    flip_v = np.asarray(flip_v, dtype=bool)
-    if flip_h.shape != (len(x),) or flip_v.shape != (len(x),):
-        raise InputDomainError(
-            f"weak_augment needs one flip bit per grid: {len(x)} grids, "
-            f"masks {flip_h.shape} and {flip_v.shape}"
-        )
+    if np.ndim(x) == 2:
+        return weak_augment(np.asarray(x)[None], [flip_h], [flip_v])[0]
+    x = check_array("x", x, (None, None, None), dtype=np.float64)
+    flip_h = check_array("flip_h", flip_h, (len(x),), "b")
+    flip_v = check_array("flip_v", flip_v, (len(x),), "b")
     out = x.copy()
     out[flip_h] = out[flip_h][:, :, ::-1]
     out[flip_v] = out[flip_v][:, ::-1, :]
@@ -62,8 +47,12 @@ def strong_augment(x: np.ndarray) -> np.ndarray:
     then the edge columns (so a corner takes its diagonal neighbour). The
     nine taps are summed in row-major order through one scratch stack.
     """
-    x = _grids(x, "strong_augment", 3)
+    if np.ndim(x) == 2:
+        return strong_augment(np.asarray(x)[None])[0]
+    x = check_array("x", x, (None, None, None), dtype=np.float64)
     h, w = x.shape[-2:]
+    if min(h, w) < 3:
+        raise InputDomainError(f"x: strong_augment needs grids of at least 3x3, got shape {x.shape}")
     padded = np.empty(x.shape[:-2] + (h + 2, w + 2))
     padded[..., 1:-1, 1:-1] = x
     padded[..., 0, 1:-1] = x[..., 1, :]

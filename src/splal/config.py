@@ -7,8 +7,8 @@ import warnings
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .data import SyntheticSpec, check_num_classes
-from .errors import ConfigurationError, InputDomainError, check_convex
+from .data import SyntheticSpec
+from .errors import ConfigurationError, InputDomainError, check_convex, check_num_classes
 from .selector import check_gate, gamma2_from_gamma1, reachability_warning
 
 MODES = ("splal", "baseline")

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, InputDomainError, ParseError
+from .errors import ConfigurationError, InputDomainError, ParseError, check_num_classes
 
 GROUND_TRUTH = "ground-truth"
 PSEUDO = "pseudo"
@@ -34,14 +34,14 @@ class Sample:
     """
 
     sample_id: int
-    true_label: int | None
+    true_label: int
     visible_label: np.ndarray | None = None
     provenance: str | None = None
 
 
 @dataclass(frozen=True)
 class Pool:
-    """Samples as arrays: ids (N,), grids (N, H, W), truth (N,) with -1 where unknown."""
+    """Samples as arrays: ids (N,), grids (N, H, W), truth (N,)."""
 
     ids: np.ndarray
     grids: np.ndarray
@@ -74,12 +74,6 @@ class SyntheticSpec:
             raise InputDomainError(f"class_counts: length {len(counts)} != num_classes {self.num_classes}")
         if any(c < 1 for c in counts):
             raise InputDomainError(f"class_counts: every class needs at least one sample, got {counts}")
-
-
-def check_num_classes(num_classes: int) -> None:
-    """Raise InputDomainError unless there are at least 2 classes, whatever the data source."""
-    if num_classes < 2:
-        raise InputDomainError("num_classes: need at least 2 classes")
 
 
 def _centered_coords(h: int, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -154,8 +148,6 @@ def split_labeled(pool: Pool, ratio: float, seed: int, num_classes: int) -> tupl
     """
     if not (0.0 < ratio <= 1.0):
         raise InputDomainError(f"labeled ratio must lie in (0, 1], got {ratio}")
-    if (pool.truth < 0).any():
-        raise InputDomainError(f"sample {pool.ids[pool.truth < 0][0]} has no label; cannot stratify")
     counts = np.bincount(pool.truth, minlength=num_classes)
     if not counts.all():
         raise InputDomainError(f"classes with zero samples: {np.flatnonzero(counts == 0).tolist()}")
@@ -274,9 +266,9 @@ def _row_error(line: str, fields: int, exc: Exception) -> str:
 
 
 def _check_rows(rows: np.ndarray, k: int) -> None:
-    """Raise ParseError at the first row with a label outside [-1, K), a non-finite pixel or a repeated id."""
+    """Raise ParseError at the first row with a label outside [0, K), a non-finite pixel or a repeated id."""
     ids, labels = rows["id"], rows["label"]
-    bad_label = (labels < -1) | (labels >= k)
+    bad_label = (labels < 0) | (labels >= k)
     # Row reductions, not an isfinite mask the size of the pool: freeing
     # that mask raised the large-pool peak RSS by ~0.2 MB.
     px = rows["px"]
@@ -297,17 +289,12 @@ def _check_rows(rows: np.ndarray, k: int) -> None:
 
 
 def load_eval_csv(path, source: str, height: int, width: int, num_classes: int) -> Pool:
-    """An evaluation CSV's pool; ConfigurationError unless it fits the model and every row is labeled."""
+    """An evaluation CSV's pool; ConfigurationError unless its grid shape and class count fit the model."""
     samples, h, w, k = load_csv(path)
     if (h, w) != (height, width):
         raise ConfigurationError(f"{source}: grid shape {h}x{w} does not match the model's {height}x{width}")
     if k != num_classes:
         raise ConfigurationError(f"{source}: {k} classes do not match the model's {num_classes}")
-    unlabeled = samples.ids[samples.truth < 0]
-    if len(unlabeled):
-        raise ConfigurationError(
-            f"{source}: evaluation set must be fully labeled; unlabeled ids {unlabeled[:5].tolist()}"
-        )
     return samples
 
 

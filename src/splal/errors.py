@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the engine, and the one convexity rule for weights."""
+"""Exception hierarchy shared across the engine, and the array, class-count and convexity rules."""
+
+import numpy as np
 
 
 class SplalError(Exception):
@@ -36,3 +38,23 @@ def check_convex(name: str, weights) -> None:
     if not (abs(sum(weights) - 1.0) <= 1e-9 and min(weights) >= 0):
         got = ", ".join(map(str, weights))
         raise ConfigurationError(f"{name}: must be nonnegative and sum to 1, got ({got})")
+
+
+def check_array(name: str, x, shape: tuple, kinds: str = "biuf", dtype=None) -> np.ndarray:
+    """`np.asarray(x)`, as `dtype` if given; InputDomainError, naming the argument, both shapes and the
+    dtype, unless its shape matches `shape` (None matches any length) and its dtype kind is in `kinds`.
+    """
+    a = np.asarray(x)
+    if a.ndim != len(shape) or a.dtype.kind not in kinds or any(
+        n is not None and n != got for n, got in zip(shape, a.shape)
+    ):
+        raise InputDomainError(
+            f"{name}: expected shape {shape} of dtype kind '{kinds}', got shape {a.shape} of dtype {a.dtype}"
+        )
+    return a if dtype is None else a.astype(dtype, copy=False)
+
+
+def check_num_classes(num_classes: int) -> None:
+    """Raise InputDomainError unless there are at least 2 classes, whatever the data source."""
+    if num_classes < 2:
+        raise InputDomainError("num_classes: need at least 2 classes")

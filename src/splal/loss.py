@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import FLIP_PROB, strong_augment, weak_augment
-from .errors import check_convex
+from .errors import check_array, check_convex
 from .model import (
     Gradients,
     ModelParams,
@@ -64,9 +64,12 @@ def total_loss(
     """Loss breakdown and (optionally) exact gradients for one batch.
 
     Views must be precomputed (see make_views) so the whole computation is
-    a pure function of its arguments.
+    a pure function of its arguments; each is shaped like the (B, H, W) grids.
     """
     check_convex("lam1/lam2", (lam1, lam2))
+    grids = check_array("grids", grids, (None, None, None))
+    weak_grids = check_array("weak_grids", weak_grids, grids.shape)
+    strong_grids = check_array("strong_grids", strong_grids, grids.shape)
     B = grids.shape[0]
     flat = grids.reshape(B, -1)
     fwd = forward(params, flat)

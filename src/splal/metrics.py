@@ -11,15 +11,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EvaluationError, InputDomainError
+from .errors import EvaluationError, InputDomainError, check_array
 
 
 def confusion(predictions: np.ndarray, truths: np.ndarray, num_classes: int) -> np.ndarray:
     """Count matrix indexed (true class, predicted class)."""
-    predictions = np.asarray(predictions, dtype=np.int64)
-    truths = np.asarray(truths, dtype=np.int64)
-    if predictions.shape != truths.shape:
-        raise InputDomainError("predictions and truths must have equal length")
+    predictions = check_array("predictions", predictions, (None,), "iu", dtype=np.int64)
+    truths = check_array("truths", truths, predictions.shape, "iu", dtype=np.int64)
     if predictions.size and (
         predictions.min() < 0 or predictions.max() >= num_classes
         or truths.min() < 0 or truths.max() >= num_classes
@@ -50,7 +48,7 @@ def summary(matrix: np.ndarray) -> SummaryMetrics:
 
     Classes with zero support contribute F1 = 0 and are flagged.
     """
-    matrix = np.asarray(matrix, dtype=np.int64)
+    matrix = check_array("matrix", matrix, (len(np.atleast_1d(matrix)),) * 2, "iu", dtype=np.int64)
     total = matrix.sum()
     if total == 0:
         raise InputDomainError("empty confusion matrix")
@@ -118,9 +116,12 @@ def auc_ovr(scores: np.ndarray, truths: np.ndarray) -> AucReport:
 
     Classes without both a positive and a negative are excluded and flagged.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    truths = np.asarray(truths, dtype=np.int64)
+    scores = check_array("scores", scores, (None, None), dtype=np.float64)
     n, k = scores.shape
+    truths = check_array("truths", truths, (n,), "iu")
+    bad = truths[(truths < 0) | (truths >= k)]
+    if bad.size:
+        raise InputDomainError(f"truths: class id {bad[0]} out of range [0, {k}) of the score columns")
     per_class: dict[int, float] = {}
     roc: dict[int, list[tuple[float, float, float]]] = {}
     excluded: list[int] = []

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputDomainError, TrainingError
+from .errors import InputDomainError, TrainingError, check_array
 from .numerics import LOG_EPS, softmax_rows
 
 CHECKPOINT_VERSION = 1
@@ -122,12 +122,7 @@ class ModelParams(_FlatLayers):
 
     def set_flat(self, flat: np.ndarray) -> None:
         """Overwrite every parameter from a vector laid out like flatten(); all or nothing."""
-        flat = np.asarray(flat)
-        if flat.shape != self.flat.shape:
-            raise InputDomainError(
-                f"flat parameter vector has shape {flat.shape}, expected {self.flat.shape}"
-            )
-        self.flat[...] = flat
+        self.flat[...] = check_array("flat", flat, self.flat.shape)
 
 
 def init_params(
@@ -137,6 +132,10 @@ def init_params(
     rng: np.random.Generator,
 ) -> ModelParams:
     """Symmetric uniform init scaled by fan-in, drawn from the given stream."""
+    names = "input_dim/hidden_widths/num_classes"
+    widths = check_array(names, [input_dim, *hidden_widths, num_classes], (None,), "iu")
+    if widths.min() < 1:
+        raise InputDomainError(f"{names}: every layer width must be >= 1, got {tuple(widths.tolist())}")
     hidden: list[tuple[np.ndarray, np.ndarray]] = []
     fan_in = input_dim
     for width in hidden_widths:
@@ -167,14 +166,7 @@ class ForwardRecord:
 
 def _encode(params: ModelParams, X: np.ndarray) -> list[np.ndarray]:
     """The (B, D) input, then each hidden layer's output, rectified in place."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[None, :]
-    if X.shape[1] != params.input_dim:
-        raise InputDomainError(
-            f"input width {X.shape[1]} does not match model input {params.input_dim}"
-        )
-    layers = [X]
+    layers = [check_array("X", np.atleast_2d(X), (None, params.input_dim), dtype=np.float64)]
     for W, b in params.hidden:
         h = layers[-1] @ W + b
         layers.append(np.maximum(h, 0.0, out=h))
@@ -236,11 +228,10 @@ def ce_value_and_dlogits(
     as constants (stop-gradient on the target side). The weights are one
     per row, or one scalar for every row.
     """
-    if targets.shape != fwd.probabilities.shape:
-        raise InputDomainError(
-            f"cross-entropy shape mismatch: targets {targets.shape}, predictions {fwd.probabilities.shape}"
-        )
+    targets = check_array("targets", targets, fwd.probabilities.shape)
     B = fwd.probabilities.shape[0]
+    if np.ndim(weights):
+        weights = check_array("weights", weights, (B,))
     clipped = np.clip(fwd.probabilities, LOG_EPS, 1.0)
     per_sample = -(targets * np.log(clipped)).sum(axis=1)
     value = float((weights * per_sample).sum() / B)
@@ -258,6 +249,7 @@ class OptimizerState:
     v: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def __post_init__(self) -> None:
+        check_array("v", self.v, np.shape(self.m))
         # Two vectors of scratch for adam_step, reused on every step.
         self._scratch = np.empty((2, self.m.size))
 
@@ -276,12 +268,8 @@ def adam_step(params: ModelParams, grads: Gradients, state: OptimizerState) -> N
     each product and quotient rounded once, in this order, over the flat
     vectors, through the state's two scratch vectors.
     """
-    g = grads.flat
-    if not params.flat.shape == g.shape == state.m.shape == state.v.shape == state._scratch[0].shape:
-        raise InputDomainError(
-            f"adam_step sizes differ: params {params.flat.size}, grads {g.size}, "
-            f"moments {state.m.size} and {state.v.size}"
-        )
+    g = check_array("grads", grads.flat, params.flat.shape)
+    check_array("state.m", state.m, params.flat.shape)  # v and the scratch match m (__post_init__)
     if not np.isfinite(g).all():
         raise TrainingError("non-finite gradient in adam_step")
     state.step += 1

@@ -6,7 +6,7 @@ from collections import deque
 
 import numpy as np
 
-from .errors import ConfigurationError, InputDomainError
+from .errors import ConfigurationError, InputDomainError, check_array
 
 
 class PrototypeBank:
@@ -19,8 +19,10 @@ class PrototypeBank:
     """
 
     def __init__(self, num_classes: int, feature_dim: int, capacity: int = 64):
-        if num_classes < 1 or capacity < 1:
-            raise ConfigurationError("bank needs at least one class and capacity >= 1")
+        sizes = {"num_classes": num_classes, "feature_dim": feature_dim, "capacity": capacity}
+        for name, value in sizes.items():
+            if value < 1:
+                raise ConfigurationError(f"{name}: the bank needs at least 1, got {value}")
         self.num_classes = num_classes
         self.feature_dim = feature_dim
         self.capacity = capacity
@@ -32,15 +34,10 @@ class PrototypeBank:
         One call takes a whole (n,) / (n, d) batch, as the MoCo queue enqueues
         a batch of keys; a scalar id with a (d,) feature is a batch of one.
         """
-        class_ids = np.atleast_1d(class_ids)
-        features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        if class_ids.ndim != 1 or not np.issubdtype(class_ids.dtype, np.integer):
-            raise InputDomainError(f"class ids must be a 1-D integer array, got {class_ids!r}")
-        if features.shape != (len(class_ids), self.feature_dim):
-            raise InputDomainError(
-                f"feature shape {features.shape} does not match {len(class_ids)} ids "
-                f"and bank dimension {self.feature_dim}"
-            )
+        class_ids = check_array("class_ids", np.atleast_1d(class_ids), (None,), "iu")
+        features = check_array(
+            "features", np.atleast_2d(features), (len(class_ids), self.feature_dim), dtype=np.float64
+        )
         bad = class_ids[(class_ids < 0) | (class_ids >= self.num_classes)]
         if bad.size:
             raise InputDomainError(f"class id {bad[0]} out of range [0, {self.num_classes})")

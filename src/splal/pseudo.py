@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InputDomainError, check_convex
+from .errors import ConfigurationError, check_array, check_convex
 from .numerics import pow2_scaled_rows
 
 
@@ -42,20 +42,23 @@ def knn_prediction(
     the pair as orthogonal. Labels may be soft vectors (pseudo-labeled
     neighbors contribute their stored distributions).
     """
-    n = len(labeled_ids)
+    n, d = check_array("labeled_features", labeled_features, (None, None)).shape
+    labeled_labels = check_array("labeled_labels", labeled_labels, (n, None))
+    labeled_ids = check_array("labeled_ids", labeled_ids, (n,), "iu")
+    features = check_array("features", features, (d,) if np.ndim(features) == 1 else (None, d))
     if k < 1:
         raise ConfigurationError(f"neighbor count must be >= 1, got {k}")
     if n < k:
         raise ConfigurationError(f"need at least {k} labeled samples, have {n}")
     queries = _unit_rows(np.atleast_2d(features))
     units = _unit_rows(labeled_features)
-    out = np.empty((len(queries), np.shape(labeled_labels)[1]))
+    out = np.empty((len(queries), labeled_labels.shape[1]))
     # One query row at a time keeps memory at O(n), not an (N, n) matrix.
     for i, q in enumerate(queries):
         dists = 1.0 - np.clip(units @ q, -1.0, 1.0)
         nearest = np.lexsort((labeled_ids, dists))[:k]
         out[i] = labeled_labels[nearest].mean(axis=0)
-    return out[0] if np.ndim(features) == 1 else out
+    return out[0] if features.ndim == 1 else out
 
 
 def combine(
@@ -64,12 +67,14 @@ def combine(
     similarity: np.ndarray,
     alphas: tuple[float, float, float],
 ) -> np.ndarray:
-    """Elementwise convex combination of the three component predictions."""
+    """Elementwise convex combination of the three component predictions, shaped like `linear`."""
+    check_array("alphas", alphas, (3,))
     check_convex("alpha1/alpha2/alpha3", alphas)
     a1, a2, a3 = alphas
-    if not (np.shape(linear) == np.shape(knn) == np.shape(similarity)):
-        raise InputDomainError("component prediction length mismatch")
-    return a1 * np.asarray(linear) + a2 * np.asarray(knn) + a3 * np.asarray(similarity)
+    linear = check_array("linear", linear, np.shape(linear))
+    knn = check_array("knn", knn, linear.shape)
+    similarity = check_array("similarity", similarity, linear.shape)
+    return a1 * linear + a2 * knn + a3 * similarity
 
 
 def ensemble(
@@ -88,8 +93,10 @@ def ensemble(
     labeled features, and the similarity part is a one-hot at each row's
     highest gate posterior (the winning class of a reliable row).
     """
-    linear = np.asarray(probabilities, dtype=np.float64)
-    posterior = np.asarray(posterior, dtype=np.float64)
+    linear = check_array("probabilities", probabilities, (None, None), dtype=np.float64)
+    posterior = check_array("posterior", posterior, linear.shape, dtype=np.float64)
+    check_array("features", features, (len(linear), None))
+    check_array("labeled_labels", labeled_labels, (None, linear.shape[1]))
     knn = knn_prediction(features, labeled_features, labeled_labels, labeled_ids, k)
     similarity = np.eye(posterior.shape[1])[posterior.argmax(axis=1)]
     return Ensemble(linear, knn, similarity, combine(linear, knn, similarity, alphas))

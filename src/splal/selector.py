@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InputDomainError
+from .errors import ConfigurationError, InputDomainError, check_array, check_num_classes
 from .numerics import pow2_scaled_rows, softmax_rows
 
 DEFAULT_TEMPERATURE = 0.1
@@ -34,26 +34,30 @@ def cosine_matrix(prototypes: np.ndarray, features: np.ndarray) -> np.ndarray:
 
     A zero-norm prototype (every queued feature dead for that class) or a
     dead (all-zero) feature has no direction; the pair scores 0, orthogonal.
+    A non-finite feature raises InputDomainError.
     """
-    P = np.asarray(prototypes, dtype=np.float64)
-    F = np.asarray(features, dtype=np.float64)
-    if P.ndim != 2 or F.ndim != 2 or P.shape[1] != F.shape[1]:
-        raise InputDomainError(f"cosine_matrix shape mismatch: prototypes {P.shape}, features {F.shape}")
+    P = check_array("prototypes", prototypes, (None, None), dtype=np.float64)
+    F = check_array("features", features, (None, P.shape[1]), dtype=np.float64)
+    if not np.isfinite((F.min(initial=0.0), F.max(initial=0.0))).all():  # no mask the size of F
+        raise InputDomainError("features: every entry must be finite")
     P, F = pow2_scaled_rows(P), pow2_scaled_rows(F)
     # Row sums of elementwise products, not a matmul, so each row's result
     # does not depend on how many rows share the call; one prototype at a
     # time keeps the temporary at (N, d).
-    dots = np.stack([(F * p).sum(axis=1) for p in P], axis=1)
+    dots = np.empty((len(F), len(P)))
+    for j, p in enumerate(P):
+        dots[:, j] = (F * p).sum(axis=1)
     denom = np.linalg.norm(F, axis=1)[:, None] * np.linalg.norm(P, axis=1)[None, :]
     W = np.divide(dots, denom, out=np.zeros(denom.shape), where=denom != 0.0)
     return np.clip(W, -1.0, 1.0)
 
 
 def check_gate(num_classes: int, gamma1: float, gamma2: float, temperature: float) -> None:
-    """Raise ConfigurationError, naming the field, unless the gate's parameters are in range.
+    """Raise SplalError, naming the field, unless the class count and the gate's parameters are in range.
 
     gamma1 must exceed 1/K, so a uniform posterior cannot pass the gate.
     """
+    check_num_classes(num_classes)
     chance = 1 / num_classes
     if not (chance < gamma1 <= 1):
         raise ConfigurationError(f"gamma1: must lie in (1/num_classes, 1] = ({chance:g}, 1], got {gamma1}")

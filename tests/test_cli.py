@@ -177,7 +177,8 @@ class TestTrain:
         path.write_text("gamma1 = 2.0\n")
         assert main(["train", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 1
 
-    def test_unlabeled_test_row_exits_one(self, tmp_path, capsys):
+    def test_unlabeled_test_row_exits_two(self, tmp_path, capsys):
+        # The reader takes labels in [0, K) only, so -1 is a parse error at its line.
         train, test = write_csv_pair(tmp_path)
         lines = test.read_text().splitlines()
         fields = lines[2].split(",")
@@ -186,8 +187,8 @@ class TestTrain:
         test.write_text("\n".join(lines) + "\n")
         cfg_path, _ = write_config(tmp_path, data_csv=str(train), test_csv=str(test))
         code = main(["train", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")])
-        assert code == 1
-        assert "test_csv: evaluation set must be fully labeled" in capsys.readouterr().err
+        assert code == 2
+        assert "line 3: label -1 out of range for K=4" in capsys.readouterr().err
 
     @pytest.mark.parametrize("which", ["data_csv", "test_csv"])
     def test_csv_without_rows_exits_two_before_training(self, tmp_path, capsys, which):

@@ -54,7 +54,7 @@ def reference_load_csv(path):
                 values = [float(v) for v in row[2:]]
             except ValueError as exc:
                 raise ParseError(str(exc), line=lineno)
-            if label < -1 or label >= k:
+            if label < 0 or label >= k:
                 raise ParseError(f"label {label} out of range for K={k}", line=lineno)
             if not -2**63 <= sid < 2**63:
                 raise ParseError(f"sample id {sid} does not fit in 64 bits", line=lineno)
@@ -100,7 +100,7 @@ def pixel_files(draw):
     fmt = draw(st.sampled_from([repr, lambda v: format(v, ".6g"), lambda v: format(v, "e")]))
     lines = [f"# H={h} W={w} K={k}", ",".join(["id", "label"] + [f"p{i}" for i in range(h * w)])]
     for sid in ids:
-        label = draw(st.integers(-1, k - 1))
+        label = draw(st.integers(0, k - 1))
         pixels = draw(st.lists(FINITE, min_size=h * w, max_size=h * w))
         lines.append(",".join([str(sid), str(label), *map(fmt, pixels)]))
     return lines, draw(st.sampled_from(["\n", "\r\n"])), draw(st.booleans())
@@ -191,10 +191,10 @@ def test_unclosed_quote_is_rejected_at_its_line(tmp_path):
 
 def test_grids_are_a_view_of_the_parsed_rows(tmp_path):
     path = tmp_path / "pool.csv"
-    path.write_text("# H=2 W=1 K=2\nid,label,p0,p1\n5,1,0.25,-0.0\n3,-1,1e-300,7\n")
+    path.write_text("# H=2 W=1 K=2\nid,label,p0,p1\n5,1,0.25,-0.0\n3,0,1e-300,7\n")
     pool, h, w, k = load_csv(path)
     assert (h, w, k) == (2, 1, 2)
-    assert pool.ids.tolist() == [5, 3] and pool.truth.tolist() == [1, -1]
+    assert pool.ids.tolist() == [5, 3] and pool.truth.tolist() == [1, 0]
     assert pool.grids.shape == (2, 2, 1)
     # One record buffer: the grids were not copied out of the parsed rows.
     assert np.may_share_memory(pool.grids, pool.ids)

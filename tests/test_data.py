@@ -133,8 +133,6 @@ class TestSplit:
 class TestCsvRoundTrip:
     def test_bit_exact_round_trip(self, tmp_path):
         samples = generate(SyntheticSpec(class_counts=(4, 3, 2, 1)))
-        _, unlabeled = split_labeled(samples, 0.5, seed=0, num_classes=4)
-        samples.truth[unlabeled] = -1  # persist them as unlabeled rows
         path = tmp_path / "data.csv"
         save_csv(samples, path, 4)
         loaded, h, w, k = load_csv(path)

@@ -65,7 +65,7 @@ class TestSummary:
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(InputDomainError):
-            summary(np.zeros((3, 3)))
+            summary(np.zeros((3, 3), dtype=np.int64))
 
     def test_accuracy_equals_weighted_recall(self):
         rng = np.random.default_rng(1)
