@@ -29,9 +29,10 @@ def weak_augment(x: np.ndarray, flip_h: bool | np.ndarray, flip_v: bool | np.nda
 
     For a (B, H, W) stack, flip_h and flip_v are (B,) bool masks, one bit per grid.
     """
-    if np.ndim(x) == 2:
-        return weak_augment(np.asarray(x)[None], [flip_h], [flip_v])[0]
-    x = check_array("x", x, (None, None, None), dtype=np.float64)
+    x = check_array("x", x, None, dtype=np.float64)
+    if x.ndim == 2:
+        return weak_augment(x[None], [flip_h], [flip_v])[0]
+    check_array("x", x, (None, None, None))
     flip_h = check_array("flip_h", flip_h, (len(x),), "b")
     flip_v = check_array("flip_v", flip_v, (len(x),), "b")
     out = x.copy()
@@ -47,9 +48,10 @@ def strong_augment(x: np.ndarray) -> np.ndarray:
     then the edge columns (so a corner takes its diagonal neighbour). The
     nine taps are summed in row-major order through one scratch stack.
     """
-    if np.ndim(x) == 2:
-        return strong_augment(np.asarray(x)[None])[0]
-    x = check_array("x", x, (None, None, None), dtype=np.float64)
+    x = check_array("x", x, None, dtype=np.float64)
+    if x.ndim == 2:
+        return strong_augment(x[None])[0]
+    check_array("x", x, (None, None, None))
     h, w = x.shape[-2:]
     if min(h, w) < 3:
         raise InputDomainError(f"x: strong_augment needs grids of at least 3x3, got shape {x.shape}")

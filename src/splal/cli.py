@@ -226,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--spec", help="flat key=value synthetic spec file (default: built-in benchmark)")
     gen.add_argument("--out", required=True, help="output CSV path")
     gen.add_argument("--test-out", help="also write a balanced held-out test CSV here")
-    gen.add_argument("--test-per-class", type=int, default=50)
+    gen.add_argument("--test-per-class", type=int, default=ExperimentConfig.test_per_class)
 
     train = sub.add_parser("train", help="run training per the config, one run per seed")
     train.add_argument("--config", required=True)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .data import SyntheticSpec
 from .errors import ConfigurationError, InputDomainError, check_convex, check_num_classes
-from .selector import check_gate, gamma2_from_gamma1, reachability_warning
+from .selector import DEFAULT_TEMPERATURE, check_gate, gamma2_from_gamma1, reachability_warning
 
 MODES = ("splal", "baseline")
 
@@ -19,19 +19,19 @@ class ExperimentConfig:
     # dataset: synthetic spec, or CSV paths overriding it
     data_csv: str | None = None
     test_csv: str | None = None
-    num_classes: int = 4
-    class_counts: tuple[int, ...] = (500, 200, 60, 20)
-    height: int = 16
-    width: int = 16
-    noise_sigma: float = 0.15
-    data_seed: int = 0
+    num_classes: int = SyntheticSpec.num_classes
+    class_counts: tuple[int, ...] = SyntheticSpec.class_counts
+    height: int = SyntheticSpec.height
+    width: int = SyntheticSpec.width
+    noise_sigma: float = SyntheticSpec.noise_sigma
+    data_seed: int = SyntheticSpec.seed
     test_per_class: int = 50
     labeled_ratio: float = 0.10
 
     # reliability gate
     gamma1: float = 0.99
     gamma2: float | None = None     # None couples it to gamma1 via |1-gamma1|/2
-    temperature: float = 0.1
+    temperature: float = DEFAULT_TEMPERATURE
 
     # pseudo-label ensemble
     alpha1: float = 0.20

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, InputDomainError, ParseError, check_num_classes
+from .errors import ConfigurationError, InputDomainError, ParseError, check_array, check_num_classes
 
 GROUND_TRUTH = "ground-truth"
 PSEUDO = "pseudo"
@@ -131,7 +131,7 @@ def generate(spec: SyntheticSpec) -> Pool:
     return Pool(np.arange(len(truth)), grids, truth)
 
 
-def balanced_test_spec(spec: SyntheticSpec, per_class: int = 50) -> SyntheticSpec:
+def balanced_test_spec(spec: SyntheticSpec, per_class: int) -> SyntheticSpec:
     """Held-out evaluation spec: same patterns, balanced counts, disjoint seed."""
     return replace(
         spec,
@@ -147,14 +147,15 @@ def split_labeled(pool: Pool, ratio: float, seed: int, num_classes: int) -> tupl
     of the `num_classes` classes needs a sample.
     """
     if not (0.0 < ratio <= 1.0):
-        raise InputDomainError(f"labeled ratio must lie in (0, 1], got {ratio}")
-    counts = np.bincount(pool.truth, minlength=num_classes)
+        raise InputDomainError(f"ratio: must lie in (0, 1], got {ratio}")
+    truth = check_array("pool.truth", pool.truth, (len(pool),), "iu", below=num_classes)
+    counts = np.bincount(truth, minlength=num_classes)
     if not counts.all():
         raise InputDomainError(f"classes with zero samples: {np.flatnonzero(counts == 0).tolist()}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     labeled = np.zeros(len(pool), dtype=bool)
     for k, count in enumerate(counts.tolist()):
-        group = np.flatnonzero(pool.truth == k)
+        group = np.flatnonzero(truth == k)
         take = max(1, math.ceil(ratio * count))
         labeled[group[rng.permutation(count)[:take]]] = True
     return np.flatnonzero(labeled), np.flatnonzero(~labeled)

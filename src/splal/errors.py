@@ -40,17 +40,25 @@ def check_convex(name: str, weights) -> None:
         raise ConfigurationError(f"{name}: must be nonnegative and sum to 1, got ({got})")
 
 
-def check_array(name: str, x, shape: tuple, kinds: str = "biuf", dtype=None) -> np.ndarray:
-    """`np.asarray(x)`, as `dtype` if given; InputDomainError, naming the argument, both shapes and the
-    dtype, unless its shape matches `shape` (None matches any length) and its dtype kind is in `kinds`.
+def check_array(
+    name: str, x, shape: tuple | None, kinds: str | None = "biuf", dtype=None, below: int | None = None
+) -> np.ndarray:
+    """`np.asarray(x)`, as `dtype` if given; InputDomainError, naming the argument, unless x is not ragged,
+    its shape matches `shape` (None matches any shape, a None entry any length), its dtype kind is in
+    `kinds` (None: any kind) and, if `below` is given, each entry is a class id in [0, below).
     """
-    a = np.asarray(x)
-    if a.ndim != len(shape) or a.dtype.kind not in kinds or any(
-        n is not None and n != got for n, got in zip(shape, a.shape)
+    try:
+        a = np.asarray(x)
+    except ValueError as exc:  # a ragged nested sequence; numpy's message names no argument
+        raise InputDomainError(f"{name}: cannot read as an array: {exc}") from None
+    if (kinds is not None and a.dtype.kind not in kinds) or shape is not None and (
+        a.ndim != len(shape) or any(n is not None and n != got for n, got in zip(shape, a.shape))
     ):
         raise InputDomainError(
             f"{name}: expected shape {shape} of dtype kind '{kinds}', got shape {a.shape} of dtype {a.dtype}"
         )
+    if below is not None and ((a < 0) | (a >= below)).any():
+        raise InputDomainError(f"{name}: class id {a[(a < 0) | (a >= below)][0]} out of range [0, {below})")
     return a if dtype is None else a.astype(dtype, copy=False)
 
 

@@ -16,13 +16,8 @@ from .errors import EvaluationError, InputDomainError, check_array
 
 def confusion(predictions: np.ndarray, truths: np.ndarray, num_classes: int) -> np.ndarray:
     """Count matrix indexed (true class, predicted class)."""
-    predictions = check_array("predictions", predictions, (None,), "iu", dtype=np.int64)
-    truths = check_array("truths", truths, predictions.shape, "iu", dtype=np.int64)
-    if predictions.size and (
-        predictions.min() < 0 or predictions.max() >= num_classes
-        or truths.min() < 0 or truths.max() >= num_classes
-    ):
-        raise InputDomainError("class id out of range")
+    predictions = check_array("predictions", predictions, (None,), "iu", np.int64, below=num_classes)
+    truths = check_array("truths", truths, predictions.shape, "iu", np.int64, below=num_classes)
     cells = np.bincount(truths * num_classes + predictions, minlength=num_classes * num_classes)
     return cells.reshape(num_classes, num_classes)
 
@@ -48,10 +43,11 @@ def summary(matrix: np.ndarray) -> SummaryMetrics:
 
     Classes with zero support contribute F1 = 0 and are flagged.
     """
-    matrix = check_array("matrix", matrix, (len(np.atleast_1d(matrix)),) * 2, "iu", dtype=np.int64)
+    matrix = check_array("matrix", matrix, (None, None), "iu", dtype=np.int64)
+    check_array("matrix", matrix, (len(matrix),) * 2)
     total = matrix.sum()
     if total == 0:
-        raise InputDomainError("empty confusion matrix")
+        raise InputDomainError("matrix: empty confusion matrix")
     accuracy = float(np.trace(matrix) / total)
     tp = np.diagonal(matrix)
     support = matrix.sum(axis=1)
@@ -86,8 +82,6 @@ def _sweep(scores: np.ndarray, positives: np.ndarray) -> tuple[float, list[tuple
     the negatives ranked below its run plus half of those tied with it, so
     twice the Mann-Whitney U is an exact integer.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    positives = np.asarray(positives, dtype=bool)
     n_pos = int(positives.sum())
     n_neg = len(positives) - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -118,10 +112,7 @@ def auc_ovr(scores: np.ndarray, truths: np.ndarray) -> AucReport:
     """
     scores = check_array("scores", scores, (None, None), dtype=np.float64)
     n, k = scores.shape
-    truths = check_array("truths", truths, (n,), "iu")
-    bad = truths[(truths < 0) | (truths >= k)]
-    if bad.size:
-        raise InputDomainError(f"truths: class id {bad[0]} out of range [0, {k}) of the score columns")
+    truths = check_array("truths", truths, (n,), "iu", below=k)
     per_class: dict[int, float] = {}
     roc: dict[int, list[tuple[float, float, float]]] = {}
     excluded: list[int] = []

@@ -166,7 +166,8 @@ class ForwardRecord:
 
 def _encode(params: ModelParams, X: np.ndarray) -> list[np.ndarray]:
     """The (B, D) input, then each hidden layer's output, rectified in place."""
-    layers = [check_array("X", np.atleast_2d(X), (None, params.input_dim), dtype=np.float64)]
+    layers = [np.atleast_2d(check_array("X", X, None, dtype=np.float64))]
+    check_array("X", layers[0], (None, params.input_dim))
     for W, b in params.hidden:
         h = layers[-1] @ W + b
         layers.append(np.maximum(h, 0.0, out=h))
@@ -230,8 +231,9 @@ def ce_value_and_dlogits(
     """
     targets = check_array("targets", targets, fwd.probabilities.shape)
     B = fwd.probabilities.shape[0]
-    if np.ndim(weights):
-        weights = check_array("weights", weights, (B,))
+    weights = check_array("weights", weights, None)
+    if weights.ndim:
+        check_array("weights", weights, (B,))
     clipped = np.clip(fwd.probabilities, LOG_EPS, 1.0)
     per_sample = -(targets * np.log(clipped)).sum(axis=1)
     value = float((weights * per_sample).sum() / B)
@@ -249,7 +251,9 @@ class OptimizerState:
     v: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def __post_init__(self) -> None:
-        check_array("v", self.v, np.shape(self.m))
+        # m's own rule is adam_step's (state.m); here it sets v's shape and the scratch size.
+        self.m = check_array("m", self.m, None, kinds=None)
+        self.v = check_array("v", self.v, self.m.shape)
         # Two vectors of scratch for adam_step, reused on every step.
         self._scratch = np.empty((2, self.m.size))
 

@@ -30,7 +30,7 @@ from .data import (
     load_eval_csv,
     split_labeled,
 )
-from .errors import ConfigurationError, TrainingError
+from .errors import ConfigurationError, TrainingError, check_array
 from .loss import total_loss, weak_views
 from .model import (
     ModelParams,
@@ -82,7 +82,8 @@ class DatasetState:
     @classmethod
     def split(cls, pool: Pool, labeled_rows: np.ndarray, num_classes: int) -> "DatasetState":
         """Ground-truth one-hot labels on the given rows; every other row unlabeled."""
-        return cls(pool, labeled_rows, np.eye(num_classes)[pool.truth[labeled_rows]], len(labeled_rows))
+        truth = check_array("pool.truth", pool.truth, (len(pool),), "iu", below=num_classes)
+        return cls(pool, labeled_rows, np.eye(num_classes)[truth[labeled_rows]], len(labeled_rows))
 
     @property
     def unlabeled_rows(self) -> np.ndarray:

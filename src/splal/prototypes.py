@@ -6,7 +6,7 @@ from collections import deque
 
 import numpy as np
 
-from .errors import ConfigurationError, InputDomainError, check_array
+from .errors import ConfigurationError, check_array
 
 
 class PrototypeBank:
@@ -34,13 +34,10 @@ class PrototypeBank:
         One call takes a whole (n,) / (n, d) batch, as the MoCo queue enqueues
         a batch of keys; a scalar id with a (d,) feature is a batch of one.
         """
-        class_ids = check_array("class_ids", np.atleast_1d(class_ids), (None,), "iu")
-        features = check_array(
-            "features", np.atleast_2d(features), (len(class_ids), self.feature_dim), dtype=np.float64
-        )
-        bad = class_ids[(class_ids < 0) | (class_ids >= self.num_classes)]
-        if bad.size:
-            raise InputDomainError(f"class id {bad[0]} out of range [0, {self.num_classes})")
+        class_ids = np.atleast_1d(check_array("class_ids", class_ids, None, "iu", below=self.num_classes))
+        features = np.atleast_2d(check_array("features", features, None, dtype=np.float64))
+        check_array("class_ids", class_ids, (None,))
+        check_array("features", features, (len(class_ids), self.feature_dim))
         for k, f in zip(class_ids.tolist(), features):
             self._queues[k].append(f.copy())
 

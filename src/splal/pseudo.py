@@ -7,7 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, check_array, check_convex
-from .numerics import pow2_scaled_rows
+from .selector import cosine_matrix
+
+KNN_BLOCK = 256  # query rows per cosine_matrix call
 
 
 @dataclass(frozen=True)
@@ -20,13 +22,6 @@ class Ensemble:
     combined: np.ndarray
 
 
-def _unit_rows(X: np.ndarray) -> np.ndarray:
-    """Rows scaled to unit norm; a dead (all-zero) row stays zero."""
-    X = pow2_scaled_rows(np.asarray(X, dtype=np.float64))
-    norms = np.linalg.norm(X, axis=1, keepdims=True)
-    return np.divide(X, norms, out=np.zeros(X.shape), where=norms != 0.0)
-
-
 def knn_prediction(
     features: np.ndarray,
     labeled_features: np.ndarray,
@@ -36,28 +31,28 @@ def knn_prediction(
 ) -> np.ndarray:
     """Mean label vector of the k nearest labeled features under cosine distance.
 
-    `features` is one (d,) query, answered with a (K,) vector, or an (N, d)
-    matrix of queries, answered row by row with an (N, K) matrix. Distance
-    ties break by sample id ascending; a dead feature on either side scores
-    the pair as orthogonal. Labels may be soft vectors (pseudo-labeled
-    neighbors contribute their stored distributions).
+    `features` is one (d,) query, answered with a (K,) vector, or an (N, d) matrix of queries,
+    answered row by row with an (N, K) matrix. Distances are 1 - the gate's `cosine_matrix`, so a
+    dead feature on either side scores the pair as orthogonal; ties break by sample id ascending.
+    Labels may be soft vectors (pseudo-labeled neighbors contribute their stored distributions).
     """
     n, d = check_array("labeled_features", labeled_features, (None, None)).shape
     labeled_labels = check_array("labeled_labels", labeled_labels, (n, None))
     labeled_ids = check_array("labeled_ids", labeled_ids, (n,), "iu")
-    features = check_array("features", features, (d,) if np.ndim(features) == 1 else (None, d))
+    features = check_array("features", features, None)
+    check_array("features", features, (d,) if features.ndim == 1 else (None, d))
     if k < 1:
-        raise ConfigurationError(f"neighbor count must be >= 1, got {k}")
+        raise ConfigurationError(f"k: must be >= 1, got {k}")
     if n < k:
-        raise ConfigurationError(f"need at least {k} labeled samples, have {n}")
-    queries = _unit_rows(np.atleast_2d(features))
-    units = _unit_rows(labeled_features)
+        raise ConfigurationError(f"k: {k} neighbors need at least {k} labeled samples, have {n}")
+    queries = np.atleast_2d(features)
     out = np.empty((len(queries), labeled_labels.shape[1]))
-    # One query row at a time keeps memory at O(n), not an (N, n) matrix.
-    for i, q in enumerate(queries):
-        dists = 1.0 - np.clip(units @ q, -1.0, 1.0)
-        nearest = np.lexsort((labeled_ids, dists))[:k]
-        out[i] = labeled_labels[nearest].mean(axis=0)
+    # A block of queries at a time keeps memory at O(KNN_BLOCK * n), not O(N * n); cosine_matrix's
+    # row sums make each row's distances independent of the block.
+    for start in range(0, len(queries), KNN_BLOCK):
+        dists = 1.0 - cosine_matrix(labeled_features, queries[start : start + KNN_BLOCK])
+        order = np.lexsort((np.broadcast_to(labeled_ids, dists.shape), dists), axis=1)
+        out[start : start + KNN_BLOCK] = labeled_labels[order[:, :k]].mean(axis=1)
     return out[0] if features.ndim == 1 else out
 
 
@@ -71,7 +66,7 @@ def combine(
     check_array("alphas", alphas, (3,))
     check_convex("alpha1/alpha2/alpha3", alphas)
     a1, a2, a3 = alphas
-    linear = check_array("linear", linear, np.shape(linear))
+    linear = check_array("linear", linear, None)
     knn = check_array("knn", knn, linear.shape)
     similarity = check_array("similarity", similarity, linear.shape)
     return a1 * linear + a2 * knn + a3 * similarity

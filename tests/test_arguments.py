@@ -1,9 +1,9 @@
 """Malformed library calls fail by name.
 
 Every public entry point checks its array arguments' ndim, pinned axis
-lengths and dtype kind, and a malformed call raises a SplalError whose
-message starts with the argument's name (`name: ...`, or `a/b/c: ...` for a
-rule over several arguments).
+lengths, dtype kind and class-id range, and rejects a ragged nested list; a
+malformed call raises a SplalError whose message starts with the argument's
+name (`name: ...`, or `a/b/c: ...` for a rule over several arguments).
 """
 
 import numpy as np
@@ -12,10 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splal.augment import strong_augment, weak_augment
+from splal.data import Pool, split_labeled
 from splal.errors import SplalError
 from splal.loss import total_loss
 from splal.metrics import auc_ovr, confusion, summary
 from splal.model import OptimizerState, adam_step, ce_value_and_dlogits, forward, init_params
+from splal.orchestrator import DatasetState
 from splal.prototypes import PrototypeBank
 from splal.pseudo import combine, ensemble, knn_prediction
 from splal.selector import cosine_matrix, gate
@@ -28,6 +30,11 @@ PARAMS = init_params(9, (5,), 3, np.random.default_rng(0))
 def named(err, name: str) -> bool:
     """Whether the message's field (the text before its first colon) names the argument."""
     return name in str(err.value).split(":")[0].split("/")
+
+
+def pool_with(truth: list) -> Pool:
+    """A pool of 2x2 zero grids with the given truth column."""
+    return Pool(np.arange(len(truth)), np.zeros((len(truth), 2, 2)), np.array(truth))
 
 
 def ce_call(a):
@@ -63,6 +70,34 @@ PROBES = {
         lambda: PrototypeBank(2, 0), "feature_dim"),
     "gate on nan features": (
         lambda: gate(np.eye(3), np.full((2, 3), np.nan), 0.9, 0.05), "features"),
+    "DatasetState.split with truth -1": (
+        lambda: DatasetState.split(pool_with([0, 1, -1, 1]), np.arange(4), 2), "pool.truth"),
+    "DatasetState.split with truth 2 against 2 classes": (
+        lambda: DatasetState.split(pool_with([0, 1, 2, 1]), np.arange(4), 2), "pool.truth"),
+    "split_labeled with truth 5 against 2 classes": (
+        lambda: split_labeled(pool_with([0, 1, 5, 1]), 0.5, 0, 2), "pool.truth"),
+    "split_labeled with truth -1": (
+        lambda: split_labeled(pool_with([0, 1, -1, 1]), 0.5, 0, 2), "pool.truth"),
+    "split_labeled with float truth": (
+        lambda: split_labeled(pool_with([0.0, 1.0, 0.0, 1.0]), 0.5, 0, 2), "pool.truth"),
+    "split_labeled with ratio 0": (
+        lambda: split_labeled(pool_with([0, 1, 0, 1]), 0.0, 0, 2), "ratio"),
+    "confusion with prediction 3 against 3 classes": (
+        lambda: confusion(np.array([3]), np.array([0]), 3), "predictions"),
+    "confusion with truth -1": (
+        lambda: confusion(np.array([0]), np.array([-1]), 3), "truths"),
+    "PrototypeBank.push with class id 2 against 2 classes": (
+        lambda: PrototypeBank(2, 3).push(np.array([2]), np.ones((1, 3))), "class_ids"),
+    "knn_prediction with k 0": (
+        lambda: knn_prediction(np.ones((2, 3)), np.ones((5, 3)), np.eye(2)[[0, 1, 0, 1, 0]],
+                               np.arange(5), 0), "k"),
+    "knn_prediction with k 6 over 5 labeled rows": (
+        lambda: knn_prediction(np.ones((2, 3)), np.ones((5, 3)), np.eye(2)[[0, 1, 0, 1, 0]],
+                               np.arange(5), 6), "k"),
+    "summary on an all-zero matrix": (
+        lambda: summary(np.zeros((2, 2), dtype=np.int64)), "matrix"),
+    "OptimizerState with a ragged m": (
+        lambda: OptimizerState(m=[0.0, [0.0, 0.0]], v=np.zeros(2)), "m"),
     "total_loss with 3 weak views for 2 grids": (
         lambda: total_loss(PARAMS, np.ones((2, 3, 3)), np.eye(3)[[0, 1]], 1.0, np.ones((3, 3, 3)),
                            np.ones((2, 3, 3)), 0.6, 0.4), "weak_grids"),
@@ -81,9 +116,10 @@ def _valid():
     """name -> (call on a dict of arrays, valid arrays, {argument: perturbations}).
 
     Perturbations: "n" adds an axis, "k" changes the dtype kind, a digit
-    changes that axis's length. An argument that sets the shape of others
-    (the first of a group that must be equal) takes only the perturbations
-    it is checked on by itself.
+    changes that axis's length, "r" makes it a ragged nested list, and "c"
+    puts a class id outside [0, K). An argument that sets the shape of
+    others (the first of a group that must be equal) takes only the
+    perturbations it is checked on by itself.
     """
     rng = np.random.default_rng(1)
     feats, labeled = rng.normal(size=(5, 4)), rng.normal(size=(6, 4))
@@ -96,54 +132,54 @@ def _valid():
     return {
         "cosine_matrix": (lambda a: cosine_matrix(a["prototypes"], a["features"]),
                           {"prototypes": labeled[:3], "features": feats},
-                          {"prototypes": "nk", "features": "nk1"}),
+                          {"prototypes": "nkr", "features": "nk1r"}),
         "gate": (lambda a: gate(a["prototypes"], a["features"], 0.9, 0.05),
                  {"prototypes": labeled[:3], "features": feats},
-                 {"prototypes": "nk", "features": "nk1"}),
+                 {"prototypes": "nkr", "features": "nk1r"}),
         "knn_prediction": (lambda a: knn_prediction(**a, k=2), knn_args,
-                           {"features": "nk1", "labeled_features": "nk",
-                            "labeled_labels": "nk0", "labeled_ids": "nk0"}),
+                           {"features": "nk1r", "labeled_features": "nkr",
+                            "labeled_labels": "nk0r", "labeled_ids": "nk0r"}),
         "combine": (lambda a: combine(**a), {"linear": probs, "knn": probs, "similarity": probs,
                                               "alphas": np.array([0.2, 0.1, 0.7])},
-                    {"linear": "k", "knn": "nk01", "similarity": "nk01", "alphas": "nk0"}),
+                    {"linear": "kr", "knn": "nk01r", "similarity": "nk01r", "alphas": "nk0r"}),
         "ensemble": (lambda a: ensemble(**a, k=2, alphas=(0.2, 0.1, 0.7)),
                      {"probabilities": probs, "posterior": probs, **knn_args},
-                     {"probabilities": "nk", "posterior": "nk01", "features": "nk01",
-                      "labeled_features": "nk", "labeled_labels": "nk01", "labeled_ids": "nk0"}),
+                     {"probabilities": "nkr", "posterior": "nk01r", "features": "nk01r",
+                      "labeled_features": "nkr", "labeled_labels": "nk01r", "labeled_ids": "nk0r"}),
         "confusion": (lambda a: confusion(a["predictions"], a["truths"], 3),
                       {"predictions": np.array([0, 1, 2, 2, 1]), "truths": np.array([0, 1, 2, 0, 0])},
-                      {"predictions": "nk", "truths": "nk0"}),
+                      {"predictions": "nkrc", "truths": "nk0rc"}),
         "summary": (lambda a: summary(a["matrix"]), {"matrix": np.array([[3, 1, 0], [0, 2, 1], [1, 0, 4]])},
-                    {"matrix": "nk01"}),
+                    {"matrix": "nk01r"}),
         "auc_ovr": (lambda a: auc_ovr(a["scores"], a["truths"]),
                     {"scores": probs, "truths": np.array([0, 1, 2, 0, 1])},
-                    {"scores": "nk", "truths": "nk0"}),
+                    {"scores": "nkr", "truths": "nk0rc"}),
         "ce_value_and_dlogits": (ce_call, {"X": rng.uniform(size=(5, 9)), "targets": probs,
                                            "weights": np.ones(5)},
-                                 {"targets": "nk01", "weights": "nk0"}),
+                                 {"targets": "nk01r", "weights": "nk0r"}),
         "total_loss": (lambda a: total_loss(PARAMS, a["grids"], a["targets"], a["weights"], a["weak_grids"],
                                             a["strong_grids"], 0.6, 0.4),
                        {"grids": grids, "targets": probs[:4], "weights": np.ones(4),
                         "weak_grids": grids[:, ::-1], "strong_grids": grids.copy()},
-                       {"grids": "nk", "targets": "nk01", "weights": "nk0",
-                        "weak_grids": "nk012", "strong_grids": "nk012"}),
+                       {"grids": "nkr", "targets": "nk01r", "weights": "nk0r",
+                        "weak_grids": "nk012r", "strong_grids": "nk012r"}),
         "PrototypeBank.push": (lambda a: PrototypeBank(3, 4).push(a["class_ids"], a["features"]),
                                {"class_ids": np.array([0, 2, 1, 1, 0]), "features": feats},
-                               {"class_ids": "nk", "features": "nk01"}),
+                               {"class_ids": "nkrc", "features": "nk01r"}),
         "init_params": (lambda a: init_params(9, a["hidden_widths"], 3, np.random.default_rng(0)),
-                        {"hidden_widths": np.array([5, 4])}, {"hidden_widths": "k"}),
+                        {"hidden_widths": np.array([5, 4])}, {"hidden_widths": "kr"}),
         "weak_augment": (lambda a: weak_augment(a["x"], a["flip_h"], a["flip_v"]),
                          {"x": grids, "flip_h": flips[:, 0], "flip_v": flips[:, 1]},
-                         {"x": "nk", "flip_h": "nk0", "flip_v": "nk0"}),
-        "strong_augment": (lambda a: strong_augment(a["x"]), {"x": grids}, {"x": "nk"}),
-        "forward": (lambda a: forward(PARAMS, a["X"]), {"X": rng.uniform(size=(5, 9))}, {"X": "nk1"}),
+                         {"x": "nkr", "flip_h": "nk0r", "flip_v": "nk0r"}),
+        "strong_augment": (lambda a: strong_augment(a["x"]), {"x": grids}, {"x": "nkr"}),
+        "forward": (lambda a: forward(PARAMS, a["X"]), {"X": rng.uniform(size=(5, 9))}, {"X": "nk1r"}),
         "set_flat": (lambda a: PARAMS.copy().set_flat(a["flat"]), {"flat": PARAMS.flatten()},
-                     {"flat": "nk0"}),
+                     {"flat": "nk0r"}),
         "adam_step": (lambda a: adam_step(PARAMS.copy(), zero_gradients(PARAMS),
                                           OptimizerState(m=a["state.m"], v=np.zeros(a["state.m"].shape))),
                       {"state.m": np.zeros(PARAMS.num_params())}, {"state.m": "nk0"}),
         "OptimizerState": (lambda a: OptimizerState(m=np.zeros(PARAMS.num_params()), v=a["v"]),
-                           {"v": np.zeros(PARAMS.num_params())}, {"v": "nk0"}),
+                           {"v": np.zeros(PARAMS.num_params())}, {"v": "nk0r"}),
     }
 
 
@@ -171,6 +207,11 @@ def test_one_perturbed_argument_is_named(entry, arg, how, delta, pick):
         a = a[..., None]
     elif how == "k":
         a = a.astype(REJECTED[a.dtype.kind][pick])
+    elif how == "r":  # the last entry nests one level deeper than the others
+        a = a.tolist()
+        a[-1] = [a[-1], a[-1]]
+    elif how == "c":  # -1, or past the largest valid id (every valid table uses all K ids)
+        a[pick] = -1 if delta < 0 else a.max() + delta
     else:
         axis = int(how)
         length = a.shape[axis] + delta

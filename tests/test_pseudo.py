@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from splal.errors import ConfigurationError, InputDomainError
 from splal.model import ModelParams, forward
-from splal.pseudo import _unit_rows, combine, ensemble, knn_prediction
+from splal.pseudo import KNN_BLOCK, combine, ensemble, knn_prediction
 from splal.selector import gate
 
 ALPHAS = (0.2, 0.1, 0.7)
@@ -64,12 +64,30 @@ def brute_force_knn(feature, feats, labels, ids, k):
 
 
 class TestKnnPrediction:
-    def test_tiny_rows_scale_to_unit_norm(self):
-        # Unscaled, the squared norm underflows into subnormals and the row's
-        # norm read 0.99960.
-        rows = _unit_rows(np.array([[5.3e-161, 5.3e-161], [3.0, 4.0], [0.0, 0.0]]))
-        assert np.linalg.norm(rows[0]) == pytest.approx(1.0, abs=1e-15)
-        np.testing.assert_array_equal(rows[1:], [[0.6, 0.8], [0.0, 0.0]])
+    def test_tiny_queries_rank_like_rescaled_copies(self):
+        # Unscaled, a tiny query's squared norm underflows into subnormals and
+        # reads a few parts in 1e4 off. Read low (the 1e-161 row), it pushes both
+        # near-parallel neighbors past cosine 1: clipped, they tie, and id 0
+        # beats the exactly parallel id 1.
+        feats = np.array([[1.0, 1.0001], [1.0, 1.0], [1.0, 0.5], [-1.0, 0.0]])
+        labels, ids = np.eye(4), np.arange(4)
+        queries = np.array([[5.3e-161, 5.3e-161], [1e-161, 1e-161], [5.3e-161, 2.65e-161]])
+        tiny = knn_prediction(queries, feats, labels, ids, k=1)
+        np.testing.assert_array_equal(tiny, knn_prediction(np.ldexp(queries, 530), feats, labels, ids, k=1))
+        np.testing.assert_array_equal(tiny, np.eye(4)[[1, 1, 2]])
+
+    def test_blocked_batch_matches_single_queries_bitwise(self):
+        # More than two blocks of queries, the last one partial; duplicated
+        # labeled rows put exact ties among the nearest neighbors.
+        rng = np.random.default_rng(3)
+        feats = rng.normal(size=(60, 6))
+        feats[40:50] = feats[:10]
+        labels = rng.dirichlet(np.ones(3), size=60)
+        ids = rng.permutation(60)
+        queries = np.vstack([feats[:5], rng.normal(size=(2 * KNN_BLOCK + 32, 6))])
+        batch = knn_prediction(queries, feats, labels, ids, 7)
+        single = np.stack([knn_prediction(q, feats, labels, ids, 7) for q in queries])
+        np.testing.assert_array_equal(batch, single)
 
     def test_unanimous_neighbors(self):
         feats = np.array([[1.0, 0.0], [0.9, 0.1], [0.8, 0.2], [-1.0, 0.0]])
