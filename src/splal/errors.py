@@ -43,9 +43,9 @@ def check_convex(name: str, weights) -> None:
 def check_array(
     name: str, x, shape: tuple | None, kinds: str | None = "biuf", dtype=None, below: int | None = None
 ) -> np.ndarray:
-    """`np.asarray(x)`, as `dtype` if given; InputDomainError, naming the argument, unless x is not ragged,
-    its shape matches `shape` (None matches any shape, a None entry any length), its dtype kind is in
-    `kinds` (None: any kind) and, if `below` is given, each entry is a class id in [0, below).
+    """`np.asarray(x)`, as `dtype` if given; InputDomainError, naming the argument, unless x is a rectangular
+    array whose shape matches `shape` (None matches any shape, a None entry any length), whose dtype kind
+    is in `kinds` (None: any kind) and, if `below` is given, whose entries are class ids in [0, below).
     """
     try:
         a = np.asarray(x)
