@@ -44,7 +44,7 @@ def knn_prediction(
     if k < 1:
         raise ConfigurationError(f"k: must be >= 1, got {k}")
     if n < k:
-        raise ConfigurationError(f"k: {k} neighbors need at least {k} labeled samples, have {n}")
+        raise ConfigurationError(f"k: {k} exceeds the {n} labeled samples")
     queries = np.atleast_2d(features)
     out = np.empty((len(queries), labeled_labels.shape[1]))
     # A block of queries at a time keeps memory at O(KNN_BLOCK * n), not O(N * n); cosine_matrix's
