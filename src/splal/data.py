@@ -14,7 +14,7 @@ import itertools
 import json
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -133,11 +133,7 @@ def generate(spec: SyntheticSpec) -> Pool:
 
 def balanced_test_spec(spec: SyntheticSpec, per_class: int) -> SyntheticSpec:
     """Held-out evaluation spec: same patterns, balanced counts, disjoint seed."""
-    return replace(
-        spec,
-        class_counts=tuple(per_class for _ in spec.class_counts),
-        seed=spec.seed + 10_000,
-    )
+    return replace(spec, class_counts=(per_class,) * len(spec.class_counts), seed=spec.seed + 10_000)
 
 
 def split_labeled(pool: Pool, ratio: float, seed: int, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -300,19 +296,10 @@ def load_eval_csv(path, source: str, height: int, width: int, num_classes: int) 
 
 
 def file_sha256(path) -> str:
-    digest = hashlib.sha256()
-    digest.update(Path(path).read_bytes())
-    return digest.hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def write_manifest(path, spec: SyntheticSpec, csv_path) -> None:
-    manifest = {
-        "num_classes": spec.num_classes,
-        "class_counts": list(spec.class_counts),
-        "height": spec.height,
-        "width": spec.width,
-        "noise_sigma": spec.noise_sigma,
-        "seed": spec.seed,
-        "csv_sha256": file_sha256(csv_path),
-    }
+    """The spec's fields and the CSV's SHA-256, as sorted-key JSON."""
+    manifest = {**asdict(spec), "csv_sha256": file_sha256(csv_path)}
     Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -41,11 +41,13 @@ def check_convex(name: str, weights) -> None:
 
 
 def check_array(
-    name: str, x, shape: tuple | None, kinds: str | None = "biuf", dtype=None, below: int | None = None
+    name: str, x, shape: tuple | None, kinds: str | None = "biuf", dtype=None, below: int | None = None,
+    finite: bool = False,
 ) -> np.ndarray:
     """`np.asarray(x)`, as `dtype` if given; InputDomainError, naming the argument, unless x is a rectangular
     array whose shape matches `shape` (None matches any shape, a None entry any length), whose dtype kind
-    is in `kinds` (None: any kind) and, if `below` is given, whose entries are class ids in [0, below).
+    is in `kinds` (None: any kind), if `below` is given, whose entries are class ids in [0, below) and,
+    if `finite`, whose entries are all finite.
     """
     try:
         a = np.asarray(x)
@@ -59,6 +61,8 @@ def check_array(
         )
     if below is not None and ((a < 0) | (a >= below)).any():
         raise InputDomainError(f"{name}: class id {a[(a < 0) | (a >= below)][0]} out of range [0, {below})")
+    if finite and not np.isfinite((a.min(initial=0), a.max(initial=0))).all():  # no mask the size of a
+        raise InputDomainError(f"{name}: every entry must be finite")
     return a if dtype is None else a.astype(dtype, copy=False)
 
 

@@ -50,48 +50,49 @@ def make_views(grids: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray,
 
 
 def total_loss(
-    params: ModelParams,
-    grids: np.ndarray,
-    targets: np.ndarray,
-    weights: np.ndarray | float,
-    weak_grids: np.ndarray,
-    strong_grids: np.ndarray,
-    lam1: float,
-    lam2: float,
-    stop_gradient: bool = True,
-    with_grads: bool = True,
+    params: ModelParams, grids: np.ndarray, targets: np.ndarray, weights: np.ndarray | float,
+    weak_grids: np.ndarray, strong_grids: np.ndarray, lam1: float, lam2: float,
+    stop_gradient: bool = True, with_grads: bool = True,
 ) -> tuple[LossBreakdown, Gradients | None]:
     """Loss breakdown and (optionally) exact gradients for one batch.
 
     Views must be precomputed (see make_views) so the whole computation is
     a pure function of its arguments; each is shaped like the (B, H, W) grids.
+    They go through `stacked_loss` as one (3B, H, W) stack: clean, strong, weak.
     """
-    check_convex("lam1/lam2", (lam1, lam2))
     grids = check_array("grids", grids, (None, None, None))
     weak_grids = check_array("weak_grids", weak_grids, grids.shape)
     strong_grids = check_array("strong_grids", strong_grids, grids.shape)
-    B = grids.shape[0]
-    flat = grids.reshape(B, -1)
-    fwd = forward(params, flat)
-    cls_value, dlogits_cls = ce_value_and_dlogits(fwd, targets, weights)
+    views = np.concatenate([grids, strong_grids, weak_grids])
+    return stacked_loss(params, views, targets, weights, lam1, lam2, stop_gradient, with_grads)[:2]
 
-    fwd_weak = forward(params, weak_grids.reshape(B, -1))
-    fwd_strong = forward(params, strong_grids.reshape(B, -1))
-    p_weak = fwd_weak.probabilities
-    p_strong = fwd_strong.probabilities
-    clipped_strong = np.clip(p_strong, LOG_EPS, 1.0)
-    align_value = float(-(p_weak * np.log(clipped_strong)).sum(axis=1).mean())
+
+def stacked_loss(
+    params: ModelParams, views: np.ndarray, targets: np.ndarray, weights: np.ndarray | float,
+    lam1: float, lam2: float, stop_gradient: bool = True, with_grads: bool = True,
+) -> tuple[LossBreakdown, Gradients | None, np.ndarray]:
+    """`total_loss` of a (3B, H, W) stack of clean, strong and weak views, in that order, and
+    the clean rows' (B, d) features, read from the weights the loss was taken at.
+
+    One forward covers all 3B rows and one backward the rows with a gradient: the first
+    2B under `stop_gradient`, since the weak rows are then a fixed target, else all 3B.
+    """
+    check_convex("lam1/lam2", (lam1, lam2))
+    views = check_array("views", views, (None, None, None))
+    B = len(views) // 3
+    check_array("views", views, (3 * B, None, None))
+    fwd = forward(params, views.reshape(3 * B, -1))
+    cls_value, dlogits_cls = ce_value_and_dlogits(fwd.head(B), targets, weights)
+    p_strong, p_weak = fwd.probabilities[B : 2 * B], fwd.probabilities[2 * B :]
+    log_strong = np.log(np.clip(p_strong, LOG_EPS, 1.0))
+    align_value = float(-(p_weak * log_strong).sum(axis=1).mean())
 
     breakdown = LossBreakdown(cls_value, align_value, lam1 * cls_value + lam2 * align_value)
     if not with_grads:
-        return breakdown, None
-
-    grads = backward_from_dlogits(params, fwd, lam1 * dlogits_cls)
-    dlogits_strong = lam2 * (p_strong - p_weak) / B
-    grads.flat += backward_from_dlogits(params, fwd_strong, dlogits_strong).flat
+        return breakdown, None, fwd.features[:B]
+    parts = [lam1 * dlogits_cls, lam2 * (p_strong - p_weak) / B]
     if not stop_gradient:
         # Symmetric variant: the weak prediction is also differentiated through.
-        dprobs_weak = lam2 * (-np.log(clipped_strong)) / B
-        dlogits_weak = dlogits_from_dprobs(p_weak, dprobs_weak)
-        grads.flat += backward_from_dlogits(params, fwd_weak, dlogits_weak).flat
-    return breakdown, grads
+        parts.append(dlogits_from_dprobs(p_weak, lam2 * -log_strong / B))
+    dlogits = np.concatenate(parts)
+    return breakdown, backward_from_dlogits(params, fwd.head(len(dlogits)), dlogits), fwd.features[:B]

@@ -163,6 +163,10 @@ class ForwardRecord:
         """The (B, d) last hidden activation."""
         return self.layers[-1]
 
+    def head(self, n: int) -> "ForwardRecord":
+        """The record of the first n rows, as views into this one."""
+        return ForwardRecord([a[:n] for a in self.layers], self.logits[:n], self.probabilities[:n])
+
 
 def _encode(params: ModelParams, X: np.ndarray) -> list[np.ndarray]:
     """The (B, D) input, then each hidden layer's output, rectified in place."""

@@ -31,7 +31,7 @@ from .data import (
     split_labeled,
 )
 from .errors import ConfigurationError, TrainingError, check_array
-from .loss import total_loss, weak_views
+from .loss import stacked_loss, weak_views
 from .model import (
     ModelParams,
     OptimizerState,
@@ -192,8 +192,9 @@ def _train_epochs(
 
     Class ids and strong views are built once per call, the blur a
     batch-sized chunk at a time (one blur of the whole set would hold ~4x the
-    cache in temporaries); each batch gathers its grids and draws its flips.
-    Every row weighs 1.
+    cache in temporaries). Each batch gathers its clean, strong and weak views
+    into one reused stack for `stacked_loss`, every row weighing 1; the bank
+    takes the clean rows' features from that forward, before the update.
     """
     if not epochs:
         return []  # nothing would read the cache
@@ -206,15 +207,18 @@ def _train_epochs(
     for start in starts:
         chunk = rows[start : start + cfg.batch_size]
         strong_all[start : start + cfg.batch_size] = strong_augment(state.pool.grids[chunk])
+    stack = np.empty((3 * cfg.batch_size,) + strong_all.shape[1:])
     for epoch in range(epochs):
         order = rng_shuffle.permutation(n)
         sums = np.zeros(3)
         for start in starts:
             idx = order[start : start + cfg.batch_size]
-            grids = state.pool.grids[rows[idx]]
-            weak, _ = weak_views(grids, rng_augment)
-            breakdown, grads = total_loss(
-                params, grids, targets[idx], 1.0, weak, strong_all[idx], cfg.lam1, cfg.lam2
+            B = len(idx)
+            stack[:B] = state.pool.grids[rows[idx]]
+            stack[B : 2 * B] = strong_all[idx]
+            stack[2 * B : 3 * B] = weak_views(stack[:B], rng_augment)[0]
+            breakdown, grads, features = stacked_loss(
+                params, stack[: 3 * B], targets[idx], 1.0, cfg.lam1, cfg.lam2
             )
             adam_step(params, grads, opt)
             if not params.all_finite():
@@ -222,7 +226,7 @@ def _train_epochs(
             if ema is not None:
                 ema_update(ema, params, cfg.ema_decay)
             if bank is not None:
-                bank.push(class_ids[idx], encode(params, _flat(grids)))
+                bank.push(class_ids[idx], features)
             sums += (breakdown.classification, breakdown.alignment, breakdown.total)
         mean = sums / max(len(starts), 1)
         logs.append({"stage": stage, "epoch": epoch, **dict(zip(LOSSES, mean.tolist()))})
@@ -313,6 +317,7 @@ def run_stage(
         np.concatenate([rows, unlabeled[chosen]]), np.concatenate([state.targets, labels])
     )
     state.check_invariants()
+    del feats, probs, labeled  # not read by retraining
 
     logs = _train_epochs(
         params, opt, ema, state, cfg.epochs_stage, cfg,

@@ -36,7 +36,7 @@ def knn_prediction(
     dead feature on either side scores the pair as orthogonal; ties break by sample id ascending.
     Labels may be soft vectors (pseudo-labeled neighbors contribute their stored distributions).
     """
-    n, d = check_array("labeled_features", labeled_features, (None, None)).shape
+    n, d = check_array("labeled_features", labeled_features, (None, None), finite=True).shape
     labeled_labels = check_array("labeled_labels", labeled_labels, (n, None))
     labeled_ids = check_array("labeled_ids", labeled_ids, (n,), "iu")
     features = check_array("features", features, None)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InputDomainError, check_array, check_num_classes
+from .errors import ConfigurationError, check_array, check_num_classes
 from .numerics import pow2_scaled_rows, softmax_rows
 
 DEFAULT_TEMPERATURE = 0.1
@@ -34,12 +34,10 @@ def cosine_matrix(prototypes: np.ndarray, features: np.ndarray) -> np.ndarray:
 
     A zero-norm prototype (every queued feature dead for that class) or a
     dead (all-zero) feature has no direction; the pair scores 0, orthogonal.
-    A non-finite feature raises InputDomainError.
+    A non-finite entry on either side raises InputDomainError.
     """
-    P = check_array("prototypes", prototypes, (None, None), dtype=np.float64)
-    F = check_array("features", features, (None, P.shape[1]), dtype=np.float64)
-    if not np.isfinite((F.min(initial=0.0), F.max(initial=0.0))).all():  # no mask the size of F
-        raise InputDomainError("features: every entry must be finite")
+    P = check_array("prototypes", prototypes, (None, None), dtype=np.float64, finite=True)
+    F = check_array("features", features, (None, P.shape[1]), dtype=np.float64, finite=True)
     P, F = pow2_scaled_rows(P), pow2_scaled_rows(F)
     # Row sums of elementwise products, not a matmul, so each row's result
     # does not depend on how many rows share the call; one prototype at a

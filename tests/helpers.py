@@ -9,11 +9,13 @@ import numpy as np
 from splal.augment import strong_augment, weak_augment
 from splal.data import _centered_coords, _render
 from splal.errors import InputDomainError, TrainingError
-from splal.loss import make_views, total_loss
+from splal.loss import LossBreakdown, make_views, total_loss
 from splal.metrics import _sweep
 from splal.model import (
-    Gradients, adam_step, backward_from_dlogits, ce_value_and_dlogits, ema_update, encode, forward,
+    Gradients, adam_step, backward_from_dlogits, ce_value_and_dlogits, dlogits_from_dprobs, ema_update,
+    encode, forward,
 )
+from splal.numerics import LOG_EPS
 from splal.orchestrator import LOSSES
 
 
@@ -44,7 +46,11 @@ def replay_views(grids, flips):
 def train_epochs_per_batch(
     params, opt, ema, state, epochs, cfg, rng_shuffle, rng_augment, bank=None, stage=-1
 ):
-    """`orchestrator._train_epochs` with both views made per batch by make_views, nothing cached."""
+    """`orchestrator._train_epochs` with both views made per batch by make_views, nothing cached.
+
+    Each batch's loss goes through `total_loss`, and the bank push re-encodes
+    the stacked views with the weights the loss was taken at.
+    """
     logs = []
     rows, targets = state.labeled_rows, state.targets
     class_ids = targets.argmax(axis=1)
@@ -60,17 +66,37 @@ def train_epochs_per_batch(
             breakdown, grads = total_loss(
                 params, grids, targets[idx], weights[idx], weak, strong, cfg.lam1, cfg.lam2
             )
+            # The bank takes the clean rows' features from the step's stacked forward: before the update.
+            features = encode(params, np.concatenate([grids, strong, weak]).reshape(3 * len(idx), -1))
             adam_step(params, grads, opt)
             if not params.all_finite():
                 raise TrainingError("non-finite parameters after optimizer step")
             if ema is not None:
                 ema_update(ema, params, cfg.ema_decay)
             if bank is not None:
-                bank.push(class_ids[idx], encode(params, grids.reshape(len(grids), -1)))
+                bank.push(class_ids[idx], features[: len(idx)])
             sums += (breakdown.classification, breakdown.alignment, breakdown.total)
         mean = sums / max(len(starts), 1)
         logs.append({"stage": stage, "epoch": epoch, **dict(zip(LOSSES, mean.tolist()))})
     return logs
+
+
+def per_view_loss(params, grids, targets, weights, weak_grids, strong_grids, lam1, lam2, stop_gradient=True):
+    """`total_loss` one view at a time: a forward per view, a backward per view that
+    has a gradient, and the gradients summed; the reference for the stacked step."""
+    B = len(grids)
+    fwd, fwd_weak, fwd_strong = (forward(params, g.reshape(B, -1)) for g in (grids, weak_grids, strong_grids))
+    cls_value, dlogits_cls = ce_value_and_dlogits(fwd, targets, weights)
+    p_weak, p_strong = fwd_weak.probabilities, fwd_strong.probabilities
+    clipped_strong = np.clip(p_strong, LOG_EPS, 1.0)
+    align_value = float(-(p_weak * np.log(clipped_strong)).sum(axis=1).mean())
+    breakdown = LossBreakdown(cls_value, align_value, lam1 * cls_value + lam2 * align_value)
+    grads = backward_from_dlogits(params, fwd, lam1 * dlogits_cls)
+    grads.flat += backward_from_dlogits(params, fwd_strong, lam2 * (p_strong - p_weak) / B).flat
+    if not stop_gradient:
+        dlogits_weak = dlogits_from_dprobs(p_weak, lam2 * (-np.log(clipped_strong)) / B)
+        grads.flat += backward_from_dlogits(params, fwd_weak, dlogits_weak).flat
+    return breakdown, grads
 
 
 def binary_auc_exact(scores, positives):

@@ -70,6 +70,13 @@ PROBES = {
         lambda: PrototypeBank(2, 0), "feature_dim"),
     "gate on nan features": (
         lambda: gate(np.eye(3), np.full((2, 3), np.nan), 0.9, 0.05), "features"),
+    "gate on a nan prototype": (
+        lambda: gate(np.array([[1.0, 0.0], [np.nan, 1.0]]), np.ones((2, 2)), 0.9, 0.05), "prototypes"),
+    "knn_prediction on a nan labeled feature": (
+        lambda: knn_prediction(np.array([0.0, 1.0]), np.array([[1.0, 0.0], [np.nan, 1.0], [0.5, 0.5]]),
+                               np.eye(2)[[0, 1, 0]], np.arange(3), 1), "labeled_features"),
+    "knn_prediction on an infinite query": (
+        lambda: knn_prediction(np.array([np.inf, 1.0]), np.eye(2), np.eye(2), np.arange(2), 1), "features"),
     "DatasetState.split with truth -1": (
         lambda: DatasetState.split(pool_with([0, 1, -1, 1]), np.arange(4), 2), "pool.truth"),
     "DatasetState.split with truth 2 against 2 classes": (

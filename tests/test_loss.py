@@ -7,7 +7,7 @@ from splal.errors import ConfigurationError
 from splal.loss import make_views, total_loss
 from splal.model import forward, init_params
 
-from helpers import replay_views
+from helpers import per_view_loss, replay_views
 from test_model import finite_difference, max_rel_error
 
 
@@ -19,6 +19,23 @@ def small_batch(seed=0, batch=3, h=4, w=4, classes=3):
     params = init_params(h * w, (5, 4), classes, rng)
     weak, strong, draws = make_views(grids, rng)
     return params, grids, targets, weights, weak, strong, draws
+
+
+@pytest.mark.parametrize("stop_gradient", [True, False])
+@pytest.mark.parametrize("side, widths, batch", [(4, (5, 4), 3), (16, (64, 32), 32)])
+def test_stacked_step_matches_per_view_reference(stop_gradient, side, widths, batch):
+    # One forward over the stacked views and one backward against a forward and a backward per view.
+    rng = np.random.default_rng(18)
+    params = init_params(side * side, widths, 4, rng)
+    grids = rng.uniform(size=(batch, side, side))
+    targets = np.eye(4)[rng.integers(0, 4, size=batch)]
+    weights = rng.uniform(0.5, 1.5, size=batch)
+    weak, strong, _ = make_views(grids, rng)
+    args = (params, grids, targets, weights, weak, strong, 0.7, 0.3, stop_gradient)
+    (got, grads), (ref, ref_grads) = total_loss(*args), per_view_loss(*args)
+    for a, b in zip((got.classification, got.alignment, got.total), (ref.classification, ref.alignment, ref.total)):
+        assert abs(a - b) <= 1e-12 * abs(b)
+    assert np.linalg.norm(grads.flat - ref_grads.flat) <= 1e-12 * np.linalg.norm(ref_grads.flat)
 
 
 def test_lambda2_zero_is_pure_classification():

@@ -331,13 +331,16 @@ class TestFlatLayout:
 # every expression a fresh temporary, as the update rules are written.
 
 def ref_backward(arrays, X, dlogits):
-    # The forward pass is recomputed here, each pre-activation from the
-    # weights and the layer below, so nothing is read from a ForwardRecord.
+    # The forward pass is recomputed here over every row of X, each
+    # pre-activation from the weights and the layer below, so nothing is read
+    # from a ForwardRecord. The gradient flows back from the first
+    # len(dlogits) rows, as in the stacked training step.
     Ws, bs = arrays[::2], arrays[1::2]
     below, pre = [X], []
     for W, b in zip(Ws[:-1], bs[:-1]):
         pre.append(below[-1] @ W + b)
         below.append(np.maximum(pre[-1], 0.0))
+    below, pre = [a[: len(dlogits)] for a in below], [a[: len(dlogits)] for a in pre]
     grads = [np.zeros_like(a) for a in arrays]
     grads[-2][...] = below[-1].T @ dlogits
     grads[-1][...] = dlogits.sum(axis=0)
@@ -390,20 +393,19 @@ class TestFusedStepMatchesPerTensorReference:
             _, grads = total_loss(params, grids, targets, weights, weak, strong, lam1, lam2,
                                   stop_gradient=stop_gradient)
 
+            # One forward over the clean, strong and weak rows stacked, one backward over
+            # the rows that have a gradient (the weak ones only without stop-gradient).
             net = ModelParams(hidden=list(zip(ref[:-2:2], ref[1:-2:2])), classifier=(ref[-2], ref[-1]))
-            X, X_weak, X_strong = (x.reshape(B, -1) for x in (grids, weak, strong))
-            fwd, fwd_weak, fwd_strong = (forward(net, x) for x in (X, X_weak, X_strong))
-            _, dlogits = ce_value_and_dlogits(fwd, targets, weights)
-            ref_grads = ref_backward(ref, X, lam1 * dlogits)
-            p_weak, p_strong = fwd_weak.probabilities, fwd_strong.probabilities
-            parts = [(X_strong, lam2 * (p_strong - p_weak) / B)]
+            X = np.concatenate([grids, strong, weak]).reshape(3 * B, -1)
+            fwd = forward(net, X)
+            _, dlogits = ce_value_and_dlogits(fwd.head(B), targets, weights)
+            p_strong, p_weak = fwd.probabilities[B : 2 * B], fwd.probabilities[2 * B :]
+            parts = [lam1 * dlogits, lam2 * (p_strong - p_weak) / B]
             if not stop_gradient:
                 dprobs = lam2 * (-np.log(np.clip(p_strong, LOG_EPS, 1.0))) / B
                 inner = (dprobs * p_weak).sum(axis=1, keepdims=True)
-                parts.append((X_weak, p_weak * (dprobs - inner)))
-            for x, dl in parts:
-                for mine, theirs in zip(ref_grads, ref_backward(ref, x, dl)):
-                    mine += 1.0 * theirs
+                parts.append(p_weak * (dprobs - inner))
+            ref_grads = ref_backward(ref, X, np.concatenate(parts))
             assert np.array_equal(grads.flat, concat(ref_grads))
 
             adam_step(params, grads, opt)

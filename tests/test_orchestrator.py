@@ -4,11 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from splal import orchestrator
+from splal import loss, orchestrator
 from splal.config import ExperimentConfig, load_config
 from splal.data import GROUND_TRUTH, PSEUDO, Pool, SyntheticSpec, generate, save_csv, split_labeled
 from splal.errors import ConfigurationError, TrainingError
-from splal.model import OptimizerState, init_params
+from splal.model import OptimizerState, encode, init_params
 from splal.orchestrator import (
     _synthetic_pool,
     STREAM_AUGMENT,
@@ -186,6 +186,48 @@ class TestStrongViewCache:
         finally:
             tracemalloc.stop()
         assert cache_bytes <= peak < 2 * cache_bytes
+
+
+class TestStackedStep:
+    """One forward and one backward per batch; the bank push reads that forward's clean rows."""
+
+    def test_push_reads_pre_step_features_of_one_forward(self, monkeypatch):
+        cfg = tiny_config(queue_capacity=64)
+        rows = np.random.default_rng(5).permutation(61)[:45]  # 3 batches of 16, 16 and 13
+        state, params, opt, ema, bank = TestStrongViewCache._setup(61, 8, rows, cfg)
+        calls, steps, pushes = {"forward": 0, "backward_from_dlogits": 0}, [], []
+        for name in calls:
+            def counted(*args, _fn=getattr(loss, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(loss, name, counted)
+
+        def stacked_loss(params, views, *args):
+            steps.append((params.copy(), views.copy()))
+            return real_loss(params, views, *args)
+
+        def push(class_ids, features):
+            pushes.append(features.copy())
+            real_push(class_ids, features)
+
+        def no_encode(*args):
+            raise AssertionError("_train_epochs encodes outside the step's forward")
+
+        real_loss, real_push = orchestrator.stacked_loss, bank.push
+        monkeypatch.setattr(orchestrator, "stacked_loss", stacked_loss)
+        monkeypatch.setattr(orchestrator, "encode", no_encode)
+        monkeypatch.setattr(bank, "push", push)
+        _train_epochs(params, opt, ema, state, 2, cfg, np.random.default_rng(7), np.random.default_rng(8), bank=bank)
+
+        assert len(steps) == len(pushes) == 6
+        assert calls == {"forward": 6, "backward_from_dlogits": 6}
+        for (before, views), pushed in zip(steps, pushes):
+            B = len(pushed)
+            assert np.array_equal(pushed, encode(before, views.reshape(3 * B, -1))[:B])
+            clean = encode(before, views[:B].reshape(B, -1))
+            assert np.linalg.norm(pushed - clean) <= 1e-12 * np.linalg.norm(clean)
+        after = encode(params, steps[-1][1][:13].reshape(13, -1))
+        assert not np.array_equal(pushes[-1], after)  # the last update moved the features
 
 
 class TestFullRun:
