@@ -317,7 +317,7 @@ def run_stage(
         np.concatenate([rows, unlabeled[chosen]]), np.concatenate([state.targets, labels])
     )
     state.check_invariants()
-    del feats, probs, labeled  # not read by retraining
+    del feats, probs, labeled  # retraining reads none of them; freed, they do not raise its peak RSS
 
     logs = _train_epochs(
         params, opt, ema, state, cfg.epochs_stage, cfg,
