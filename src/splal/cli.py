@@ -64,17 +64,14 @@ def cmd_generate_data(args) -> int:
     test_spec = balanced_test_spec(spec, per_class=args.test_per_class)
     if args.test_out and args.test_per_class < 1:  # checked before anything is written
         raise InputDomainError(f"--test-per-class: must be >= 1, got {args.test_per_class}")
-    samples = generate(spec)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    save_csv(samples, out, spec.num_classes)
-    write_manifest(out.with_suffix(out.suffix + ".manifest.json"), spec, out)
-    if args.test_out:
-        test_samples = generate(test_spec)
-        test_out = Path(args.test_out)
-        save_csv(test_samples, test_out, spec.num_classes)
-        write_manifest(test_out.with_suffix(test_out.suffix + ".manifest.json"), test_spec, test_out)
-    print(f"wrote {len(samples)} samples to {out}")
+    outputs = [(spec, out)] + ([(test_spec, Path(args.test_out))] if args.test_out else [])
+    for data_spec, path in outputs:
+        samples = generate(data_spec)  # validates the spec before anything is written
+        path.parent.mkdir(parents=True, exist_ok=True)
+        save_csv(samples, path, data_spec.num_classes)
+        write_manifest(path.with_suffix(path.suffix + ".manifest.json"), data_spec, path)
+    print(f"wrote {sum(spec.class_counts)} samples to {out}")
     return 0
 
 
@@ -223,21 +220,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate-data", help="write a synthetic dataset CSV + manifest")
+    gen.set_defaults(handler=cmd_generate_data)
     gen.add_argument("--spec", help="flat key=value synthetic spec file (default: built-in benchmark)")
     gen.add_argument("--out", required=True, help="output CSV path")
     gen.add_argument("--test-out", help="also write a balanced held-out test CSV here")
     gen.add_argument("--test-per-class", type=int, default=ExperimentConfig.test_per_class)
 
     train = sub.add_parser("train", help="run training per the config, one run per seed")
+    train.set_defaults(handler=cmd_train)
     train.add_argument("--config", required=True)
     train.add_argument("--out-dir", required=True)
 
     ev = sub.add_parser("evaluate", help="metrics from an EMA checkpoint on a labeled CSV")
+    ev.set_defaults(handler=cmd_evaluate)
     ev.add_argument("--checkpoint", required=True)
     ev.add_argument("--data", required=True)
     ev.add_argument("--out-dir", required=True)
 
     ab = sub.add_parser("ablate", help="run one ablation sweep, emit a long-form CSV")
+    ab.set_defaults(handler=cmd_ablate)
     ab.add_argument("--config", required=True)
     ab.add_argument("--sweep", required=True, choices=SWEEPS)
     ab.add_argument("--out-dir", required=True)
@@ -247,14 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "generate-data": cmd_generate_data,
-        "train": cmd_train,
-        "evaluate": cmd_evaluate,
-        "ablate": cmd_ablate,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return USAGE_EXIT

@@ -145,7 +145,8 @@ class StageAudit:
     ids: np.ndarray        # (N,) the stage's unlabeled ids, ascending
     gate: GateResult       # over those N rows
     chosen: np.ndarray     # (M,) indices into ids of the reliable rows
-    pred: Ensemble         # (M, K) rows over the chosen rows; combined's argmax is the label
+    pred: Ensemble         # (M, K) rows over the chosen rows
+    labels: np.ndarray     # (M,) their pseudo-label classes, combined's argmax
     truth: np.ndarray      # (M,) hidden truth of the chosen rows
 
 
@@ -168,7 +169,7 @@ class RunResult:
         return {"pseudo": [
             {"stage": a.stage, "sample_id": sid, "predicted": c}
             for a in self.stage_audits
-            for sid, c in zip(a.ids[a.chosen].tolist(), a.pred.combined.argmax(axis=1).tolist())
+            for sid, c in zip(a.ids[a.chosen].tolist(), a.labels.tolist())
         ]}
 
 
@@ -256,25 +257,6 @@ def warmup(
     return params.copy(), logs
 
 
-def _ensemble_accuracy(
-    rows: np.ndarray,
-    truth: np.ndarray,
-    probs: np.ndarray,
-    feats: np.ndarray,
-    posterior: np.ndarray,
-    labeled: tuple[np.ndarray, np.ndarray, np.ndarray],
-    cfg: ExperimentConfig,
-) -> tuple[float | None, Ensemble]:
-    """Ensemble predictions for the given unlabeled rows and their accuracy vs hidden truth."""
-    k_eff = min(cfg.knn_k, len(labeled[2]))
-    pred = ensemble(
-        probs[rows], posterior[rows], feats[rows], *labeled, k_eff,
-        (cfg.alpha1, cfg.alpha2, cfg.alpha3),
-    )
-    hits = int((pred.combined.argmax(axis=1) == truth[rows]).sum())
-    return (hits / len(rows) if len(rows) else None), pred
-
-
 def run_stage(
     state: DatasetState,
     params: ModelParams,
@@ -289,7 +271,9 @@ def run_stage(
     """One selection / pseudo-labeling / migration / re-optimization round.
 
     The unlabeled pool goes through one forward pass and one gate call; the
-    selection, the audit and the control arm all read those arrays.
+    selection, the audit and the control arm all read those arrays. Each
+    chosen row's pseudo-label class is decided once, as `labels`; migration,
+    the report's accuracy and the audit read it.
     """
     pool = state.pool
     unlabeled = state.unlabeled_rows
@@ -301,23 +285,25 @@ def run_stage(
 
     rows = state.labeled_rows
     labeled = (encode(params, _flat(pool.grids[rows])), state.targets, pool.ids[rows])
+    # The chosen rows, then a control arm: a random equal-size unlabeled subset.
     chosen = np.flatnonzero(g.reliable)
-    pseudo_acc, pred = _ensemble_accuracy(chosen, truth, probs, feats, g.posterior, labeled, cfg)
-
-    # Control arm: the same ensemble on a random equal-size unlabeled subset.
-    random_acc = None
+    arms = [chosen]
     if len(chosen):
-        pick = np.sort(rng_audit.choice(len(unlabeled), size=len(chosen), replace=False))
-        random_acc, _ = _ensemble_accuracy(pick, truth, probs, feats, g.posterior, labeled, cfg)
+        arms.append(np.sort(rng_audit.choice(len(unlabeled), size=len(chosen), replace=False)))
+    k_eff, alphas = min(cfg.knn_k, len(rows)), (cfg.alpha1, cfg.alpha2, cfg.alpha3)
+    preds = [ensemble(probs[r], g.posterior[r], feats[r], *labeled, k_eff, alphas) for r in arms]
+    classes = [p.combined.argmax(axis=1) for p in preds]
+    accuracy = [int((c == truth[r]).sum()) / len(r) for r, c in zip(arms, classes) if len(r)]
+    pseudo_acc, random_acc = accuracy or (None, None)
+    pred, labels = preds[0], classes[0]
 
     # Migration: selected samples get a permanent pseudo-label and move pools.
-    winners = pred.combined.argmax(axis=1)
-    labels = pred.combined if cfg.soft_pseudo_labels else np.eye(cfg.num_classes)[winners]
+    targets = pred.combined if cfg.soft_pseudo_labels else np.eye(cfg.num_classes)[labels]
     state.labeled_rows, state.targets = (
-        np.concatenate([rows, unlabeled[chosen]]), np.concatenate([state.targets, labels])
+        np.concatenate([rows, unlabeled[chosen]]), np.concatenate([state.targets, targets])
     )
     state.check_invariants()
-    del feats, probs, labeled  # retraining reads none of them; freed, they do not raise its peak RSS
+    del feats, probs, labeled, preds  # retraining reads none of them; freed, they do not raise its peak RSS
 
     logs = _train_epochs(
         params, opt, ema, state, cfg.epochs_stage, cfg,
@@ -330,7 +316,7 @@ def run_stage(
         random_subset_accuracy=random_acc,
         epoch_losses=logs,
     )
-    audit = StageAudit(state.stage, ids, g, chosen, pred, truth[chosen])
+    audit = StageAudit(state.stage, ids, g, chosen, pred, labels, truth[chosen])
     state.stage += 1
     return report, audit
 
@@ -464,7 +450,7 @@ def _selector_rows(a: StageAudit):
 
 def _pseudo_rows(a: StageAudit):
     p = a.pred
-    hits = p.combined.argmax(axis=1) == a.truth
+    hits = a.labels == a.truth
     columns = (a.ids[a.chosen], p.linear, p.knn, p.similarity, p.combined, a.truth, hits)
     for sid, *parts, truth, hit in zip(*(c.tolist() for c in columns)):
         yield [a.stage, sid, *(repr(x) for part in parts for x in part), truth, int(hit)]

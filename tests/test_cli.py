@@ -99,11 +99,25 @@ class TestGenerateData:
     def test_unusable_spec_exits_two_without_output(self, tmp_path, capsys, line):
         spec = tmp_path / "spec.txt"
         spec.write_text(line + "\n")
-        out = tmp_path / "x.csv"
+        out = tmp_path / "d" / "x.csv"
         code = main(["generate-data", "--spec", str(spec), "--out", str(out)])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
-        assert not out.exists()
+        assert not out.parent.exists()
+
+    def test_creates_each_output_directory(self, tmp_path, capsys):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(SPEC_TEXT)
+        out, test_out = tmp_path / "a" / "train.csv", tmp_path / "b" / "c" / "test.csv"
+        code = main(["generate-data", "--spec", str(spec), "--out", str(out),
+                     "--test-out", str(test_out), "--test-per-class", "3"])
+        assert code == 0
+        assert capsys.readouterr().out == f"wrote 23 samples to {out}\n"
+        assert len(load_csv(out)[0]) == 23
+        assert len(load_csv(test_out)[0]) == 12
+        manifest = json.loads((tmp_path / "b" / "c" / "test.csv.manifest.json").read_text())
+        assert manifest["class_counts"] == [3, 3, 3, 3]
+        assert manifest["csv_sha256"] == file_sha256(test_out)
 
     def test_unusable_test_spec_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "d"

@@ -339,6 +339,38 @@ class TestFullRun:
         assert set(audited) == {s.sample_id for s in result.state.labeled if s.provenance == PSEUDO}
 
 
+class TestStageRecord:
+    """Each stage's pseudo-label classes are decided once, as `StageAudit.labels`."""
+
+    def test_report_and_audit_records_read_the_labels(self):
+        seen_empty = seen_chosen = False
+        for seed in (0, 3, 6, 7):  # at seed 6, stages 0-3 select nothing
+            result = run(ExperimentConfig(), seed, collect_audits=True)
+            predicted = {}
+            for rec in result.audits["pseudo"]:
+                predicted.setdefault(rec["stage"], []).append(rec["predicted"])
+            for report, a in zip(result.stage_reports, result.stage_audits, strict=True):
+                assert a.labels.shape == a.chosen.shape and a.labels.dtype.kind == "i"
+                np.testing.assert_array_equal(a.labels, a.pred.combined.argmax(axis=1))
+                if len(a.chosen):
+                    assert report.pseudo_accuracy == float(np.mean(a.labels == a.truth))
+                else:
+                    assert report.pseudo_accuracy is None
+                assert (report.random_subset_accuracy is None) == (report.num_selected == 0)
+                assert predicted.get(a.stage, []) == a.labels.tolist()
+                seen_empty |= not len(a.chosen)
+                seen_chosen |= bool(len(a.chosen))
+        assert seen_empty and seen_chosen
+
+    def test_hard_pseudo_labels_are_one_hot_of_the_labels(self):
+        cfg = tiny_config(soft_pseudo_labels=False, gamma1=0.8)
+        result = run(cfg, seed=8, collect_audits=True)
+        labels = np.concatenate([a.labels for a in result.stage_audits])
+        assert len(labels)
+        state = result.state
+        np.testing.assert_array_equal(state.targets[state.num_truth :], np.eye(cfg.num_classes)[labels])
+
+
 class TestSyntheticPoolCache:
     def test_pools_are_read_only_and_a_second_run_matches_a_fresh_one(self):
         cfg = tiny_config()
