@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import FLIP_PROB, strong_augment, weak_augment
-from .errors import check_array, check_convex
+from .errors import InputDomainError, check_array, check_convex
 from .model import (
     Gradients,
     ModelParams,
@@ -29,7 +29,7 @@ from .numerics import LOG_EPS
 @dataclass(frozen=True)
 class LossBreakdown:
     classification: float
-    alignment: float
+    alignment: float | None  # None for a step over the clean rows alone
     total: float  # lam1 * classification + lam2 * alignment
 
 
@@ -72,26 +72,31 @@ def stacked_loss(
     lam1: float, lam2: float, stop_gradient: bool = True, with_grads: bool = True,
 ) -> tuple[LossBreakdown, Gradients | None, np.ndarray]:
     """`total_loss` of a (3B, H, W) stack of clean, strong and weak views, in that order, and
-    the clean rows' (B, d) features, read from the weights the loss was taken at.
+    the clean rows' (B, d) features, read from the weights the loss was taken at. A stack as
+    long as `targets` holds the B clean rows alone: it needs `lam2 = 0`, and has no alignment.
 
-    One forward covers all 3B rows and one backward the rows with a gradient: the first
-    2B under `stop_gradient`, since the weak rows are then a fixed target, else all 3B.
+    One forward covers the stack and one backward the rows with a gradient: the clean rows,
+    then the strong ones, and the weak ones too without `stop_gradient`.
     """
     check_convex("lam1/lam2", (lam1, lam2))
     views = check_array("views", views, (None, None, None))
-    B = len(views) // 3
-    check_array("views", views, (3 * B, None, None))
-    fwd = forward(params, views.reshape(3 * B, -1))
+    clean_only = len(views) == len(check_array("targets", targets, (None, None)))
+    B = len(views) if clean_only else len(views) // 3
+    check_array("views", views, (B if clean_only else 3 * B, None, None))
+    if clean_only and lam2:
+        raise InputDomainError(f"views: {B} rows without strong and weak views need lam2 = 0, got {lam2}")
+    fwd = forward(params, views.reshape(len(views), -1))
     cls_value, dlogits_cls = ce_value_and_dlogits(fwd.head(B), targets, weights)
-    p_strong, p_weak = fwd.probabilities[B : 2 * B], fwd.probabilities[2 * B :]
-    log_strong = np.log(np.clip(p_strong, LOG_EPS, 1.0))
-    align_value = float(-(p_weak * log_strong).sum(axis=1).mean())
-
-    breakdown = LossBreakdown(cls_value, align_value, lam1 * cls_value + lam2 * align_value)
+    align_value = None
+    if not clean_only:
+        p_strong, p_weak = fwd.probabilities[B : 2 * B], fwd.probabilities[2 * B :]
+        log_strong = np.log(np.clip(p_strong, LOG_EPS, 1.0))
+        align_value = float(-(p_weak * log_strong).sum(axis=1).mean())
+    breakdown = LossBreakdown(cls_value, align_value, lam1 * cls_value + lam2 * (align_value or 0.0))
     if not with_grads:
         return breakdown, None, fwd.features[:B]
-    parts = [lam1 * dlogits_cls, lam2 * (p_strong - p_weak) / B]
-    if not stop_gradient:
+    parts = [lam1 * dlogits_cls] + ([] if clean_only else [lam2 * (p_strong - p_weak) / B])
+    if not (clean_only or stop_gradient):
         # Symmetric variant: the weak prediction is also differentiated through.
         parts.append(dlogits_from_dprobs(p_weak, lam2 * -log_strong / B))
     dlogits = np.concatenate(parts)

@@ -136,18 +136,11 @@ def init_params(
     widths = check_array(names, [input_dim, *hidden_widths, num_classes], (None,), "iu")
     if widths.min() < 1:
         raise InputDomainError(f"{names}: every layer width must be >= 1, got {tuple(widths.tolist())}")
-    hidden: list[tuple[np.ndarray, np.ndarray]] = []
-    fan_in = input_dim
-    for width in hidden_widths:
+    layers = []  # each hidden layer's (W, b), then the classifier's
+    for fan_in, width in zip(widths[:-1].tolist(), widths[1:].tolist()):
         bound = 1.0 / np.sqrt(fan_in)
-        W = rng.uniform(-bound, bound, size=(fan_in, width))
-        b = np.zeros(width)
-        hidden.append((W, b))
-        fan_in = width
-    bound = 1.0 / np.sqrt(fan_in)
-    Wc = rng.uniform(-bound, bound, size=(fan_in, num_classes))
-    bc = np.zeros(num_classes)
-    return ModelParams(hidden=hidden, classifier=(Wc, bc))
+        layers.append((rng.uniform(-bound, bound, size=(fan_in, width)), np.zeros(width)))
+    return ModelParams(hidden=layers[:-1], classifier=layers[-1])
 
 
 @dataclass

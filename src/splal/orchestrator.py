@@ -196,19 +196,20 @@ def _train_epochs(
     cache in temporaries). Each batch gathers its clean, strong and weak views
     into one reused stack for `stacked_loss`, every row weighing 1; the bank
     takes the clean rows' features from that forward, before the update.
+    At lam2 = 0 the stack holds the clean rows alone: no view is made or drawn.
     """
     if not epochs:
         return []  # nothing would read the cache
     logs = []
     rows, targets = state.labeled_rows, state.targets
-    n = len(rows)
+    n, views, shape = len(rows), 3 if cfg.lam2 else 1, state.pool.grids.shape[1:]
     class_ids = targets.argmax(axis=1)
     starts = range(0, n, cfg.batch_size)
-    strong_all = np.empty((n,) + state.pool.grids.shape[1:])
-    for start in starts:
+    strong_all = np.empty((n if views == 3 else 0,) + shape)
+    for start in range(0, len(strong_all), cfg.batch_size):
         chunk = rows[start : start + cfg.batch_size]
         strong_all[start : start + cfg.batch_size] = strong_augment(state.pool.grids[chunk])
-    stack = np.empty((3 * cfg.batch_size,) + strong_all.shape[1:])
+    stack = np.empty((views * cfg.batch_size,) + shape)
     for epoch in range(epochs):
         order = rng_shuffle.permutation(n)
         sums = np.zeros(3)
@@ -216,10 +217,11 @@ def _train_epochs(
             idx = order[start : start + cfg.batch_size]
             B = len(idx)
             stack[:B] = state.pool.grids[rows[idx]]
-            stack[B : 2 * B] = strong_all[idx]
-            stack[2 * B : 3 * B] = weak_views(stack[:B], rng_augment)[0]
+            if views == 3:
+                stack[B : 2 * B] = strong_all[idx]
+                stack[2 * B : 3 * B] = weak_views(stack[:B], rng_augment)[0]
             breakdown, grads, features = stacked_loss(
-                params, stack[: 3 * B], targets[idx], 1.0, cfg.lam1, cfg.lam2
+                params, stack[: views * B], targets[idx], 1.0, cfg.lam1, cfg.lam2
             )
             adam_step(params, grads, opt)
             if not params.all_finite():
@@ -228,9 +230,9 @@ def _train_epochs(
                 ema_update(ema, params, cfg.ema_decay)
             if bank is not None:
                 bank.push(class_ids[idx], features)
-            sums += (breakdown.classification, breakdown.alignment, breakdown.total)
-        mean = sums / max(len(starts), 1)
-        logs.append({"stage": stage, "epoch": epoch, **dict(zip(LOSSES, mean.tolist()))})
+            sums += (breakdown.classification, breakdown.alignment or 0.0, breakdown.total)
+        log = {"stage": stage, "epoch": epoch, **dict(zip(LOSSES, (sums / max(len(starts), 1)).tolist()))}
+        logs.append(log if views == 3 else {**log, "alignment": None})
     return logs
 
 
@@ -465,7 +467,7 @@ def write_run_dir(out_dir, cfg: ExperimentConfig, seed: int, result: RunResult) 
     epochs = result.warmup_losses + [row for rep in result.stage_reports for row in rep.epoch_losses]
     write_csv(
         out / "loss_log.csv",
-        ([row["stage"], row["epoch"], *(repr(row[key]) for key in LOSSES)] for row in epochs),
+        ([row[key] for key in ("stage", "epoch", *LOSSES)] for row in epochs),  # float: repr; None: empty
         ["stage", "epoch", *LOSSES],
     )
     write_metrics(out, result.metrics)

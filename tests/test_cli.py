@@ -169,6 +169,23 @@ class TestTrain:
         assert len(agg) == 7
         assert "accuracy=" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("overrides", [{"mode": "baseline"}, {"lam1": 1.0, "lam2": 0.0, "gamma1": 0.8}])
+    def test_lam2_zero_leaves_the_alignment_empty(self, tmp_path, overrides):
+        # Without an alignment term no alignment is computed: loss_log.csv leaves its field
+        # empty and stage_reports.json writes null.
+        cfg_path, _ = write_config(tmp_path, **overrides)
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+        lines = (out / "seed_0" / "loss_log.csv").read_text().splitlines()
+        assert lines[0] == "stage,epoch,classification,alignment,total"
+        rows = [line.split(",") for line in lines[1:]]
+        assert len(rows) == 2 + 1 * ("mode" not in overrides)  # warm-up epochs, then one stage's
+        for stage, epoch, classification, alignment, total in rows:
+            assert alignment == "" and total == classification and float(total) > 0
+        reports = json.loads((out / "seed_0" / "stage_reports.json").read_text())
+        assert len(reports) == ("mode" not in overrides)
+        assert all(row["alignment"] is None for r in reports for row in r["epoch_losses"])
+
     def test_aggregate_csv_bytes(self, tmp_path):
         # csv's excel dialect: \r\n row ends; each mean and sd is written by repr
         cfg_path, _ = write_config(tmp_path)

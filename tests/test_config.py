@@ -83,6 +83,11 @@ class TestValidate:
             ({"seeds": ()}, "seeds"),
             ({"seeds": (1, 1)}, "seeds"),
             ({"test_per_class": 0}, "test_per_class"),
+            ({"seeds": (0, -1)}, "seeds/data_seed: must be nonnegative"),
+            ({"data_seed": -2}, "seeds/data_seed: must be nonnegative"),
+            ({"ema_decay": float("nan")}, "ema_decay: must be finite, got nan"),
+            ({"learning_rate": float("inf")}, "learning_rate: must be finite, got inf"),
+            ({"hidden_widths": (8, 0)}, "hidden_widths: every width must be >= 1, got (8, 0)"),
         ],
     )
     def test_rejections_name_the_field(self, kwargs, field):

@@ -186,6 +186,13 @@ class TestCsvRoundTrip:
             load_csv(path)
         assert err.value.line == 1
 
+    def test_missing_column_header_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("# H=2 W=2 K=2\n")
+        with pytest.raises(ParseError, match=r"^line 2: missing column header$") as err:
+            load_csv(path)
+        assert err.value.line == 2
+
     def test_no_data_rows_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("# H=2 W=2 K=2\n" + ",".join(["id", "label"] + [f"p{i}" for i in range(4)]) + "\n")

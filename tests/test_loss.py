@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from splal.errors import ConfigurationError
-from splal.loss import make_views, total_loss
-from splal.model import forward, init_params
+from splal.errors import ConfigurationError, InputDomainError
+from splal.loss import make_views, stacked_loss, total_loss
+from splal.model import OptimizerState, forward, init_params
+from splal.orchestrator import DatasetState, _train_epochs
 
 from helpers import per_view_loss, replay_views
 from test_model import finite_difference, max_rel_error
+from test_orchestrator import pool_of, tiny_config
 
 
 def small_batch(seed=0, batch=3, h=4, w=4, classes=3):
@@ -42,6 +44,58 @@ def test_lambda2_zero_is_pure_classification():
     params, grids, targets, weights, weak, strong, _ = small_batch()
     breakdown, _ = total_loss(params, grids, targets, weights, weak, strong, 1.0, 0.0)
     assert breakdown.total == pytest.approx(breakdown.classification, abs=1e-15)
+
+
+@pytest.mark.parametrize("B", range(1, 33))
+def test_clean_only_stack_matches_three_view_stack(B):
+    # At lam2 = 0 the strong and weak rows carry no gradient, so the B clean rows alone give the
+    # 3B stack's loss and gradient. Not bit for bit: BLAS may reduce B rows with another kernel than 2B.
+    rng = np.random.default_rng(B)
+    params = init_params(256, (64, 32), 4, rng)
+    grids = rng.uniform(size=(B, 16, 16))
+    targets = np.eye(4)[rng.integers(0, 4, size=B)]
+    weights = rng.uniform(0.5, 1.5, size=B)
+    weak, strong, _ = make_views(grids, rng)
+    clean, grads, features = stacked_loss(params, grids, targets, weights, 1.0, 0.0)
+    ref, ref_grads, ref_features = stacked_loss(
+        params, np.concatenate([grids, strong, weak]), targets, weights, 1.0, 0.0
+    )
+    assert clean.alignment is None and ref.alignment is not None
+    assert clean.total == 1.0 * clean.classification
+    assert abs(clean.classification - ref.classification) <= 1e-14 * ref.classification
+    assert np.linalg.norm(grads.flat - ref_grads.flat) <= 1e-14 * np.linalg.norm(ref_grads.flat)
+    assert np.linalg.norm(features - ref_features) <= 1e-14 * np.linalg.norm(ref_features)
+
+
+def test_clean_only_stack_needs_lam2_zero():
+    params, grids, targets, weights, _, _, _ = small_batch()
+    message = r"^views: 3 rows without strong and weak views need lam2 = 0, got 0.4$"
+    with pytest.raises(InputDomainError, match=message):
+        stacked_loss(params, grids, targets, weights, 0.6, 0.4)
+    _, grads, _ = stacked_loss(params, grids, targets, weights, 1.0, 0.0)  # the same stack at lam2 = 0
+    assert grads.all_finite()
+
+
+@pytest.mark.parametrize("lam2", [0.0, 0.4])
+def test_logged_classification_clips_only_below_log_eps(lam2):
+    # Classifier weights of zero make each row's logits its bias, so the probabilities are known in
+    # closed form: e^-20 / Z ~ 2e-9 is far below 1e-6 and counts as itself, e^-40 / Z ~ 4e-18 is
+    # clipped to 1e-12. The loss a training step logs must be -sum t log max(p, 1e-12), row mean.
+    cfg = tiny_config(lam1=1.0 - lam2, lam2=lam2, batch_size=8)
+    params = init_params(9, (3,), 3, np.random.default_rng(0))
+    logits = (0.0, -20.0, -40.0)
+    params.classifier[0][...] = 0.0
+    params.classifier[1][...] = logits
+    z = sum(math.exp(x) for x in logits)
+    p = [math.exp(x) / z for x in logits]
+    truth = [1, 2, 1, 0, 2]
+    expected = sum(-math.log(max(p[k], 1e-12)) for k in truth) / len(truth)
+    rng = np.random.default_rng(1)
+    state = DatasetState.split(pool_of(rng.uniform(size=(5, 3, 3)), truth), np.arange(5), 3)
+    opt = OptimizerState.for_params(params, cfg.learning_rate)
+    logs = _train_epochs(params, opt, None, state, 1, cfg, rng, rng)
+    assert logs[0]["classification"] == pytest.approx(expected, rel=1e-12)
+    assert expected > 19.0  # a clip at 1e-6 caps each of the four terms at 13.8: a mean of 11.05
 
 
 def test_lambda_violation_rejected():

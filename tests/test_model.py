@@ -1,3 +1,5 @@
+import json
+import math
 import pickle
 
 import numpy as np
@@ -187,6 +189,26 @@ class TestAdam:
         with pytest.raises(TrainingError):
             adam_step(params, grads, state)
 
+    def test_matches_scalar_reference_where_eps_dominates(self):
+        # Gradients of ~1e-10, some exactly zero, keep sqrt(v / bc2) near 1e-10, under eps = 1e-8,
+        # so each update's size is set by eps. The reference is plain float arithmetic per entry.
+        rng = np.random.default_rng(14)
+        params = tiny_net(rng)
+        state = OptimizerState.for_params(params, learning_rate=0.01)
+        p, n = params.flatten().tolist(), params.num_params()
+        m, v = [0.0] * n, [0.0] * n
+        for t in range(1, 4):
+            grads = zero_gradients(params)
+            grads.flat[...] = rng.normal(scale=1e-10, size=n) * (rng.random(n) < 0.8)
+            adam_step(params, grads, state)
+            bc1, bc2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+            for i, g in enumerate(grads.flat.tolist()):
+                m[i] = 0.9 * m[i] + (1.0 - 0.9) * g
+                v[i] = 0.999 * v[i] + (1.0 - 0.999) * g * g
+                p[i] -= 0.01 * (m[i] / bc1) / (math.sqrt(v[i] / bc2) + 1e-8)
+            assert params.flat.tolist() == pytest.approx(p, rel=1e-12, abs=1e-300)
+        assert max(math.sqrt(x / bc2) for x in v) < 1e-8  # eps outweighs every denominator's root
+
     def test_params_stay_finite_under_large_gradients(self):
         rng = np.random.default_rng(5)
         params = tiny_net(rng)
@@ -254,6 +276,19 @@ class TestCheckpoint:
         assert np.array_equal(
             forward(ema, x).probabilities, forward(ema2, x).probabilities
         )
+
+    def test_other_version_rejected(self, tmp_path):
+        rng = np.random.default_rng(9)
+        live = tiny_net(rng)
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, live, live, {"num_classes": 3, "height": 2, "width": 2})
+        with np.load(path) as data:
+            arrays = dict(data)
+        meta = json.loads(bytes(arrays["meta"]).decode())
+        arrays["meta"] = np.frombuffer(json.dumps({**meta, "version": 2}).encode(), dtype=np.uint8)
+        np.savez(path, **arrays)
+        with pytest.raises(InputDomainError, match=r": unsupported checkpoint version: 2$"):
+            load_checkpoint(path)
 
 
 class TestFlatLayout:

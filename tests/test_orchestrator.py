@@ -230,6 +230,67 @@ class TestStackedStep:
         assert not np.array_equal(pushes[-1], after)  # the last update moved the features
 
 
+class TestCleanOnlyStep:
+    """At lam2 = 0 each step trains on the clean rows alone: no strong or weak view is made."""
+
+    def test_stacks_hold_the_clean_rows_and_nothing_is_drawn(self, monkeypatch):
+        cfg = tiny_config(lam1=1.0, lam2=0.0)
+        rows = np.random.default_rng(5).permutation(61)[:45]  # 3 batches of 16, 16 and 13
+        state, params, opt, ema, bank = TestStrongViewCache._setup(61, 8, rows, cfg)
+        stacks = []
+
+        def stacked_loss(params, views, targets, *args):
+            stacks.append((len(views), len(targets)))
+            return real_loss(params, views, targets, *args)
+
+        def no_blur(grids):
+            raise AssertionError("a strong view was made at lam2 = 0")
+
+        real_loss = orchestrator.stacked_loss
+        monkeypatch.setattr(orchestrator, "stacked_loss", stacked_loss)
+        monkeypatch.setattr(orchestrator, "strong_augment", no_blur)
+        augment = np.random.default_rng(8)
+        before = augment.bit_generator.state
+        logs = _train_epochs(params, opt, ema, state, 2, cfg, np.random.default_rng(7), augment, bank=bank)
+        assert stacks == [(16, 16), (16, 16), (13, 13)] * 2
+        assert augment.bit_generator.state == before
+        assert [row["alignment"] for row in logs] == [None, None]
+        assert all(row["total"] == row["classification"] for row in logs)
+
+    def test_training_matches_the_three_view_step(self):
+        # The per-batch reference stacks all three views and weighs the alignment by zero; the two
+        # differ in the last bits only (the BLAS reductions run over B or 2B rows).
+        cfg = tiny_config(lam1=1.0, lam2=0.0, queue_capacity=8)
+        rows = np.random.default_rng(5).permutation(61)[:45]
+        runs = []
+        for train in (_train_epochs, train_epochs_per_batch):
+            state, params, opt, ema, bank = TestStrongViewCache._setup(61, 8, rows, cfg)
+            logs = train(params, opt, ema, state, 3, cfg, np.random.default_rng(7), np.random.default_rng(8),
+                         bank=bank, stage=1)
+            runs.append((logs, params, ema, bank))
+        (logs, params, ema, bank), (ref_logs, ref_params, ref_ema, ref_bank) = runs
+        for row, ref in zip(logs, ref_logs):
+            assert row["classification"] == pytest.approx(ref["classification"], rel=1e-12)
+        for a, b in ((params.flat, ref_params.flat), (ema.flat, ref_ema.flat)):
+            assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b)
+        for k in range(4):
+            np.testing.assert_allclose(bank.queue_contents(k), ref_bank.queue_contents(k), rtol=1e-10, atol=1e-12)
+
+    def test_non_finite_parameters_after_a_step_stop_training(self):
+        # Equal classifier biases of half the float range keep the forward finite (every softmax
+        # row is uniform) and the gradient too; one Adam step of learning rate 1e308 then carries
+        # a bias past the range. A rate alone would stop at the next step's non-finite gradient.
+        cfg = tiny_config()
+        state, params, _, _, _ = TestStrongViewCache._setup(20, 8, np.arange(20), cfg)
+        params.classifier[1][...] = np.finfo(np.float64).max / 2
+        opt = OptimizerState.for_params(params, learning_rate=1e308)
+        rng = np.random.default_rng(0)
+        with np.errstate(over="ignore"), pytest.raises(TrainingError) as err:
+            _train_epochs(params, opt, None, state, 1, cfg, rng, rng)
+        assert str(err.value) == "non-finite parameters after optimizer step"
+        assert opt.step == 1
+
+
 class TestFullRun:
     def test_identical_seeds_identical_results(self):
         cfg = tiny_config()
