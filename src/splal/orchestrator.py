@@ -177,19 +177,36 @@ def _flat(grids: np.ndarray) -> np.ndarray:
     return grids.reshape(len(grids), np.prod(grids.shape[1:], dtype=int))  # n may be 0
 
 
-def _train_epochs(
-    params: ModelParams,
-    opt: OptimizerState,
-    ema: ModelParams | None,
-    state: DatasetState,
-    epochs: int,
-    cfg: ExperimentConfig,
-    rng_shuffle: np.random.Generator,
-    rng_augment: np.random.Generator,
-    bank=None,
-    stage: int = -1,
-) -> list[dict]:
-    """Train on the labeled pool; optionally keep the bank and EMA fresh.
+@dataclass
+class Trainer:
+    """The one student a run trains through warm-up and every stage, and what trains it.
+
+    `ema` is the teacher: `None` until warm-up ends, then updated after every
+    step, as the bank is pushed.
+    """
+
+    cfg: ExperimentConfig
+    params: ModelParams
+    opt: OptimizerState
+    bank: PrototypeBank
+    rng_shuffle: np.random.Generator
+    rng_augment: np.random.Generator
+    rng_audit: np.random.Generator
+    ema: ModelParams | None = None
+
+    @classmethod
+    def start(cls, cfg: ExperimentConfig, seed: int, input_dim: int) -> "Trainer":
+        """Fresh weights, optimizer and bank, and the seed's named sub-streams."""
+        params = init_params(input_dim, cfg.hidden_widths, cfg.num_classes, substream(seed, STREAM_INIT))
+        return cls(
+            cfg, params, OptimizerState.for_params(params, cfg.learning_rate),
+            PrototypeBank(cfg.num_classes, params.feature_dim, cfg.queue_capacity),
+            *(substream(seed, s) for s in (STREAM_SHUFFLE, STREAM_AUGMENT, STREAM_AUDIT)),
+        )
+
+
+def _train_epochs(t: Trainer, state: DatasetState, epochs: int, stage: int = -1) -> list[dict]:
+    """Train on the labeled pool; once there is a teacher, keep it and the bank fresh.
 
     Class ids and strong views are built once per call, the blur a
     batch-sized chunk at a time (one blur of the whole set would hold ~4x the
@@ -200,6 +217,7 @@ def _train_epochs(
     """
     if not epochs:
         return []  # nothing would read the cache
+    cfg, params = t.cfg, t.params
     logs = []
     rows, targets = state.labeled_rows, state.targets
     n, views, shape = len(rows), 3 if cfg.lam2 else 1, state.pool.grids.shape[1:]
@@ -211,7 +229,7 @@ def _train_epochs(
         strong_all[start : start + cfg.batch_size] = strong_augment(state.pool.grids[chunk])
     stack = np.empty((views * cfg.batch_size,) + shape)
     for epoch in range(epochs):
-        order = rng_shuffle.permutation(n)
+        order = t.rng_shuffle.permutation(n)
         sums = np.zeros(3)
         for start in starts:
             idx = order[start : start + cfg.batch_size]
@@ -219,57 +237,37 @@ def _train_epochs(
             stack[:B] = state.pool.grids[rows[idx]]
             if views == 3:
                 stack[B : 2 * B] = strong_all[idx]
-                stack[2 * B : 3 * B] = weak_views(stack[:B], rng_augment)[0]
+                stack[2 * B : 3 * B] = weak_views(stack[:B], t.rng_augment)[0]
             breakdown, grads, features = stacked_loss(
                 params, stack[: views * B], targets[idx], 1.0, cfg.lam1, cfg.lam2
             )
-            adam_step(params, grads, opt)
+            adam_step(params, grads, t.opt)
             if not params.all_finite():
                 raise TrainingError("non-finite parameters after optimizer step")
-            if ema is not None:
-                ema_update(ema, params, cfg.ema_decay)
-            if bank is not None:
-                bank.push(class_ids[idx], features)
+            if t.ema is not None:
+                ema_update(t.ema, params, cfg.ema_decay)
+                t.bank.push(class_ids[idx], features)
             sums += (breakdown.classification, breakdown.alignment or 0.0, breakdown.total)
         log = {"stage": stage, "epoch": epoch, **dict(zip(LOSSES, (sums / max(len(starts), 1)).tolist()))}
         logs.append(log if views == 3 else {**log, "alignment": None})
     return logs
 
 
-def warmup(
-    params: ModelParams,
-    opt: OptimizerState,
-    state: DatasetState,
-    cfg: ExperimentConfig,
-    rng_shuffle: np.random.Generator,
-    rng_augment: np.random.Generator,
-    bank,
-) -> tuple[ModelParams, list[dict]]:
-    """Supervised warm-up, then seed the bank with one push of the whole labeled pool.
+def warmup(t: Trainer, state: DatasetState) -> list[dict]:
+    """Supervised warm-up; the teacher starts as a copy of the warmed-up weights.
 
-    Returns the EMA shadow, a copy of the warmed-up weights, and the epoch logs.
-    A class with no labeled row stays unseeded, and `bank.prototypes()` names it.
+    If a stage will run, the bank is then seeded with one push of the whole
+    labeled pool. A class with no labeled row stays unseeded, and
+    `bank.prototypes()` names it. Returns the epoch logs.
     """
-    rows = state.labeled_rows
-    class_ids = state.targets.argmax(axis=1)
-    logs = _train_epochs(
-        params, opt, None, state, cfg.epochs_warmup, cfg, rng_shuffle, rng_augment
-    )
-    bank.push(class_ids, encode(params, _flat(state.pool.grids[rows])))
-    return params.copy(), logs
+    logs = _train_epochs(t, state, t.cfg.epochs_warmup)
+    t.ema = t.params.copy()
+    if t.cfg.stages:
+        t.bank.push(state.targets.argmax(axis=1), encode(t.params, _flat(state.pool.grids[state.labeled_rows])))
+    return logs
 
 
-def run_stage(
-    state: DatasetState,
-    params: ModelParams,
-    ema: ModelParams,
-    opt: OptimizerState,
-    bank,
-    cfg: ExperimentConfig,
-    rng_shuffle: np.random.Generator,
-    rng_augment: np.random.Generator,
-    rng_audit: np.random.Generator,
-) -> tuple[StageReport, StageAudit]:
+def run_stage(t: Trainer, state: DatasetState) -> tuple[StageReport, StageAudit]:
     """One selection / pseudo-labeling / migration / re-optimization round.
 
     The unlabeled pool goes through one forward pass and one gate call; the
@@ -277,21 +275,21 @@ def run_stage(
     chosen row's pseudo-label class is decided once, as `labels`; migration,
     the report's accuracy and the audit read it.
     """
-    pool = state.pool
+    cfg, pool = t.cfg, state.pool
     unlabeled = state.unlabeled_rows
     ids, truth = pool.ids[unlabeled], pool.truth[unlabeled]
-    fwd = forward(params, _flat(pool.grids[unlabeled]))
+    fwd = forward(t.params, _flat(pool.grids[unlabeled]))
     feats, probs = fwd.features, fwd.probabilities
     del fwd  # its layer outputs would otherwise stay alive through retraining
-    g = gate(bank.prototypes(), feats, cfg.gamma1, cfg.effective_gamma2(), cfg.temperature)
+    g = gate(t.bank.prototypes(), feats, cfg.gamma1, cfg.effective_gamma2(), cfg.temperature)
 
     rows = state.labeled_rows
-    labeled = (encode(params, _flat(pool.grids[rows])), state.targets, pool.ids[rows])
+    labeled = (encode(t.params, _flat(pool.grids[rows])), state.targets, pool.ids[rows])
     # The chosen rows, then a control arm: a random equal-size unlabeled subset.
     chosen = np.flatnonzero(g.reliable)
     arms = [chosen]
     if len(chosen):
-        arms.append(np.sort(rng_audit.choice(len(unlabeled), size=len(chosen), replace=False)))
+        arms.append(np.sort(t.rng_audit.choice(len(unlabeled), size=len(chosen), replace=False)))
     k_eff, alphas = min(cfg.knn_k, len(rows)), (cfg.alpha1, cfg.alpha2, cfg.alpha3)
     preds = [ensemble(probs[r], g.posterior[r], feats[r], *labeled, k_eff, alphas) for r in arms]
     classes = [p.combined.argmax(axis=1) for p in preds]
@@ -307,10 +305,7 @@ def run_stage(
     state.check_invariants()
     del feats, probs, labeled, preds  # retraining reads none of them; freed, they do not raise its peak RSS
 
-    logs = _train_epochs(
-        params, opt, ema, state, cfg.epochs_stage, cfg,
-        rng_shuffle, rng_augment, bank=bank, stage=state.stage,
-    )
+    logs = _train_epochs(t, state, cfg.epochs_stage, stage=state.stage)
     report = StageReport(
         stage=state.stage,
         num_selected=len(chosen),
@@ -388,34 +383,22 @@ def run(cfg: ExperimentConfig, seed: int, collect_audits: bool = False) -> RunRe
 
     labeled, _, test_samples = build_pools(cfg, seed)
     state = labeled.state
-
-    input_dim = state.pool.grids[0].size
-    params = init_params(
-        input_dim, cfg.hidden_widths, cfg.num_classes, substream(seed, STREAM_INIT)
-    )
-    opt = OptimizerState.for_params(params, cfg.learning_rate)
-    bank = PrototypeBank(cfg.num_classes, params.feature_dim, cfg.queue_capacity)
-    rng_shuffle = substream(seed, STREAM_SHUFFLE)
-    rng_augment = substream(seed, STREAM_AUGMENT)
-    rng_audit = substream(seed, STREAM_AUDIT)
-
-    ema, warmup_losses = warmup(params, opt, state, cfg, rng_shuffle, rng_augment, bank)
+    t = Trainer.start(cfg, seed, state.pool.grids[0].size)
+    warmup_losses = warmup(t, state)
 
     stage_audits: list[StageAudit] | None = [] if collect_audits else None
     stage_reports: list[StageReport] = []
     while state.stage < cfg.stages and len(state.unlabeled_rows):
-        report, audit = run_stage(
-            state, params, ema, opt, bank, cfg, rng_shuffle, rng_augment, rng_audit
-        )
+        report, audit = run_stage(t, state)
         stage_reports.append(report)
         if stage_audits is not None:
             stage_audits.append(audit)
 
-    metrics = evaluate_params(ema, test_samples)
+    metrics = evaluate_params(t.ema, test_samples)
     metrics["config_warnings"] = notes
     return RunResult(
-        live=params,
-        ema=ema,
+        live=t.params,
+        ema=t.ema,
         state=state,
         stage_reports=stage_reports,
         warmup_losses=warmup_losses,

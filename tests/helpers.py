@@ -13,10 +13,11 @@ from splal.loss import LossBreakdown, make_views, total_loss
 from splal.metrics import _sweep
 from splal.model import (
     Gradients, adam_step, backward_from_dlogits, ce_value_and_dlogits, dlogits_from_dprobs, ema_update,
-    encode, forward,
+    OptimizerState, encode, forward,
 )
 from splal.numerics import LOG_EPS
-from splal.orchestrator import LOSSES
+from splal.orchestrator import LOSSES, Trainer
+from splal.prototypes import PrototypeBank
 
 
 def backward(params, X, targets, weights=None):
@@ -43,38 +44,46 @@ def replay_views(grids, flips):
     return weak_augment(grids, flips[:, 0], flips[:, 1]), strong_augment(grids)
 
 
-def train_epochs_per_batch(
-    params, opt, ema, state, epochs, cfg, rng_shuffle, rng_augment, bank=None, stage=-1
-):
+def trainer(cfg, params, shuffle, augment=None):
+    """A Trainer over these weights with a fresh optimizer and bank, and no teacher yet.
+
+    The augment stream, if not given, and the audit stream draw from `shuffle`.
+    """
+    opt = OptimizerState.for_params(params, cfg.learning_rate)
+    bank = PrototypeBank(params.num_classes, params.feature_dim, cfg.queue_capacity)
+    return Trainer(cfg, params, opt, bank, shuffle, augment or shuffle, shuffle)
+
+
+def train_epochs_per_batch(t, state, epochs, stage=-1):
     """`orchestrator._train_epochs` with both views made per batch by make_views, nothing cached.
 
     Each batch's loss goes through `total_loss`, and the bank push re-encodes
     the stacked views with the weights the loss was taken at.
     """
+    cfg, params = t.cfg, t.params
     logs = []
     rows, targets = state.labeled_rows, state.targets
     class_ids = targets.argmax(axis=1)
     weights = np.ones(len(rows))
     starts = range(0, len(rows), cfg.batch_size)
     for epoch in range(epochs):
-        order = rng_shuffle.permutation(len(rows))
+        order = t.rng_shuffle.permutation(len(rows))
         sums = np.zeros(3)
         for start in starts:
             idx = order[start : start + cfg.batch_size]
             grids = state.pool.grids[rows[idx]]
-            weak, strong, _ = make_views(grids, rng_augment)
+            weak, strong, _ = make_views(grids, t.rng_augment)
             breakdown, grads = total_loss(
                 params, grids, targets[idx], weights[idx], weak, strong, cfg.lam1, cfg.lam2
             )
             # The bank takes the clean rows' features from the step's stacked forward: before the update.
             features = encode(params, np.concatenate([grids, strong, weak]).reshape(3 * len(idx), -1))
-            adam_step(params, grads, opt)
+            adam_step(params, grads, t.opt)
             if not params.all_finite():
                 raise TrainingError("non-finite parameters after optimizer step")
-            if ema is not None:
-                ema_update(ema, params, cfg.ema_decay)
-            if bank is not None:
-                bank.push(class_ids[idx], features[: len(idx)])
+            if t.ema is not None:
+                ema_update(t.ema, params, cfg.ema_decay)
+                t.bank.push(class_ids[idx], features[: len(idx)])
             sums += (breakdown.classification, breakdown.alignment, breakdown.total)
         mean = sums / max(len(starts), 1)
         logs.append({"stage": stage, "epoch": epoch, **dict(zip(LOSSES, mean.tolist()))})

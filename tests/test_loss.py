@@ -5,10 +5,10 @@ import pytest
 
 from splal.errors import ConfigurationError, InputDomainError
 from splal.loss import make_views, stacked_loss, total_loss
-from splal.model import OptimizerState, forward, init_params
+from splal.model import forward, init_params
 from splal.orchestrator import DatasetState, _train_epochs
 
-from helpers import per_view_loss, replay_views
+from helpers import per_view_loss, replay_views, trainer
 from test_model import finite_difference, max_rel_error
 from test_orchestrator import pool_of, tiny_config
 
@@ -92,8 +92,7 @@ def test_logged_classification_clips_only_below_log_eps(lam2):
     expected = sum(-math.log(max(p[k], 1e-12)) for k in truth) / len(truth)
     rng = np.random.default_rng(1)
     state = DatasetState.split(pool_of(rng.uniform(size=(5, 3, 3)), truth), np.arange(5), 3)
-    opt = OptimizerState.for_params(params, cfg.learning_rate)
-    logs = _train_epochs(params, opt, None, state, 1, cfg, rng, rng)
+    logs = _train_epochs(trainer(cfg, params, rng), state, 1)
     assert logs[0]["classification"] == pytest.approx(expected, rel=1e-12)
     assert expected > 19.0  # a clip at 1e-6 caps each of the four terms at 13.8: a mean of 11.05
 

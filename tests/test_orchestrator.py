@@ -16,17 +16,18 @@ from splal.orchestrator import (
     STREAM_SHUFFLE,
     STREAM_SPLIT,
     DatasetState,
+    Trainer,
     _train_epochs,
     build_pools,
     evaluate_params,
     run,
+    run_stage,
     substream,
     warmup,
     write_run_dir,
 )
-from splal.prototypes import PrototypeBank
 
-from helpers import train_epochs_per_batch
+from helpers import train_epochs_per_batch, trainer
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -95,53 +96,48 @@ class TestWarmup:
     def test_missing_class_rejected(self):
         cfg = tiny_config()
         rng = np.random.default_rng(0)
-        params = init_params(64, cfg.hidden_widths, 4, rng)
-        opt = OptimizerState.for_params(params, cfg.learning_rate)
-        bank = PrototypeBank(4, params.feature_dim, cfg.queue_capacity)
+        t = trainer(cfg, init_params(64, cfg.hidden_widths, 4, rng), rng)
         state = DatasetState.split(pool_of(rng.uniform(size=(2, 8, 8)), [0, 1]), np.arange(2), 4)
-        warmup(params, opt, state, cfg, rng, rng, bank)
+        warmup(t, state)
         with pytest.raises(ConfigurationError, match=r"^unseeded class queues: \[2, 3\]$"):
-            bank.prototypes()
+            t.bank.prototypes()
 
     def test_empty_labeled_pool_names_every_class(self):
         cfg = tiny_config()
         rng = np.random.default_rng(0)
-        params = init_params(64, cfg.hidden_widths, 4, rng)
-        opt = OptimizerState.for_params(params, cfg.learning_rate)
-        bank = PrototypeBank(4, params.feature_dim, cfg.queue_capacity)
+        t = trainer(cfg, init_params(64, cfg.hidden_widths, 4, rng), rng)
         state = DatasetState.split(pool_of(rng.uniform(size=(2, 8, 8)), [0, 1]), np.arange(0), 4)
-        warmup(params, opt, state, cfg, rng, rng, bank)
+        warmup(t, state)
         with pytest.raises(ConfigurationError) as err:
-            bank.prototypes()
+            t.bank.prototypes()
         assert str(err.value) == "unseeded class queues: [0, 1, 2, 3]"
 
     def test_seeds_every_class_queue(self):
         cfg = tiny_config()
         rng = np.random.default_rng(1)
-        params = init_params(64, cfg.hidden_widths, 4, rng)
-        opt = OptimizerState.for_params(params, cfg.learning_rate)
-        bank = PrototypeBank(4, params.feature_dim, cfg.queue_capacity)
+        t = trainer(cfg, init_params(64, cfg.hidden_widths, 4, rng), rng)
         state = DatasetState.split(pool_of(rng.uniform(size=(6, 8, 8)), [0, 1, 2, 3, 0, 2]), np.arange(6), 4)
-        ema, logs = warmup(params, opt, state, cfg, rng, rng, bank)
+        logs = warmup(t, state)
         assert len(logs) == cfg.epochs_warmup
-        assert [len(bank.queue_contents(k)) for k in range(4)] == [2, 1, 2, 1]
+        assert [len(t.bank.queue_contents(k)) for k in range(4)] == [2, 1, 2, 1]
         # EMA shadow starts as an exact copy of the post-warm-up weights
-        np.testing.assert_array_equal(ema.classifier[0], params.classifier[0])
+        np.testing.assert_array_equal(t.ema.classifier[0], t.params.classifier[0])
 
 
 class TestStrongViewCache:
     """`_train_epochs` blurs the labeled rows once per call; the bits match blurring every batch."""
 
     @staticmethod
-    def _setup(n_pool, side, labeled_rows, cfg, seed=0):
+    def _setup(n_pool, side, labeled_rows, cfg, shuffle, augment=None, seed=0, teacher=True):
+        """A pool, and a Trainer over it whose teacher (if any) is a copy of its weights."""
         rng = np.random.default_rng(seed)
         pool = pool_of(rng.uniform(size=(n_pool, side, side)), rng.integers(0, 4, size=n_pool))
         state = DatasetState.split(pool, labeled_rows, 4)
-        params = init_params(side * side, cfg.hidden_widths, 4, np.random.default_rng(seed + 1))
-        opt = OptimizerState.for_params(params, cfg.learning_rate)
-        ema = params.copy()
-        bank = PrototypeBank(4, params.feature_dim, cfg.queue_capacity)
-        return state, params, opt, ema, bank
+        t = trainer(cfg, init_params(side * side, cfg.hidden_widths, 4, np.random.default_rng(seed + 1)),
+                    shuffle, augment)
+        if teacher:
+            t.ema = t.params.copy()
+        return state, t
 
     def test_matches_per_batch_reference(self):
         # 45 labeled rows (not a multiple of the batch size 16), out of order as after a migration
@@ -149,26 +145,25 @@ class TestStrongViewCache:
         rows = np.random.default_rng(5).permutation(61)[:45]
         runs = []
         for train in (_train_epochs, train_epochs_per_batch):
-            state, params, opt, ema, bank = self._setup(61, 8, rows, cfg)
-            shuffle, augment = np.random.default_rng(7), np.random.default_rng(8)
-            logs = train(params, opt, ema, state, 3, cfg, shuffle, augment, bank=bank, stage=1)
-            runs.append((logs, params, opt, ema, bank, shuffle, augment))
-        (logs, params, opt, ema, bank, shuffle, augment), ref = runs
-        assert logs == ref[0]
-        assert np.array_equal(params.flat, ref[1].flat)
-        assert np.array_equal(opt.m, ref[2].m) and np.array_equal(opt.v, ref[2].v)
-        assert np.array_equal(ema.flat, ref[3].flat)
+            state, t = self._setup(61, 8, rows, cfg, np.random.default_rng(7), np.random.default_rng(8))
+            logs = train(t, state, 3, stage=1)
+            runs.append((logs, t))
+        (logs, t), (ref_logs, ref) = runs
+        assert logs == ref_logs
+        assert np.array_equal(t.params.flat, ref.params.flat)
+        assert np.array_equal(t.opt.m, ref.opt.m) and np.array_equal(t.opt.v, ref.opt.v)
+        assert np.array_equal(t.ema.flat, ref.ema.flat)
         for k in range(4):
-            assert np.array_equal(bank.queue_contents(k), ref[4].queue_contents(k))
-        assert shuffle.bit_generator.state == ref[5].bit_generator.state
-        assert augment.bit_generator.state == ref[6].bit_generator.state
+            assert np.array_equal(t.bank.queue_contents(k), ref.bank.queue_contents(k))
+        assert t.rng_shuffle.bit_generator.state == ref.rng_shuffle.bit_generator.state
+        assert t.rng_augment.bit_generator.state == ref.rng_augment.bit_generator.state
 
     def test_no_epochs_no_blur(self, monkeypatch):
         cfg = tiny_config()
-        state, params, opt, _, _ = self._setup(20, 8, np.arange(20), cfg)
-        rng, blurred = np.random.default_rng(0), []
+        state, t = self._setup(20, 8, np.arange(20), cfg, np.random.default_rng(0), teacher=False)
+        blurred = []
         monkeypatch.setattr(orchestrator, "strong_augment", blurred.append)
-        assert _train_epochs(params, opt, None, state, 0, cfg, rng, rng) == []
+        assert _train_epochs(t, state, 0) == []
         assert blurred == []
 
     def test_cache_is_filled_in_chunks(self):
@@ -176,12 +171,11 @@ class TestStrongViewCache:
         # call peaks at ~4x the (n, H, W) cache, chunk by chunk at ~1x.
         cfg = tiny_config(batch_size=32)
         n = 3000
-        state, params, opt, _, _ = self._setup(n, 16, np.arange(n), cfg)
+        state, t = self._setup(n, 16, np.arange(n), cfg, np.random.default_rng(0), teacher=False)
         cache_bytes = n * 16 * 16 * 8
-        rng = np.random.default_rng(0)
         tracemalloc.start()
         try:
-            _train_epochs(params, opt, None, state, 1, cfg, rng, rng)
+            _train_epochs(t, state, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -194,7 +188,7 @@ class TestStackedStep:
     def test_push_reads_pre_step_features_of_one_forward(self, monkeypatch):
         cfg = tiny_config(queue_capacity=64)
         rows = np.random.default_rng(5).permutation(61)[:45]  # 3 batches of 16, 16 and 13
-        state, params, opt, ema, bank = TestStrongViewCache._setup(61, 8, rows, cfg)
+        state, t = TestStrongViewCache._setup(61, 8, rows, cfg, np.random.default_rng(7), np.random.default_rng(8))
         calls, steps, pushes = {"forward": 0, "backward_from_dlogits": 0}, [], []
         for name in calls:
             def counted(*args, _fn=getattr(loss, name), _name=name):
@@ -213,11 +207,11 @@ class TestStackedStep:
         def no_encode(*args):
             raise AssertionError("_train_epochs encodes outside the step's forward")
 
-        real_loss, real_push = orchestrator.stacked_loss, bank.push
+        real_loss, real_push = orchestrator.stacked_loss, t.bank.push
         monkeypatch.setattr(orchestrator, "stacked_loss", stacked_loss)
         monkeypatch.setattr(orchestrator, "encode", no_encode)
-        monkeypatch.setattr(bank, "push", push)
-        _train_epochs(params, opt, ema, state, 2, cfg, np.random.default_rng(7), np.random.default_rng(8), bank=bank)
+        monkeypatch.setattr(t.bank, "push", push)
+        _train_epochs(t, state, 2)
 
         assert len(steps) == len(pushes) == 6
         assert calls == {"forward": 6, "backward_from_dlogits": 6}
@@ -226,7 +220,7 @@ class TestStackedStep:
             assert np.array_equal(pushed, encode(before, views.reshape(3 * B, -1))[:B])
             clean = encode(before, views[:B].reshape(B, -1))
             assert np.linalg.norm(pushed - clean) <= 1e-12 * np.linalg.norm(clean)
-        after = encode(params, steps[-1][1][:13].reshape(13, -1))
+        after = encode(t.params, steps[-1][1][:13].reshape(13, -1))
         assert not np.array_equal(pushes[-1], after)  # the last update moved the features
 
 
@@ -236,7 +230,8 @@ class TestCleanOnlyStep:
     def test_stacks_hold_the_clean_rows_and_nothing_is_drawn(self, monkeypatch):
         cfg = tiny_config(lam1=1.0, lam2=0.0)
         rows = np.random.default_rng(5).permutation(61)[:45]  # 3 batches of 16, 16 and 13
-        state, params, opt, ema, bank = TestStrongViewCache._setup(61, 8, rows, cfg)
+        augment = np.random.default_rng(8)
+        state, t = TestStrongViewCache._setup(61, 8, rows, cfg, np.random.default_rng(7), augment)
         stacks = []
 
         def stacked_loss(params, views, targets, *args):
@@ -249,9 +244,8 @@ class TestCleanOnlyStep:
         real_loss = orchestrator.stacked_loss
         monkeypatch.setattr(orchestrator, "stacked_loss", stacked_loss)
         monkeypatch.setattr(orchestrator, "strong_augment", no_blur)
-        augment = np.random.default_rng(8)
         before = augment.bit_generator.state
-        logs = _train_epochs(params, opt, ema, state, 2, cfg, np.random.default_rng(7), augment, bank=bank)
+        logs = _train_epochs(t, state, 2)
         assert stacks == [(16, 16), (16, 16), (13, 13)] * 2
         assert augment.bit_generator.state == before
         assert [row["alignment"] for row in logs] == [None, None]
@@ -264,31 +258,28 @@ class TestCleanOnlyStep:
         rows = np.random.default_rng(5).permutation(61)[:45]
         runs = []
         for train in (_train_epochs, train_epochs_per_batch):
-            state, params, opt, ema, bank = TestStrongViewCache._setup(61, 8, rows, cfg)
-            logs = train(params, opt, ema, state, 3, cfg, np.random.default_rng(7), np.random.default_rng(8),
-                         bank=bank, stage=1)
-            runs.append((logs, params, ema, bank))
-        (logs, params, ema, bank), (ref_logs, ref_params, ref_ema, ref_bank) = runs
-        for row, ref in zip(logs, ref_logs):
-            assert row["classification"] == pytest.approx(ref["classification"], rel=1e-12)
-        for a, b in ((params.flat, ref_params.flat), (ema.flat, ref_ema.flat)):
+            state, t = TestStrongViewCache._setup(61, 8, rows, cfg, np.random.default_rng(7), np.random.default_rng(8))
+            runs.append((train(t, state, 3, stage=1), t))
+        (logs, t), (ref_logs, ref) = runs
+        for row, ref_row in zip(logs, ref_logs):
+            assert row["classification"] == pytest.approx(ref_row["classification"], rel=1e-12)
+        for a, b in ((t.params.flat, ref.params.flat), (t.ema.flat, ref.ema.flat)):
             assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b)
         for k in range(4):
-            np.testing.assert_allclose(bank.queue_contents(k), ref_bank.queue_contents(k), rtol=1e-10, atol=1e-12)
+            np.testing.assert_allclose(t.bank.queue_contents(k), ref.bank.queue_contents(k), rtol=1e-10, atol=1e-12)
 
     def test_non_finite_parameters_after_a_step_stop_training(self):
         # Equal classifier biases of half the float range keep the forward finite (every softmax
         # row is uniform) and the gradient too; one Adam step of learning rate 1e308 then carries
         # a bias past the range. A rate alone would stop at the next step's non-finite gradient.
         cfg = tiny_config()
-        state, params, _, _, _ = TestStrongViewCache._setup(20, 8, np.arange(20), cfg)
-        params.classifier[1][...] = np.finfo(np.float64).max / 2
-        opt = OptimizerState.for_params(params, learning_rate=1e308)
-        rng = np.random.default_rng(0)
+        state, t = TestStrongViewCache._setup(20, 8, np.arange(20), cfg, np.random.default_rng(0), teacher=False)
+        t.params.classifier[1][...] = np.finfo(np.float64).max / 2
+        t.opt = OptimizerState.for_params(t.params, learning_rate=1e308)
         with np.errstate(over="ignore"), pytest.raises(TrainingError) as err:
-            _train_epochs(params, opt, None, state, 1, cfg, rng, rng)
+            _train_epochs(t, state, 1)
         assert str(err.value) == "non-finite parameters after optimizer step"
-        assert opt.step == 1
+        assert t.opt.step == 1
 
 
 class TestFullRun:
@@ -558,10 +549,76 @@ def test_feature_batch_shape():
     # warmup seeds the bank from one forward over the whole labeled pool.
     cfg = tiny_config(num_classes=3, class_counts=(3, 2, 2), hidden_widths=(6, 5), epochs_warmup=1)
     rng = np.random.default_rng(0)
-    params = init_params(16, cfg.hidden_widths, 3, rng)
-    opt = OptimizerState.for_params(params, cfg.learning_rate)
-    bank = PrototypeBank(3, params.feature_dim, cfg.queue_capacity)
+    t = trainer(cfg, init_params(16, cfg.hidden_widths, 3, rng), rng)
     state = DatasetState.split(pool_of(rng.uniform(size=(7, 4, 4)), [0, 0, 0, 1, 1, 2, 2]), np.arange(7), 3)
-    warmup(params, opt, state, cfg, rng, rng, bank)
-    queued = [f for k in range(3) for f in bank.queue_contents(k)]
+    warmup(t, state)
+    queued = [f for k in range(3) for f in t.bank.queue_contents(k)]
     assert len(queued) == 7 and all(f.shape == (5,) for f in queued)
+
+
+def test_baseline_run_seeds_no_bank(monkeypatch):
+    # A baseline run has no stage, so nothing would read the bank: warm-up encodes nothing for it.
+    cfg = tiny_config(mode="baseline")
+    expected = run(cfg, seed=4).metrics
+
+    def no_encode(*args):
+        raise AssertionError("a run without stages encoded the labeled pool")
+
+    monkeypatch.setattr(orchestrator, "encode", no_encode)
+    assert run(cfg, seed=4).metrics == expected
+
+
+class RecordingGenerator:
+    """A Generator whose `choice` calls are recorded as (a, size, replace, result)."""
+
+    def __init__(self, rng):
+        self.rng, self.choices = rng, []
+
+    def choice(self, a, size=None, replace=True, **kwargs):
+        result = self.rng.choice(a, size=size, replace=replace, **kwargs)
+        self.choices.append((a, size, replace, result))
+        return result
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+class TestStageOracles:
+    """What each `run_stage` call draws and migrates, checked against the stage's own report and audit."""
+
+    @staticmethod
+    def _stages(cfg, seed):
+        """Warm up a run's Trainer, then yield (unlabeled count before, report, audit, trainer, state) per stage."""
+        state = build_pools(cfg, seed)[0].state
+        t = Trainer.start(cfg, seed, state.pool.grids[0].size)
+        t.rng_audit = RecordingGenerator(t.rng_audit)
+        warmup(t, state)
+        while state.stage < cfg.stages:
+            unlabeled = len(state.unlabeled_rows)
+            yield (unlabeled, *run_stage(t, state), t, state)
+
+    def test_control_arm_is_distinct_unlabeled_rows(self):
+        cfg = tiny_config(stages=3)  # seed 3 selects 10, 6 and 0 rows
+        expected = []
+        for unlabeled, report, _, t, _ in self._stages(cfg, seed=3):
+            n = report.num_selected
+            if n:
+                expected.append((unlabeled, n, False))
+                hits = round(report.random_subset_accuracy * n)
+                assert report.random_subset_accuracy == hits / n
+            else:
+                assert report.random_subset_accuracy is None
+        assert expected, "no stage selected a row"
+        draws = t.rng_audit.choices
+        assert [(a, size, replace) for a, size, replace, _ in draws] == expected
+        for a, size, _, rows in draws:
+            assert len(np.unique(rows)) == size and 0 <= rows.min() and rows.max() < a
+
+    def test_soft_targets_are_the_combined_rows(self):
+        cfg = tiny_config(stages=3, soft_pseudo_labels=True)
+        selected = 0
+        for _, report, audit, _, state in self._stages(cfg, seed=3):
+            n = report.num_selected
+            assert np.array_equal(state.targets[len(state.targets) - n :], audit.pred.combined)
+            selected += n
+        assert selected
