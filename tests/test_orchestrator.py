@@ -622,3 +622,29 @@ class TestStageOracles:
             assert np.array_equal(state.targets[len(state.targets) - n :], audit.pred.combined)
             selected += n
         assert selected
+
+    def test_ema_is_the_closed_form_decayed_average(self, monkeypatch):
+        # The teacher ends as rho^T s0 + (1 - rho) sum_t rho^(T - t) w_t: s0 the
+        # warmed-up weights, w_t the live weights after each later Adam step.
+        # The steps are recorded at the optimizer, so a skipped update shows.
+        cfg = tiny_config(stages=3)
+        start, live = [], []
+        real_warmup, real_step = orchestrator.warmup, orchestrator.adam_step
+
+        def recording_warmup(t, state):
+            logs = real_warmup(t, state)
+            start.append(t.params.flat.copy())
+            return logs
+
+        def recording_step(params, grads, opt):
+            real_step(params, grads, opt)
+            if start:
+                live.append(params.flat.copy())
+
+        monkeypatch.setattr(orchestrator, "warmup", recording_warmup)
+        monkeypatch.setattr(orchestrator, "adam_step", recording_step)
+        result = run(cfg, seed=3)
+        assert len(result.stage_reports) == 3 and live
+        rho, T = cfg.ema_decay, len(live)
+        expected = rho**T * start[0] + (1 - rho) * sum(rho ** (T - i) * w for i, w in enumerate(live, 1))
+        assert np.linalg.norm(result.ema.flat - expected) <= 1e-12 * np.linalg.norm(expected)
