@@ -8,11 +8,13 @@ are clipped to [0, 1].
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import itertools
 import json
 import math
+import os
 import warnings
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -23,6 +25,8 @@ from .errors import ConfigurationError, InputDomainError, ParseError, check_arra
 
 GROUND_TRUTH = "ground-truth"
 PSEUDO = "pseudo"
+# Bumped whenever load_csv's rules or its record layout change: older cache entries are then ignored.
+CSV_CACHE_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -175,50 +179,80 @@ def load_csv(path) -> tuple[Pool, int, int, int]:
     One numpy pass parses the data rows into a record array, the row rules
     are array checks on its fields, and the grids are a view of it. When a
     line fails to parse, the rows above it are checked first, so the first
-    bad line in the file is the one reported.
+    bad line in the file is the one reported. The record array of a file
+    that passed is cached as $XDG_CACHE_HOME/splal/<sha256>-v<version>.npy
+    (~/.cache when unset). A hit skips the parse and meets the same row rules.
     """
     path = Path(path)
     with path.open() as fh:
         h, w, k = _read_metadata(fh.readline())
-        fields = 2 + h * w
-        header = fh.readline()
-        if not header:
-            raise ParseError("missing column header", line=2)
-        columns = next(csv.reader([header]))
-        if len(columns) != fields:
-            raise ParseError(f"expected {fields} columns, found {len(columns)}", line=2)
         dtype = np.dtype([("id", np.int64), ("label", np.int64), ("px", np.float64, (h, w))])
-        start = fh.tell()
-        # numpy pulls one line at a time and fails on the line it just pulled,
-        # so the count of lines handed over names the failing line.
-        pulled, last = 0, ""
-
-        def data_lines():
-            nonlocal pulled, last
-            for pulled, last in enumerate(fh, start=1):
-                if last == "\n":  # numpy would skip it
-                    raise ParseError(f"expected {fields} fields, found 0", line=pulled + 2)
-                if '"' in last and next(csv.reader([last]))[-1].endswith("\n"):
-                    # numpy would read on into the next line for the closing quote
-                    raise ParseError("unclosed double quote", line=pulled + 2)
-                yield last
-
-        try:
-            rows = _parse_rows(data_lines(), dtype)
-        except ParseError as exc:
-            failure = exc
-        except (ValueError, DeprecationWarning) as exc:
-            failure = ParseError(_row_error(last, fields, exc), line=pulled + 2)
-        else:
-            failure = None
-        if failure is not None:
-            fh.seek(start)
-            _check_rows(_parse_rows(itertools.islice(fh, failure.line - 3), dtype), k)
-            raise failure
+        root = os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")
+        entry = Path(root, "splal", f"{file_sha256(path)}-v{CSV_CACHE_VERSION}.npy")
+        cached = _read_entry(entry, dtype)
+        rows = _parse_data(fh, 2 + h * w, dtype, k) if cached is None else cached
     _check_rows(rows, k)
     if not len(rows):
         raise ParseError("no data rows", line=3)
+    if cached is None:
+        _write_entry(entry, rows)
     return Pool(rows["id"], rows["px"], rows["label"]), h, w, k
+
+
+def _parse_data(fh, fields: int, dtype: np.dtype, k: int) -> np.ndarray:
+    """Lines 2 on of an open CSV as a record array; a line that fails to parse has the rows above it checked first."""
+    header = fh.readline()
+    if not header:
+        raise ParseError("missing column header", line=2)
+    columns = next(csv.reader([header]))
+    if len(columns) != fields:
+        raise ParseError(f"expected {fields} columns, found {len(columns)}", line=2)
+    start = fh.tell()
+    # numpy pulls one line at a time and fails on the line it just pulled,
+    # so the count of lines handed over names the failing line.
+    pulled, last = 0, ""
+
+    def data_lines():
+        nonlocal pulled, last
+        for pulled, last in enumerate(fh, start=1):
+            if last == "\n":  # numpy would skip it
+                raise ParseError(f"expected {fields} fields, found 0", line=pulled + 2)
+            if '"' in last and next(csv.reader([last]))[-1].endswith("\n"):
+                # numpy would read on into the next line for the closing quote
+                raise ParseError("unclosed double quote", line=pulled + 2)
+            yield last
+
+    try:
+        return _parse_rows(data_lines(), dtype)
+    except ParseError as exc:
+        failure = exc
+    except (ValueError, DeprecationWarning) as exc:
+        failure = ParseError(_row_error(last, fields, exc), line=pulled + 2)
+    fh.seek(start)
+    _check_rows(_parse_rows(itertools.islice(fh, failure.line - 3), dtype), k)
+    raise failure
+
+
+def _read_entry(entry: Path, dtype: np.dtype) -> np.ndarray | None:
+    """The cached record array, or None when it is missing, unreadable or not of `dtype`."""
+    try:
+        rows = np.load(entry, allow_pickle=False)
+    except (OSError, ValueError, EOFError):
+        return None
+    return rows if rows.dtype == dtype and rows.ndim == 1 else None
+
+
+def _write_entry(entry: Path, rows: np.ndarray) -> None:
+    """Cache rows that passed every rule; a per-process name, then an atomic rename, so racing workers are safe."""
+    tmp = entry.with_name(f"{entry.name}.{os.getpid()}.tmp")
+    try:
+        entry.parent.mkdir(parents=True, exist_ok=True)
+        with tmp.open("wb") as fh:
+            np.save(fh, rows, allow_pickle=False)
+        os.replace(tmp, entry)
+    except (OSError, ValueError):
+        with contextlib.suppress(OSError):
+            tmp.unlink()
 
 
 def _read_metadata(line: str) -> tuple[int, int, int]:
@@ -296,7 +330,12 @@ def load_eval_csv(path, source: str, height: int, width: int, num_classes: int) 
 
 
 def file_sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """Hex SHA-256 of a file's bytes, read in 1 MiB chunks."""
+    digest = hashlib.sha256()
+    with Path(path).open("rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def write_manifest(path, spec: SyntheticSpec, csv_path) -> None:

@@ -1,5 +1,15 @@
 import sys
 
+import pytest
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _private_cache_home(tmp_path_factory):
+    """Dataset-CSV cache entries go to a temporary directory, never to the user's home."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
+        yield
+
 
 def pytest_terminal_summary(terminalreporter):
     """Echo the acceptance verdict lines after the run, bypassing capture."""

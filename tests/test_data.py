@@ -1,12 +1,16 @@
+import hashlib
 import pickle
 
 import numpy as np
 import pytest
 
+from splal import data
 from splal.data import (
+    CSV_CACHE_VERSION,
     Pool,
     SyntheticSpec,
     balanced_test_spec,
+    file_sha256,
     generate,
     load_csv,
     save_csv,
@@ -273,3 +277,136 @@ def test_manifest_contents(tmp_path):
     assert manifest["class_counts"] == [2, 2, 2, 2]
     assert manifest["seed"] == 5
     assert len(manifest["csv_sha256"]) == 64
+
+
+@pytest.mark.parametrize("size", [0, 5, (1 << 20) - 1, 1 << 20, 2 * (1 << 20) + 3])
+def test_file_sha256_streams_the_whole_file(tmp_path, size):
+    path = tmp_path / "blob"
+    path.write_bytes(np.random.default_rng(size).bytes(size))
+    assert file_sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# Malformed files, each with the message and line load_csv reports for it. Two
+# messages come from numpy's reader, so only their start is fixed.
+HEADER = "# H=2 W=2 K=2\nid,label,p0,p1,p2,p3\n"
+MALFORMED = [
+    ("id,label,p0\n0,0,0.5\n", "line 1: missing metadata comment line$"),
+    ("# H=2 W\n0,0,0.1,0.2,0.3,0.4\n", "line 1: bad metadata line: dictionary update sequence element #1 "),
+    ("# H=2 W=2 K=2\n", "line 2: missing column header$"),
+    ("# H=2 W=2 K=2\nid,label,p0\n0,0,0.1,0.2,0.3,0.4\n", "line 2: expected 6 columns, found 3$"),
+    (HEADER, "line 3: no data rows$"),
+    (HEADER + "0,0,0.5\n", "line 3: expected 6 fields, found 3$"),
+    (HEADER + "0,0,0.1,0.2,0.3,0.4\n\n1,1,0.1,0.2,0.3,0.4\n", "line 4: expected 6 fields, found 0$"),
+    (HEADER + "0,0,0.1,x,0.3,0.4\n", "line 3: could not convert string 'x' to float"),
+    (HEADER + "0,0,0.1,0.2,0.3,0.4\n1.0,1,0.1,0.2,0.3,0.4\n", "line 4: could not convert string '1.0' to int"),
+    (HEADER + "0,5,0.0,0.0,0.0,0.0\n", "line 3: label 5 out of range for K=2$"),
+    (HEADER + "0,0,0.1,0.2,0.3,0.4\n1,1,0.1,nan,0.3,0.4\n", "line 4: non-finite pixel value$"),
+    (HEADER + f"0,0,0.1,0.2,0.3,0.4\n{2**63},1,0.1,0.2,0.3,0.4\n",
+     f"line 4: sample id {2**63} does not fit in 64 bits$"),
+    (HEADER + "7,0,0.1,0.2,0.3,0.4\n8,1,0.1,0.2,0.3,0.4\n7,1,0.5,0.5,0.5,0.5\n",
+     r"line 5: duplicate sample id 7 \(first on line 3\)$"),
+    (HEADER + '0,0,"0.1,0.2,0.3,0.4\n1,1,0.1,0.2,0.3,0.4\n', "line 3: unclosed double quote$"),
+    (HEADER + "0,0,0.1,0.2,0.3,0.4\n1,1,0.1,nan,0.3,0.4\n0,1,0.1,0.2,0.3,0.4\n2,1,x,0.2,0.3,0.4\n",
+     "line 4: non-finite pixel value$"),
+]
+
+
+class TestCsvCache:
+    """load_csv's cache of parsed rows, one entry per file content under $XDG_CACHE_HOME/splal."""
+
+    @pytest.fixture
+    def cache(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        return tmp_path / "xdg" / "splal"
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "pool.csv"
+        save_csv(generate(SyntheticSpec(class_counts=(4, 3, 2, 1), height=8, width=9)), path, 4)
+        return path
+
+    @staticmethod
+    def entry(path):
+        return f"{file_sha256(path)}-v{CSV_CACHE_VERSION}.npy"
+
+    @staticmethod
+    def no_parse(monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the CSV was parsed")
+        monkeypatch.setattr(data, "_parse_rows", fail)
+
+    @staticmethod
+    def assert_same_pools(a, b):
+        for name in ("ids", "grids", "truth"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert (x.dtype, x.shape, x.strides) == (y.dtype, y.shape, y.strides)
+            assert x.tobytes() == y.tobytes()
+
+    def test_hit_equals_the_parse_bit_for_bit(self, path, cache, monkeypatch):
+        parsed, *meta = load_csv(path)
+        assert [p.name for p in cache.iterdir()] == [self.entry(path)]
+        self.no_parse(monkeypatch)
+        hit, *hit_meta = load_csv(path)
+        assert hit_meta == meta == [8, 9, 4]
+        self.assert_same_pools(hit, parsed)
+        assert np.may_share_memory(hit.grids, hit.ids) and hit.grids.flags.writeable
+
+    def test_one_changed_pixel_digit_misses(self, path, cache):
+        load_csv(path)
+        lines = path.read_text().splitlines(keepends=True)
+        fields = lines[2].split(",")
+        digit = fields[2][-1]
+        fields[2] = fields[2][:-1] + str((int(digit) + 1) % 10)
+        lines[2] = ",".join(fields)
+        path.write_text("".join(lines))
+        pool, *_ = load_csv(path)
+        assert pool.grids[0, 0, 0] == float(fields[2])
+        assert len(list(cache.iterdir())) == 2 and (cache / self.entry(path)).is_file()
+
+    @pytest.mark.parametrize("keep", [0, 40, 0.5])
+    def test_truncated_entry_is_parsed_and_rewritten(self, path, cache, keep):
+        parsed, *_ = load_csv(path)
+        entry = cache / self.entry(path)
+        good = entry.read_bytes()
+        entry.write_bytes(good[: int(keep * len(good)) if isinstance(keep, float) else keep])
+        again, *_ = load_csv(path)
+        self.assert_same_pools(again, parsed)
+        assert entry.read_bytes() == good
+
+    def test_entry_of_another_grid_shape_is_parsed_and_rewritten(self, path, cache):
+        parsed, *_ = load_csv(path)
+        entry = cache / self.entry(path)
+        good = entry.read_bytes()
+        rows = np.load(entry)
+        wrong = np.dtype([("id", np.int64), ("label", np.int64), ("px", np.float64, (9, 8))])
+        np.save(entry, rows.view(wrong))
+        again, *_ = load_csv(path)
+        self.assert_same_pools(again, parsed)
+        assert entry.read_bytes() == good
+
+    def test_rules_run_on_a_hit(self, path, cache, monkeypatch):
+        load_csv(path)
+        entry = cache / self.entry(path)
+        rows = np.load(entry)
+        rows["label"][1] = 4
+        np.save(entry, rows)
+        self.no_parse(monkeypatch)
+        with pytest.raises(ParseError, match=r"^line 4: label 4 out of range for K=4$"):
+            load_csv(path)
+
+    def test_file_in_place_of_the_cache_directory(self, path, cache):
+        cache.parent.mkdir()
+        cache.write_text("not a directory")
+        first, *_ = load_csv(path)
+        second, *_ = load_csv(path)
+        self.assert_same_pools(first, second)
+        assert cache.read_text() == "not a directory"
+
+    @pytest.mark.parametrize("text, message", MALFORMED)
+    def test_malformed_file_keeps_its_error_and_leaves_no_entry(self, tmp_path, cache, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        for _ in range(2):
+            with pytest.raises(ParseError, match="^" + message):
+                load_csv(path)
+        assert not cache.exists() or not list(cache.iterdir())

@@ -86,3 +86,30 @@ def test_no_affinity_call_exits_2_with_one_line(monkeypatch, capsys):
     assert same_bytes.main(["--base", "HEAD"]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "HEAD" in err and "one core" in err
+
+
+def test_every_run_gets_one_fresh_cache_home(tmp_path, monkeypatch):
+    # compare() with the copies, the CLI and the audit guard stubbed out: every
+    # command would run with the environment recorded here.
+    seen = []
+
+    def record(argv, **kwargs):
+        seen.append((Path(kwargs["cwd"]).name, kwargs["env"]))
+        return subprocess.CompletedProcess(argv, 0, stdout="", stderr="")
+
+    monkeypatch.setattr(same_bytes, "extract_revision", lambda rev, dest: None)
+    monkeypatch.setattr(same_bytes, "copy_working_tree", lambda dest: None)
+    monkeypatch.setattr(same_bytes, "empty_audits", lambda out: [])
+    monkeypatch.setattr(same_bytes.subprocess, "run", record)
+    assert same_bytes.compare("HEAD", tmp_path) == 0
+    per_run = len(same_bytes.commands(tmp_path, tmp_path))
+    assert len(seen) == len(same_bytes.RUNS) * per_run
+    cache = tmp_path / "cache"
+    assert not cache.exists()  # nothing ran, so nothing was cached
+    for i, (copy, env) in enumerate(seen):
+        run = same_bytes.RUNS[i // per_run]
+        assert env["XDG_CACHE_HOME"] == str(cache)
+        assert copy == run.split("-")[0] and env["PYTHONPATH"] == str(tmp_path / copy / "src")
+        assert env["OPENBLAS_NUM_THREADS"] == run.split("-")[2]
+        assert env["PYTHONWARNINGS"] == "error::RuntimeWarning"
+    assert not any(Path(env["XDG_CACHE_HOME"]).is_relative_to(tmp_path / "out") for _, env in seen)

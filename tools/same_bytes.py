@@ -25,6 +25,12 @@ Each pseudo-label audit of a staged `train` in the reference must hold a row.
 Each command's stdout is compared too, minus the lines naming its run's
 directory.
 
+Every run of one invocation gets the same fresh XDG_CACHE_HOME, beside `out/`
+and so outside every compared directory. The first run whose splal caches
+parsed dataset CSVs (the reference, when REV predates that cache; else REV's
+run) parses each CSV and fills the cache, and every later run reads those
+rows back. So one compared pair always sets a parse against a cache hit.
+
 Exit status: 0 when all outputs are identical; 1 when some differ (each file
 is listed with its pair of runs); 2 when a command fails, a reference audit
 is empty, git cannot read REV or the tree, or no process can be pinned to one
@@ -99,11 +105,12 @@ def copy_working_tree(dest: Path) -> None:
             shutil.copy2(source, dest / name)
 
 
-def run_commands(src: Path, out: Path, cfg: Path, threads: int, one_core: bool) -> bool:
-    """Run every command with `src` on PYTHONPATH; stdout goes to `out`/<name>.stdout. False when one fails."""
+def run_commands(src: Path, out: Path, cfg: Path, cache: Path, threads: int, one_core: bool) -> bool:
+    """Run every command with `src` on PYTHONPATH and `cache` as XDG_CACHE_HOME; stdout goes to
+    `out`/<name>.stdout. False when one fails."""
     out.mkdir(parents=True)
     env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": str(threads),
-           "PYTHONWARNINGS": "error::RuntimeWarning"}
+           "PYTHONWARNINGS": "error::RuntimeWarning", "XDG_CACHE_HOME": str(cache)}
     core = min(os.sched_getaffinity(0))
     pin = (lambda: os.sched_setaffinity(0, {core})) if one_core else None
     for name, args in commands(cfg, out):
@@ -152,7 +159,7 @@ def compare(base: str, work: Path) -> int:
     copy_working_tree(work / "tree")
     for run in RUNS:
         copy, how, threads = run.split("-")
-        if not run_commands(work / copy / "src", out / run, cfg, int(threads), how == "core"):
+        if not run_commands(work / copy / "src", out / run, cfg, work / "cache", int(threads), how == "core"):
             return 2
         if run == REFERENCE and (empty := empty_audits(out / run)):
             print(*(f"no pseudo-label audited: {name}" for name in empty), sep="\n", file=sys.stderr)
