@@ -88,7 +88,7 @@ def test_no_affinity_call_exits_2_with_one_line(monkeypatch, capsys):
     assert err.count("\n") == 1 and "HEAD" in err and "one core" in err
 
 
-def test_every_run_gets_one_fresh_cache_home(tmp_path, monkeypatch):
+def test_each_copy_gets_its_own_fresh_cache_home(tmp_path, monkeypatch):
     # compare() with the copies, the CLI and the audit guard stubbed out: every
     # command would run with the environment recorded here.
     seen = []
@@ -104,12 +104,15 @@ def test_every_run_gets_one_fresh_cache_home(tmp_path, monkeypatch):
     assert same_bytes.compare("HEAD", tmp_path) == 0
     per_run = len(same_bytes.commands(tmp_path, tmp_path))
     assert len(seen) == len(same_bytes.RUNS) * per_run
-    cache = tmp_path / "cache"
-    assert not cache.exists()  # nothing ran, so nothing was cached
+    caches = {"base": tmp_path / "cache-base", "tree": tmp_path / "cache-tree"}
+    assert not any(cache.exists() for cache in caches.values())  # nothing ran, so nothing was cached
     for i, (copy, env) in enumerate(seen):
         run = same_bytes.RUNS[i // per_run]
-        assert env["XDG_CACHE_HOME"] == str(cache)
         assert copy == run.split("-")[0] and env["PYTHONPATH"] == str(tmp_path / copy / "src")
+        assert env["XDG_CACHE_HOME"] == str(caches[copy])
         assert env["OPENBLAS_NUM_THREADS"] == run.split("-")[2]
         assert env["PYTHONWARNINGS"] == "error::RuntimeWarning"
+    # REV's run is the base cache's only run; the reference is the tree's first, so it parses and the later three hit.
+    assert [run.split("-")[0] for run in same_bytes.RUNS] == ["base"] + ["tree"] * 4
+    assert same_bytes.REFERENCE == same_bytes.RUNS[1]
     assert not any(Path(env["XDG_CACHE_HOME"]).is_relative_to(tmp_path / "out") for _, env in seen)

@@ -25,11 +25,12 @@ Each pseudo-label audit of a staged `train` in the reference must hold a row.
 Each command's stdout is compared too, minus the lines naming its run's
 directory.
 
-Every run of one invocation gets the same fresh XDG_CACHE_HOME, beside `out/`
-and so outside every compared directory. The first run whose splal caches
-parsed dataset CSVs (the reference, when REV predates that cache; else REV's
-run) parses each CSV and fills the cache, and every later run reads those
-rows back. So one compared pair always sets a parse against a cache hit.
+Each copy gets its own fresh XDG_CACHE_HOME (`cache-base`, `cache-tree`),
+beside `out/` and so outside every compared directory. REV's run parses each
+dataset CSV with REV's reader. The reference parses it cold with the tree's
+reader and fills the tree's cache, and the three later tree runs read those
+rows back. So REV against the reference compares two parsers, and the
+reference against each other run compares a parse with a cache hit.
 
 Exit status: 0 when all outputs are identical; 1 when some differ (each file
 is listed with its pair of runs); 2 when a command fails, a reference audit
@@ -159,7 +160,8 @@ def compare(base: str, work: Path) -> int:
     copy_working_tree(work / "tree")
     for run in RUNS:
         copy, how, threads = run.split("-")
-        if not run_commands(work / copy / "src", out / run, cfg, work / "cache", int(threads), how == "core"):
+        cache = work / f"cache-{copy}"  # one per copy, so the tree's first run parses with the tree's reader
+        if not run_commands(work / copy / "src", out / run, cfg, cache, int(threads), how == "core"):
             return 2
         if run == REFERENCE and (empty := empty_audits(out / run)):
             print(*(f"no pseudo-label audited: {name}" for name in empty), sep="\n", file=sys.stderr)
