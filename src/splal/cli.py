@@ -11,6 +11,13 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+# One BLAS thread per process, set before numpy loads, unless one variable is set: then all
+# stay as given, as OpenBLAS would read a default OPENBLAS_NUM_THREADS before OMP_NUM_THREADS.
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+if not any(var in os.environ for var in THREAD_VARS):
+    os.environ.update(dict.fromkeys(THREAD_VARS, "1"))
+
 import numpy as np
 
 from .config import ExperimentConfig, config_to_text, load_config, parse_config
@@ -76,10 +83,10 @@ def cmd_generate_data(args) -> int:
 
 
 def _aggregate_rows(per_seed: dict[int, dict]):
-    """One (metric, mean, sd) CSV row per metric over the seeds, floats by repr."""
+    """One (metric, mean, sd) CSV row per metric over the seeds, as Python floats."""
     for key in METRIC_KEYS:
         values = np.array([m[key] for m in per_seed.values()])
-        yield key, repr(float(values.mean())), repr(float(values.std(ddof=0)))
+        yield key, float(values.mean()), float(values.std(ddof=0))
 
 
 def _map_runs(job, jobs: list[tuple]) -> list:

@@ -162,7 +162,7 @@ def split_labeled(pool: Pool, ratio: float, seed: int, num_classes: int) -> tupl
 
 
 def save_csv(samples: Pool, path, num_classes: int) -> None:
-    """Pixel CSV with a metadata comment line; each float by repr, the shortest form that round-trips."""
+    """Pixel CSV with a metadata comment line; csv.writer writes each float by repr, which round-trips."""
     _, height, width = samples.grids.shape
     with Path(path).open("w", newline="") as fh:
         fh.write(f"# H={height} W={width} K={num_classes}\n")
@@ -170,7 +170,7 @@ def save_csv(samples: Pool, path, num_classes: int) -> None:
         writer.writerow(["id", "label"] + [f"p{i}" for i in range(height * width)])
         pixels = samples.grids.reshape(len(samples), height * width)
         for sid, label, row in zip(samples.ids.tolist(), samples.truth.tolist(), pixels):
-            writer.writerow([sid, label, *map(repr, row.tolist())])
+            writer.writerow([sid, label, *row.tolist()])
 
 
 def load_csv(path) -> tuple[Pool, int, int, int]:

@@ -60,6 +60,8 @@ def substream(master_seed: int, stream: int) -> np.random.Generator:
 
 # The loss terms each epoch's log row averages over its batches.
 LOSSES = ("classification", "alignment", "total")
+# Audit rows become Python values this many at a time, so writing an audit holds O(block) objects.
+AUDIT_BLOCK = 256
 
 
 @dataclass
@@ -409,7 +411,7 @@ def run(cfg: ExperimentConfig, seed: int, collect_audits: bool = False) -> RunRe
 
 
 def write_csv(path: Path, rows, header=None) -> None:
-    """Write the header, if given, then the rows as the iterable yields them."""
+    """Write the header, if given, then the rows as the iterable yields them; a float by repr."""
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         if header is not None:
@@ -423,22 +425,26 @@ def write_metrics(out: Path, metrics: dict) -> None:
     (out / "metrics.json").write_text(json.dumps(body, indent=2, sort_keys=True) + "\n")
     write_csv(out / "confusion.csv", metrics["confusion"])
     for key, points in metrics["roc"].items():
-        write_csv(out / f"roc_class{key}.csv", (map(repr, p) for p in points), ["threshold", "fpr", "tpr"])
+        write_csv(out / f"roc_class{key}.csv", points, ["threshold", "fpr", "tpr"])
+
+
+def _block_rows(*columns):
+    """The columns' rows as Python values, converted AUDIT_BLOCK rows at a time."""
+    for start in range(0, len(columns[0]), AUDIT_BLOCK):
+        yield from zip(*(c[start : start + AUDIT_BLOCK].tolist() for c in columns))
 
 
 def _selector_rows(a: StageAudit):
     g = a.gate
-    columns = (a.ids, g.similarities, g.posterior, g.reliable, g.winners)
-    for sid, w, v, ok, winner in zip(*(c.tolist() for c in columns)):
-        yield [a.stage, sid, *map(repr, w), *map(repr, v), int(ok), winner if ok else ""]
+    for sid, w, v, ok, winner in _block_rows(a.ids, g.similarities, g.posterior, g.reliable, g.winners):
+        yield [a.stage, sid, *w, *v, int(ok), winner if ok else ""]
 
 
 def _pseudo_rows(a: StageAudit):
     p = a.pred
-    hits = a.labels == a.truth
-    columns = (a.ids[a.chosen], p.linear, p.knn, p.similarity, p.combined, a.truth, hits)
-    for sid, *parts, truth, hit in zip(*(c.tolist() for c in columns)):
-        yield [a.stage, sid, *(repr(x) for part in parts for x in part), truth, int(hit)]
+    columns = (a.ids[a.chosen], p.linear, p.knn, p.similarity, p.combined, a.truth, a.labels == a.truth)
+    for sid, lin, knn, sim, comb, truth, hit in _block_rows(*columns):
+        yield [a.stage, sid, *lin, *knn, *sim, *comb, truth, int(hit)]
 
 
 def write_run_dir(out_dir, cfg: ExperimentConfig, seed: int, result: RunResult) -> None:
@@ -464,14 +470,18 @@ def write_run_dir(out_dir, cfg: ExperimentConfig, seed: int, result: RunResult) 
     )
 
     if result.stage_audits is not None:
-        # Rows are made one stage at a time, so no audit CSV is held whole.
-        k = range(cfg.num_classes)
-        write_csv(
-            out / "selector_audit.csv", (row for a in result.stage_audits for row in _selector_rows(a)),
-            ["stage", "sample_id", *(f"w{i}" for i in k), *(f"v{i}" for i in k), "reliable", "winning_class"],
-        )
-        parts = ("linear", "knn", "sim", "combined")
-        write_csv(
-            out / "pseudo_audit.csv", (row for a in result.stage_audits for row in _pseudo_rows(a)),
-            ["stage", "sample_id", *(f"{p}{i}" for p in parts for i in k), "true_label", "correct"],
-        )
+        write_audits(out, cfg.num_classes, result.stage_audits)
+
+
+def write_audits(out: Path, num_classes: int, stage_audits: list[StageAudit]) -> None:
+    """selector_audit.csv and pseudo_audit.csv, made a block of one stage at a time, never held whole."""
+    k = range(num_classes)
+    write_csv(
+        out / "selector_audit.csv", (row for a in stage_audits for row in _selector_rows(a)),
+        ["stage", "sample_id", *(f"w{i}" for i in k), *(f"v{i}" for i in k), "reliable", "winning_class"],
+    )
+    parts = ("linear", "knn", "sim", "combined")
+    write_csv(
+        out / "pseudo_audit.csv", (row for a in stage_audits for row in _pseudo_rows(a)),
+        ["stage", "sample_id", *(f"{p}{i}" for p in parts for i in k), "true_label", "correct"],
+    )

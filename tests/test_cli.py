@@ -723,6 +723,31 @@ def test_unattainable_gate_warns_once_per_command(tmp_path, one_core):
         assert len(notes) == 1 and "unattainable" in notes[0]
 
 
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+@pytest.mark.parametrize("module, preset, expected", [
+    ("splal.cli", {}, ["1"] * 5),
+    ("splal.cli", {"OPENBLAS_NUM_THREADS": "2"}, [None, "2", None, None, None]),
+    ("splal.cli", {"OMP_NUM_THREADS": "2"}, ["2", None, None, None, None]),
+    ("splal", {}, [None] * 5),
+], ids=["cli-default", "openblas-set", "omp-set", "bare-package"])
+def test_blas_thread_defaults(module, preset, expected):
+    # A fresh interpreter, since this one may have imported numpy already. With no thread
+    # variable set, the CLI module sets all five to 1 before numpy loads; with one set, it
+    # leaves them all, so OpenBLAS reads the set one. The bare package touches neither the
+    # environment nor numpy.
+    env = {key: value for key, value in os.environ.items() if key not in THREAD_VARS}
+    env.update(preset, PYTHONPATH=str(SRC))
+    script = (f"import json, os, sys, {module}; "
+              f"print(json.dumps([[os.environ.get(v) for v in {THREAD_VARS!r}], 'numpy' in sys.modules]))")
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [expected, module == "splal.cli"]
+
+
 # --- property: malformed inputs end in an exit code, never a traceback -------
 
 BAD_VALUES = ("nan", "inf", "1e309", "-1", "0", "2", "0.5", "1e-3", "abc", "")

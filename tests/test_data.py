@@ -384,6 +384,28 @@ class TestCsvCache:
         self.assert_same_pools(again, parsed)
         assert entry.read_bytes() == good
 
+    def test_two_dimensional_entry_is_parsed_and_rewritten(self, path, cache):
+        parsed, *_ = load_csv(path)
+        entry = cache / self.entry(path)
+        good = entry.read_bytes()
+        rows = np.load(entry)
+        np.save(entry, rows.reshape(2, -1))  # the right record dtype, the wrong rank
+        again, *_ = load_csv(path)
+        self.assert_same_pools(again, parsed)
+        assert entry.read_bytes() == good
+
+    def test_entry_of_another_cache_version_misses(self, path, cache, monkeypatch):
+        parsed, *_ = load_csv(path)
+        old = cache / self.entry(path)
+        monkeypatch.setattr(data, "CSV_CACHE_VERSION", 2)
+        parses = []
+        parse = data._parse_data
+        monkeypatch.setattr(data, "_parse_data", lambda *args: parses.append(args) or parse(*args))
+        again, *_ = load_csv(path)
+        self.assert_same_pools(again, parsed)
+        assert len(parses) == 1
+        assert sorted(p.name for p in cache.iterdir()) == [old.name, old.name.replace("-v1.", "-v2.")]
+
     def test_rules_run_on_a_hit(self, path, cache, monkeypatch):
         load_csv(path)
         entry = cache / self.entry(path)

@@ -97,6 +97,28 @@ def test_logged_classification_clips_only_below_log_eps(lam2):
     assert expected > 19.0  # a clip at 1e-6 caps each of the four terms at 13.8: a mean of 11.05
 
 
+@pytest.mark.parametrize("lam2", [0.4, 1.0])
+def test_logged_alignment_clips_only_below_log_eps(lam2):
+    # Zero classifier weights give every view of every row the bias's softmax, so the weak and
+    # strong rows share p = (1 - 2e-9, 2e-9, 4e-18) in closed form. p_1 lies far below 1e-6 and
+    # counts as itself; p_2 is clipped to 1e-12. The alignment a training step logs must be
+    # -sum p_weak log max(p_strong, 1e-12).
+    cfg = tiny_config(lam1=1.0 - lam2, lam2=lam2, batch_size=8)
+    params = init_params(9, (3,), 3, np.random.default_rng(0))
+    logits = (0.0, -20.0, -40.0)
+    params.classifier[0][...] = 0.0
+    params.classifier[1][...] = logits
+    z = sum(math.exp(x) for x in logits)
+    p = [math.exp(x) / z for x in logits]
+    expected = -sum(q * math.log(max(q, 1e-12)) for q in p)
+    rng = np.random.default_rng(1)
+    state = DatasetState.split(pool_of(rng.uniform(size=(5, 3, 3)), [1, 2, 1, 0, 2]), np.arange(5), 3)
+    logs = _train_epochs(trainer(cfg, params, rng), state, 1)
+    assert logs[0]["alignment"] == pytest.approx(expected, rel=1e-6)
+    clipped_at_1e6 = -sum(q * math.log(max(q, 1e-6)) for q in p)
+    assert clipped_at_1e6 < 0.8 * expected
+
+
 def test_lambda_violation_rejected():
     params, grids, targets, weights, weak, strong, _ = small_batch()
     with pytest.raises(ConfigurationError):
