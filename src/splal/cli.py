@@ -263,6 +263,9 @@ def main(argv=None) -> int:
     except (SplalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return RUNTIME_EXIT
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'MemoryError'}", file=sys.stderr)
+        return RUNTIME_EXIT
 
 
 if __name__ == "__main__":

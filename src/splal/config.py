@@ -7,7 +7,7 @@ import warnings
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .data import SyntheticSpec
+from .data import SyntheticSpec, balanced_test_spec
 from .errors import ConfigurationError, InputDomainError, check_convex, check_num_classes
 from .selector import DEFAULT_TEMPERATURE, check_gate, gamma2_from_gamma1, reachability_warning
 
@@ -114,6 +114,11 @@ class ExperimentConfig:
             fail("knn_k", "must be >= 1")
         if self.test_per_class < 1:
             fail("test_per_class", f"must be >= 1, got {self.test_per_class}")
+        if self.data_csv is None:
+            try:
+                balanced_test_spec(self.synthetic_spec(), self.test_per_class).validate()
+            except InputDomainError as exc:
+                fail("test_per_class", f"the test set's {exc}")
         if not (0 <= self.ema_decay <= 1):
             fail("ema_decay", f"must lie in [0, 1], got {self.ema_decay}")
         if self.learning_rate <= 0:

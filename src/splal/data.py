@@ -74,10 +74,20 @@ class SyntheticSpec:
             raise InputDomainError(f"seed: must be nonnegative, got {self.seed}")
         if self.height < 8 or self.width < 8:
             raise InputDomainError(f"height/width: must be at least 8x8, got {self.height}x{self.width}")
+        if (why := _oversized_grid(self.height, self.width)) is not None:
+            raise InputDomainError(f"height/width: {why}")
         if len(counts) != self.num_classes:
             raise InputDomainError(f"class_counts: length {len(counts)} != num_classes {self.num_classes}")
         if any(c < 1 for c in counts):
             raise InputDomainError(f"class_counts: every class needs at least one sample, got {counts}")
+        if sum(counts) >= 2**63:
+            raise InputDomainError(f"class_counts: the total {sum(counts)} does not fit in 64 bits")
+
+
+def _oversized_grid(height: int, width: int) -> str | None:
+    """Why one grid is too large for a CSV record (16 + 8 H W bytes, below 2**31 as numpy needs), or None."""
+    size = 16 + 8 * height * width
+    return None if size < 2**31 else f"one row of a {height}x{width} grid takes {size} bytes, over 2**31 - 1"
 
 
 def _centered_coords(h: int, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -267,6 +277,8 @@ def _read_metadata(line: str) -> tuple[int, int, int]:
         raise ParseError(f"bad metadata line: {exc}", line=1)
     if min(h, w, k) < 1:
         raise ParseError(f"H, W and K must be positive, got H={h} W={w} K={k}", line=1)
+    if (why := _oversized_grid(h, w)) is not None:
+        raise ParseError(f"H and W too large: {why}", line=1)
     return h, w, k
 
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 LOG_EPS = 1e-12
+# Rows per block wherever a whole pool is worked through a block at a time: forward passes, KNN, audits.
+ROW_BLOCK = 256
 
 
 def softmax_rows(Z: np.ndarray) -> np.ndarray:

@@ -37,11 +37,11 @@ from .model import (
     OptimizerState,
     adam_step,
     ema_update,
-    encode,
     forward,
     init_params,
     save_checkpoint,
 )
+from .numerics import ROW_BLOCK
 from .prototypes import PrototypeBank
 from .pseudo import Ensemble, ensemble
 from .selector import GateResult, gate
@@ -60,8 +60,6 @@ def substream(master_seed: int, stream: int) -> np.random.Generator:
 
 # The loss terms each epoch's log row averages over its batches.
 LOSSES = ("classification", "alignment", "total")
-# Audit rows become Python values this many at a time, so writing an audit holds O(block) objects.
-AUDIT_BLOCK = 256
 
 
 @dataclass
@@ -179,6 +177,26 @@ def _flat(grids: np.ndarray) -> np.ndarray:
     return grids.reshape(len(grids), np.prod(grids.shape[1:], dtype=int))  # n may be 0
 
 
+def _forward_rows(params: ModelParams, grids: np.ndarray, rows: np.ndarray | None = None):
+    """(features, probabilities) of `forward` over grids[rows] (every row when None), ROW_BLOCK rows at a time.
+
+    Only one block of grids and layer outputs is alive at once. The result is one `forward` call's,
+    bit for bit: a one-row block would take numpy's gemv path, not gemm, and move the last bits, so a
+    one-row tail joins the block before it.
+    """
+    n = len(grids) if rows is None else len(rows)
+    feats, probs = np.empty((n, params.feature_dim)), np.empty((n, params.num_classes))
+    bounds = [*range(0, n, ROW_BLOCK), n]
+    if len(bounds) > 2 and n - bounds[-2] == 1:
+        del bounds[-2]
+    for start, stop in zip(bounds, bounds[1:]):
+        block = grids[start:stop] if rows is None else grids[rows[start:stop]]
+        fwd = forward(params, _flat(block))
+        feats[start:stop], probs[start:stop] = fwd.features, fwd.probabilities
+        del block, fwd  # freed before the next block is gathered
+    return feats, probs
+
+
 @dataclass
 class Trainer:
     """The one student a run trains through warm-up and every stage, and what trains it.
@@ -265,28 +283,27 @@ def warmup(t: Trainer, state: DatasetState) -> list[dict]:
     logs = _train_epochs(t, state, t.cfg.epochs_warmup)
     t.ema = t.params.copy()
     if t.cfg.stages:
-        t.bank.push(state.targets.argmax(axis=1), encode(t.params, _flat(state.pool.grids[state.labeled_rows])))
+        features = _forward_rows(t.params, state.pool.grids, state.labeled_rows)[0]
+        t.bank.push(state.targets.argmax(axis=1), features)
     return logs
 
 
 def run_stage(t: Trainer, state: DatasetState) -> tuple[StageReport, StageAudit]:
     """One selection / pseudo-labeling / migration / re-optimization round.
 
-    The unlabeled pool goes through one forward pass and one gate call; the
-    selection, the audit and the control arm all read those arrays. Each
-    chosen row's pseudo-label class is decided once, as `labels`; migration,
-    the report's accuracy and the audit read it.
+    The unlabeled pool goes through one blocked forward pass and one gate
+    call; the selection, the audit and the control arm all read those
+    arrays. Each chosen row's pseudo-label class is decided once, as
+    `labels`; migration, the report's accuracy and the audit read it.
     """
     cfg, pool = t.cfg, state.pool
     unlabeled = state.unlabeled_rows
     ids, truth = pool.ids[unlabeled], pool.truth[unlabeled]
-    fwd = forward(t.params, _flat(pool.grids[unlabeled]))
-    feats, probs = fwd.features, fwd.probabilities
-    del fwd  # its layer outputs would otherwise stay alive through retraining
+    feats, probs = _forward_rows(t.params, pool.grids, unlabeled)
     g = gate(t.bank.prototypes(), feats, cfg.gamma1, cfg.effective_gamma2(), cfg.temperature)
 
     rows = state.labeled_rows
-    labeled = (encode(t.params, _flat(pool.grids[rows])), state.targets, pool.ids[rows])
+    labeled = (_forward_rows(t.params, pool.grids, rows)[0], state.targets, pool.ids[rows])
     # The chosen rows, then a control arm: a random equal-size unlabeled subset.
     chosen = np.flatnonzero(g.reliable)
     arms = [chosen]
@@ -323,7 +340,7 @@ def run_stage(t: Trainer, state: DatasetState) -> tuple[StageReport, StageAudit]
 def evaluate_params(params: ModelParams, samples: Pool) -> dict:
     """Metrics report dict for a parameter snapshot on a labeled evaluation set."""
     truths = samples.truth
-    probs = forward(params, _flat(samples.grids)).probabilities
+    probs = _forward_rows(params, samples.grids)[1]
     predictions = probs.argmax(axis=1)
     matrix = metrics_mod.confusion(predictions, truths, params.num_classes)
     summ = metrics_mod.summary(matrix)
@@ -429,9 +446,9 @@ def write_metrics(out: Path, metrics: dict) -> None:
 
 
 def _block_rows(*columns):
-    """The columns' rows as Python values, converted AUDIT_BLOCK rows at a time."""
-    for start in range(0, len(columns[0]), AUDIT_BLOCK):
-        yield from zip(*(c[start : start + AUDIT_BLOCK].tolist() for c in columns))
+    """The columns' rows as Python values, converted ROW_BLOCK rows at a time."""
+    for start in range(0, len(columns[0]), ROW_BLOCK):
+        yield from zip(*(c[start : start + ROW_BLOCK].tolist() for c in columns))
 
 
 def _selector_rows(a: StageAudit):

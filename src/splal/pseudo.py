@@ -7,9 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, check_array, check_convex
+from .numerics import ROW_BLOCK
 from .selector import cosine_matrix
-
-KNN_BLOCK = 256  # query rows per cosine_matrix call
 
 
 @dataclass(frozen=True)
@@ -47,12 +46,12 @@ def knn_prediction(
         raise ConfigurationError(f"k: {k} exceeds the {n} labeled samples")
     queries = np.atleast_2d(features)
     out = np.empty((len(queries), labeled_labels.shape[1]))
-    # A block of queries at a time keeps memory at O(KNN_BLOCK * n), not O(N * n); cosine_matrix's
+    # A block of queries at a time keeps memory at O(ROW_BLOCK * n), not O(N * n); cosine_matrix's
     # row sums make each row's distances independent of the block.
-    for start in range(0, len(queries), KNN_BLOCK):
-        dists = 1.0 - cosine_matrix(labeled_features, queries[start : start + KNN_BLOCK])
+    for start in range(0, len(queries), ROW_BLOCK):
+        dists = 1.0 - cosine_matrix(labeled_features, queries[start : start + ROW_BLOCK])
         order = np.lexsort((np.broadcast_to(labeled_ids, dists.shape), dists), axis=1)
-        out[start : start + KNN_BLOCK] = labeled_labels[order[:, :k]].mean(axis=1)
+        out[start : start + ROW_BLOCK] = labeled_labels[order[:, :k]].mean(axis=1)
     return out[0] if features.ndim == 1 else out
 
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from splal import cli
 from splal.cli import (
     ALPHA_GRID,
     LAMBDA2_GRID,
@@ -660,6 +661,60 @@ class TestParallelRuns:
         with pytest.raises(ParseError) as err:
             run_training(replace(cfg, seeds=(0, 1)), tmp_path / "api")
         assert err.value.line == 5 and str(err.value).count("line 5") == 1
+
+
+class TestOversizedInputs:
+    """Sizes no run could hold end as one error line, before anything large is allocated."""
+
+    @staticmethod
+    def one_line(capsys, prefix: str) -> str:
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and err.count("\n") == 1 and "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("which", ["data_csv", "test_csv", "evaluate"])
+    def test_csv_grid_past_a_record_exits_two(self, tmp_path, capsys, which):
+        train, test = write_csv_pair(tmp_path)
+        big = tmp_path / "big.csv"
+        big.write_text("# H=100000 W=100000 K=4\nid,label,p0\n0,0,0.5\n")
+        if which == "evaluate":
+            cfg_path, _ = write_config(tmp_path)
+            assert main(["train", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")]) == 0
+            capsys.readouterr()
+            args = ["evaluate", "--checkpoint", str(tmp_path / "o" / "seed_0" / "checkpoint.npz"),
+                    "--data", str(big), "--out-dir", str(tmp_path / "e")]
+        else:
+            paths = {"data_csv": str(train), "test_csv": str(test), which: str(big)}
+            cfg_path, _ = write_config(tmp_path, **paths)
+            args = ["train", "--config", str(cfg_path), "--out-dir", str(tmp_path / "t")]
+        assert main(args) == 2
+        self.one_line(capsys, "error: line 1: H and W too large: one row of a 100000x100000 grid takes ")
+
+    @pytest.mark.parametrize("line,message", [
+        ("height = 100000\nwidth = 100000", "config error: height/width: one row of a 100000x100000 grid"),
+        ("test_per_class = 100000000000000000000",
+         "config error: test_per_class: the test set's class_counts: the total 400000000000000000000 "),
+    ])
+    def test_synthetic_sizes_past_64_bits_or_a_record_exit_one(self, tmp_path, capsys, line, message):
+        cfg_path = tmp_path / "big.cfg"
+        cfg_path.write_text(line + "\n")
+        assert main(["train", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")]) == 1
+        self.one_line(capsys, message)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("message,shown", [
+        ("Unable to allocate 74.5 GiB for an array with shape (100000, 100000)",
+         "Unable to allocate 74.5 GiB for an array with shape (100000, 100000)"),
+        ("", "MemoryError"),
+    ])
+    def test_memory_error_exits_two(self, tmp_path, capsys, monkeypatch, message, shown):
+        def out_of_memory(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "run_training", out_of_memory)
+        cfg_path, _ = write_config(tmp_path)
+        assert main(["train", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")]) == 2
+        assert self.one_line(capsys, "error: ") == f"error: out of memory: {shown}\n"
 
 
 class TestUsageErrors:

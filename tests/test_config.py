@@ -88,6 +88,10 @@ class TestValidate:
             ({"ema_decay": float("nan")}, "ema_decay: must be finite, got nan"),
             ({"learning_rate": float("inf")}, "learning_rate: must be finite, got inf"),
             ({"hidden_widths": (8, 0)}, "hidden_widths: every width must be >= 1, got (8, 0)"),
+            ({"height": 100_000, "width": 100_000}, "height/width: one row of a 100000x100000 grid"),
+            ({"class_counts": (2**62, 2**62, 1, 1)}, "class_counts: the total"),
+            ({"test_per_class": 10**20}, "test_per_class: the test set's class_counts: the total 4"),
+            ({"test_per_class": 2**61}, "test_per_class: the test set's class_counts: the total"),
         ],
     )
     def test_rejections_name_the_field(self, kwargs, field):

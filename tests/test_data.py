@@ -68,6 +68,17 @@ class TestGenerate:
         with pytest.raises(InputDomainError):
             generate(SyntheticSpec(class_counts=(5, 5, 5, 0)))
 
+    @pytest.mark.parametrize("kwargs,message", [
+        # One grid must fit in a CSV record: 16 + 8 H W bytes below 2**31.
+        ({"height": 100_000, "width": 100_000}, r"^height/width: one row of a 100000x100000 grid takes 80000000016 "),
+        ({"height": 8, "width": 2**25}, r"^height/width: one row of a 8x33554432 grid takes 2147483664 "),
+        ({"class_counts": (2**63, 1, 1, 1)}, r"^class_counts: the total 9223372036854775811 does not fit in 64 bits$"),
+        ({"class_counts": (2**61,) * 4}, r"^class_counts: the total 9223372036854775808 "),
+    ])
+    def test_oversized_spec_rejected_before_allocating(self, kwargs, message):
+        with pytest.raises(InputDomainError, match=message):
+            generate(SyntheticSpec(**kwargs))
+
 
 class TestPatternSymmetry:
     @pytest.mark.parametrize("class_id", range(6))
@@ -189,6 +200,17 @@ class TestCsvRoundTrip:
         with pytest.raises(ParseError) as err:
             load_csv(path)
         assert err.value.line == 1
+
+    @pytest.mark.parametrize("h,w", [(100_000, 100_000), (1, 2**28 - 1), (16384, 16384)])
+    def test_grid_past_a_record_rejected_at_line_one(self, tmp_path, h, w):
+        # numpy's record dtype must fit in a C int: 16 + 8 H W bytes from 2**31 on fail as one ParseError.
+        path = tmp_path / "big.csv"
+        path.write_text(f"# H={h} W={w} K=4\nid,label,p0\n0,0,0.5\n")
+        with pytest.raises(ParseError, match=rf"^line 1: H and W too large: one row of a {h}x{w} grid takes "):
+            load_csv(path)
+
+    def test_largest_record_grid_passes_the_metadata_line(self):
+        assert data._read_metadata(f"# H=1 W={(2**31 - 17) // 8} K=2") == (1, (2**31 - 17) // 8, 2)
 
     def test_missing_column_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -8,8 +8,9 @@ from splal import loss, orchestrator
 from splal.config import ExperimentConfig, load_config
 from splal.data import GROUND_TRUTH, PSEUDO, Pool, SyntheticSpec, generate, save_csv, split_labeled
 from splal.errors import ConfigurationError, TrainingError
-from splal.model import OptimizerState, encode, init_params
+from splal.model import OptimizerState, encode, forward, init_params
 from splal.orchestrator import (
+    _forward_rows,
     _synthetic_pool,
     STREAM_AUGMENT,
     STREAM_INIT,
@@ -182,6 +183,39 @@ class TestStrongViewCache:
         assert cache_bytes <= peak < 2 * cache_bytes
 
 
+class TestForwardRows:
+    """Whole-pool passes run a block of rows at a time, with the bits of one `forward` call."""
+
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 258, 513, 2964])
+    def test_matches_one_forward_call_bit_for_bit(self, n):
+        # 257 and 513 leave a one-row tail, which numpy's gemv path would give other last bits.
+        rng = np.random.default_rng(n)
+        params = init_params(256, (64, 32), 4, rng)
+        grids = rng.uniform(size=(n + 9, 16, 16))
+        rows = np.sort(rng.choice(n + 9, size=n, replace=False))
+        for (feats, probs), gathered in ((_forward_rows(params, grids, rows), grids[rows]),
+                                         (_forward_rows(params, grids[:n]), grids[:n])):
+            one = forward(params, gathered.reshape(n, -1))
+            assert np.array_equal(feats, one.features) and np.array_equal(probs, one.probabilities)
+
+    @pytest.mark.parametrize("every_row", [True, False])
+    def test_memory_is_one_block_not_the_pool(self, every_row):
+        # An 8000-row record-array pool, as load_csv returns it: one forward call over gathered rows
+        # would hold ~16 MB of grids; the blocked pass holds one block beside its outputs.
+        n, rng = 8000, np.random.default_rng(3)
+        records = np.zeros(n, [("id", np.int64), ("label", np.int64), ("px", np.float64, (16, 16))])
+        records["px"] = rng.uniform(size=(n, 16, 16))
+        params = init_params(256, (64, 32), 4, rng)
+        rows = None if every_row else np.arange(1, n, dtype=np.intp)
+        tracemalloc.start()
+        try:
+            feats, probs = _forward_rows(params, records["px"], rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - feats.nbytes - probs.nbytes < 2 * 2**20
+
+
 class TestStackedStep:
     """One forward and one backward per batch; the bank push reads that forward's clean rows."""
 
@@ -204,12 +238,13 @@ class TestStackedStep:
             pushes.append(features.copy())
             real_push(class_ids, features)
 
-        def no_encode(*args):
-            raise AssertionError("_train_epochs encodes outside the step's forward")
+        def no_pass(*args):
+            raise AssertionError("_train_epochs runs a forward pass outside the step's")
 
         real_loss, real_push = orchestrator.stacked_loss, t.bank.push
         monkeypatch.setattr(orchestrator, "stacked_loss", stacked_loss)
-        monkeypatch.setattr(orchestrator, "encode", no_encode)
+        monkeypatch.setattr(orchestrator, "_forward_rows", no_pass)
+        monkeypatch.setattr(orchestrator, "forward", no_pass)
         monkeypatch.setattr(t.bank, "push", push)
         _train_epochs(t, state, 2)
 
@@ -557,15 +592,20 @@ def test_feature_batch_shape():
 
 
 def test_baseline_run_seeds_no_bank(monkeypatch):
-    # A baseline run has no stage, so nothing would read the bank: warm-up encodes nothing for it.
+    # A baseline run has no stage, so nothing would read the bank: warm-up encodes nothing for it,
+    # and the one whole-pool pass of the run is evaluate_params' over the test pool.
     cfg = tiny_config(mode="baseline")
     expected = run(cfg, seed=4).metrics
+    passes, real = [], orchestrator._forward_rows
 
-    def no_encode(*args):
-        raise AssertionError("a run without stages encoded the labeled pool")
+    def recorded(params, grids, rows=None):
+        passes.append((grids, rows))
+        return real(params, grids, rows)
 
-    monkeypatch.setattr(orchestrator, "encode", no_encode)
-    assert run(cfg, seed=4).metrics == expected
+    monkeypatch.setattr(orchestrator, "_forward_rows", recorded)
+    result = run(cfg, seed=4)
+    assert result.metrics == expected
+    assert len(passes) == 1 and passes[0][0] is result.test_samples.grids and passes[0][1] is None
 
 
 class RecordingGenerator:

@@ -7,7 +7,8 @@ from hypothesis.extra.numpy import arrays
 
 from splal.errors import ConfigurationError, InputDomainError
 from splal.model import ModelParams, forward
-from splal.pseudo import KNN_BLOCK, combine, ensemble, knn_prediction
+from splal.numerics import ROW_BLOCK
+from splal.pseudo import combine, ensemble, knn_prediction
 from splal.selector import gate
 
 ALPHAS = (0.2, 0.1, 0.7)
@@ -84,7 +85,7 @@ class TestKnnPrediction:
         feats[40:50] = feats[:10]
         labels = rng.dirichlet(np.ones(3), size=60)
         ids = rng.permutation(60)
-        queries = np.vstack([feats[:5], rng.normal(size=(2 * KNN_BLOCK + 32, 6))])
+        queries = np.vstack([feats[:5], rng.normal(size=(2 * ROW_BLOCK + 32, 6))])
         batch = knn_prediction(queries, feats, labels, ids, 7)
         single = np.stack([knn_prediction(q, feats, labels, ids, 7) for q in queries])
         np.testing.assert_array_equal(batch, single)
