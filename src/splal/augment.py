@@ -1,4 +1,4 @@
-"""Weak (flips) and strong (Gaussian blur) views of one HxW grid or a (B, H, W) stack.
+"""Weak (flips) and strong (Gaussian blur) views of a (B, H, W) stack of grids.
 
 Both views are pure functions of the grids and the flip bits, so recording
 the bits is enough to replay a view exactly.
@@ -24,15 +24,9 @@ def _gaussian_kernel_3x3(sigma: float = BLUR_SIGMA) -> np.ndarray:
 _KERNEL = _gaussian_kernel_3x3()
 
 
-def weak_augment(x: np.ndarray, flip_h: bool | np.ndarray, flip_v: bool | np.ndarray) -> np.ndarray:
-    """Horizontal then vertical flip per the draw bits.
-
-    For a (B, H, W) stack, flip_h and flip_v are (B,) bool masks, one bit per grid.
-    """
-    x = check_array("x", x, None, dtype=np.float64)
-    if x.ndim == 2:
-        return weak_augment(x[None], [flip_h], [flip_v])[0]
-    check_array("x", x, (None, None, None))
+def weak_augment(x: np.ndarray, flip_h: np.ndarray, flip_v: np.ndarray) -> np.ndarray:
+    """Horizontal then vertical flip per the draw bits: (B,) bool masks, one bit per grid."""
+    x = check_array("x", x, (None, None, None), dtype=np.float64)
     flip_h = check_array("flip_h", flip_h, (len(x),), "b")
     flip_v = check_array("flip_v", flip_v, (len(x),), "b")
     out = x.copy()
@@ -48,10 +42,7 @@ def strong_augment(x: np.ndarray) -> np.ndarray:
     then the edge columns (so a corner takes its diagonal neighbour). The
     nine taps are summed in row-major order through one scratch stack.
     """
-    x = check_array("x", x, None, dtype=np.float64)
-    if x.ndim == 2:
-        return strong_augment(x[None])[0]
-    check_array("x", x, (None, None, None))
+    x = check_array("x", x, (None, None, None), dtype=np.float64)
     h, w = x.shape[-2:]
     if min(h, w) < 3:
         raise InputDomainError(f"x: strong_augment needs grids of at least 3x3, got shape {x.shape}")

@@ -68,13 +68,20 @@ def cmd_generate_data(args) -> int:
     spec = SyntheticSpec()
     if args.spec:
         spec = parse_config(Path(args.spec).read_text(), SyntheticSpec, "spec")
-    test_spec = balanced_test_spec(spec, per_class=args.test_per_class)
-    if args.test_out and args.test_per_class < 1:  # checked before anything is written
-        raise InputDomainError(f"--test-per-class: must be >= 1, got {args.test_per_class}")
+    spec.validate()  # every spec is checked before anything is written
     out = Path(args.out)
-    outputs = [(spec, out)] + ([(test_spec, Path(args.test_out))] if args.test_out else [])
+    outputs = [(spec, out)]
+    if args.test_out:
+        if args.test_per_class < 1:
+            raise InputDomainError(f"--test-per-class: must be >= 1, got {args.test_per_class}")
+        test_spec = balanced_test_spec(spec, per_class=args.test_per_class)
+        try:
+            test_spec.validate()
+        except InputDomainError as exc:
+            raise InputDomainError(f"--test-per-class: the test set's {exc}") from None
+        outputs.append((test_spec, Path(args.test_out)))
     for data_spec, path in outputs:
-        samples = generate(data_spec)  # validates the spec before anything is written
+        samples = generate(data_spec)
         path.parent.mkdir(parents=True, exist_ok=True)
         save_csv(samples, path, data_spec.num_classes)
         write_manifest(path.with_suffix(path.suffix + ".manifest.json"), data_spec, path)

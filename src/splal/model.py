@@ -161,24 +161,12 @@ class ForwardRecord:
         return ForwardRecord([a[:n] for a in self.layers], self.logits[:n], self.probabilities[:n])
 
 
-def _encode(params: ModelParams, X: np.ndarray) -> list[np.ndarray]:
-    """The (B, D) input, then each hidden layer's output, rectified in place."""
-    layers = [np.atleast_2d(check_array("X", X, None, dtype=np.float64))]
-    check_array("X", layers[0], (None, params.input_dim))
+def forward(params: ModelParams, X: np.ndarray) -> ForwardRecord:
+    """Deterministic forward pass over a (B, D) batch of rows; hidden outputs are rectified in place."""
+    layers = [check_array("X", X, (None, params.input_dim), dtype=np.float64)]
     for W, b in params.hidden:
         h = layers[-1] @ W + b
         layers.append(np.maximum(h, 0.0, out=h))
-    return layers
-
-
-def encode(params: ModelParams, X: np.ndarray) -> np.ndarray:
-    """The (B, d) features alone: `forward(params, X).features`, bit for bit."""
-    return _encode(params, X)[-1]
-
-
-def forward(params: ModelParams, X: np.ndarray) -> ForwardRecord:
-    """Deterministic forward pass; X is (B, D) or a single flat (D,) vector."""
-    layers = _encode(params, X)
     Wc, bc = params.classifier
     logits = layers[-1] @ Wc + bc
     return ForwardRecord(layers, logits, softmax_rows(logits))

@@ -276,34 +276,33 @@ def _train_epochs(t: Trainer, state: DatasetState, epochs: int, stage: int = -1)
 def warmup(t: Trainer, state: DatasetState) -> list[dict]:
     """Supervised warm-up; the teacher starts as a copy of the warmed-up weights.
 
-    If a stage will run, the bank is then seeded with one push of the whole
-    labeled pool. A class with no labeled row stays unseeded, and
-    `bank.prototypes()` names it. Returns the epoch logs.
+    The bank stays empty: the first stage seeds it. Returns the epoch logs.
     """
     logs = _train_epochs(t, state, t.cfg.epochs_warmup)
     t.ema = t.params.copy()
-    if t.cfg.stages:
-        features = _forward_rows(t.params, state.pool.grids, state.labeled_rows)[0]
-        t.bank.push(state.targets.argmax(axis=1), features)
     return logs
 
 
 def run_stage(t: Trainer, state: DatasetState) -> tuple[StageReport, StageAudit]:
     """One selection / pseudo-labeling / migration / re-optimization round.
 
-    The unlabeled pool goes through one blocked forward pass and one gate
-    call; the selection, the audit and the control arm all read those
-    arrays. Each chosen row's pseudo-label class is decided once, as
-    `labels`; migration, the report's accuracy and the audit read it.
+    The labeled pool is encoded once: the first stage seeds the bank with
+    those features before the gate (an unseeded class is named there), and
+    the KNN reads them. The unlabeled pool goes through one blocked forward
+    pass and one gate call; the selection, the audit and the control arm all
+    read those arrays. Each chosen row's pseudo-label class is decided once,
+    as `labels`; migration, the report's accuracy and the audit read it.
     """
     cfg, pool = t.cfg, state.pool
+    rows = state.labeled_rows
+    labeled = (_forward_rows(t.params, pool.grids, rows)[0], state.targets, pool.ids[rows])
+    if state.stage == 0:
+        t.bank.push(state.targets.argmax(axis=1), labeled[0])
     unlabeled = state.unlabeled_rows
     ids, truth = pool.ids[unlabeled], pool.truth[unlabeled]
     feats, probs = _forward_rows(t.params, pool.grids, unlabeled)
     g = gate(t.bank.prototypes(), feats, cfg.gamma1, cfg.effective_gamma2(), cfg.temperature)
 
-    rows = state.labeled_rows
-    labeled = (_forward_rows(t.params, pool.grids, rows)[0], state.targets, pool.ids[rows])
     # The chosen rows, then a control arm: a random equal-size unlabeled subset.
     chosen = np.flatnonzero(g.reliable)
     arms = [chosen]

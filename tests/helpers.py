@@ -13,7 +13,7 @@ from splal.loss import LossBreakdown, make_views, total_loss
 from splal.metrics import _sweep
 from splal.model import (
     Gradients, adam_step, backward_from_dlogits, ce_value_and_dlogits, dlogits_from_dprobs, ema_update,
-    OptimizerState, encode, forward,
+    OptimizerState, forward,
 )
 from splal.numerics import LOG_EPS
 from splal.orchestrator import LOSSES, Trainer
@@ -77,7 +77,8 @@ def train_epochs_per_batch(t, state, epochs, stage=-1):
                 params, grids, targets[idx], weights[idx], weak, strong, cfg.lam1, cfg.lam2
             )
             # The bank takes the clean rows' features from the step's stacked forward: before the update.
-            features = encode(params, np.concatenate([grids, strong, weak]).reshape(3 * len(idx), -1))
+            stacked = np.concatenate([grids, strong, weak]).reshape(3 * len(idx), -1)
+            features = forward(params, stacked).features
             adam_step(params, grads, t.opt)
             if not params.all_finite():
                 raise TrainingError("non-finite parameters after optimizer step")

@@ -10,28 +10,28 @@ from helpers import replay_views
 
 class TestWeakAugment:
     def test_hand_indexed_horizontal_flip(self):
-        x = np.array([[1.0, 2.0], [3.0, 4.0]])
+        x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
         np.testing.assert_array_equal(
-            weak_augment(x, flip_h=True, flip_v=False), [[2.0, 1.0], [4.0, 3.0]]
+            weak_augment(x, flip_h=[True], flip_v=[False]), [[[2.0, 1.0], [4.0, 3.0]]]
         )
 
     def test_double_flip_is_identity(self):
         rng = np.random.default_rng(0)
-        x = rng.uniform(size=(5, 7))
-        once = weak_augment(x, True, True)
-        twice = weak_augment(once, True, True)
+        x = rng.uniform(size=(1, 5, 7))
+        once = weak_augment(x, [True], [True])
+        twice = weak_augment(once, [True], [True])
         np.testing.assert_array_equal(twice, x)
 
     def test_constant_image_unchanged(self):
-        x = np.full((4, 4), 0.3)
-        np.testing.assert_array_equal(weak_augment(x, True, True), x)
+        x = np.full((1, 4, 4), 0.3)
+        np.testing.assert_array_equal(weak_augment(x, [True], [True]), x)
 
     def test_pixel_multiset_preserved(self):
         rng = np.random.default_rng(1)
-        x = rng.uniform(size=(6, 6))
+        x = rng.uniform(size=(1, 6, 6))
         for fh in (False, True):
             for fv in (False, True):
-                out = weak_augment(x, fh, fv)
+                out = weak_augment(x, [fh], [fv])
                 np.testing.assert_array_equal(np.sort(out.ravel()), np.sort(x.ravel()))
 
 
@@ -40,40 +40,40 @@ class TestStrongAugment:
         assert abs(_gaussian_kernel_3x3().sum() - 1.0) <= 1e-12
 
     def test_constant_image_fixed_point(self):
-        x = np.full((5, 5), 0.42)
+        x = np.full((1, 5, 5), 0.42)
         np.testing.assert_allclose(strong_augment(x), x, atol=1e-12)
 
     def test_centered_impulse_gives_kernel_center(self):
         # hand-normalized sigma=1 kernel: center weight 1 / (1 + 4e^-0.5 + 4e^-1)
-        x = np.zeros((3, 3))
-        x[1, 1] = 1.0
+        x = np.zeros((1, 3, 3))
+        x[0, 1, 1] = 1.0
         center = 1.0 / (1.0 + 4 * np.exp(-0.5) + 4 * np.exp(-1.0))
-        assert strong_augment(x)[1, 1] == pytest.approx(center, abs=1e-12)
+        assert strong_augment(x)[0, 1, 1] == pytest.approx(center, abs=1e-12)
 
     def test_sum_preserved_on_constant_border(self):
         rng = np.random.default_rng(2)
-        x = np.full((8, 8), 0.5)
-        x[3:5, 3:5] = rng.uniform(size=(2, 2))
+        x = np.full((1, 8, 8), 0.5)
+        x[0, 3:5, 3:5] = rng.uniform(size=(2, 2))
         assert strong_augment(x).sum() == pytest.approx(x.sum(), abs=1e-9)
 
     def test_linearity(self):
         rng = np.random.default_rng(3)
-        x = rng.uniform(size=(6, 6))
-        y = rng.uniform(size=(6, 6))
+        x = rng.uniform(size=(1, 6, 6))
+        y = rng.uniform(size=(1, 6, 6))
         lhs = strong_augment(2.5 * x - 0.7 * y)
         rhs = 2.5 * strong_augment(x) - 0.7 * strong_augment(y)
         np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 
     def test_too_small_rejected(self):
         with pytest.raises(InputDomainError):
-            strong_augment(np.ones((2, 5)))
+            strong_augment(np.ones((1, 2, 5)))
 
-    @pytest.mark.parametrize("shape", [(5, 7), (6, 16, 16), (3, 3), (2, 3, 3)])
+    @pytest.mark.parametrize("shape", [(1, 5, 7), (6, 16, 16), (1, 3, 3), (2, 3, 3)])
     def test_matches_np_pad_oracle(self, shape):
         # np.pad(mode="reflect") builds the padding; taps summed in row-major order.
         x = np.random.default_rng(4).uniform(size=shape)
         h, w = shape[-2:]
-        padded = np.pad(x, [(0, 0)] * (x.ndim - 2) + [(1, 1), (1, 1)], mode="reflect")
+        padded = np.pad(x, [(0, 0), (1, 1), (1, 1)], mode="reflect")
         expected = np.zeros_like(x)
         for di in range(3):
             for dj in range(3):
@@ -89,8 +89,9 @@ class TestStacks:
         weak = weak_augment(x, fh, fv)
         strong = strong_augment(x)
         for i in range(len(x)):
-            np.testing.assert_array_equal(weak[i], weak_augment(x[i], fh[i], fv[i]))
-            np.testing.assert_array_equal(strong[i], strong_augment(x[i]))
+            one = slice(i, i + 1)  # a stack of one grid
+            np.testing.assert_array_equal(weak[one], weak_augment(x[one], fh[one], fv[one]))
+            np.testing.assert_array_equal(strong[one], strong_augment(x[one]))
 
     @pytest.mark.parametrize("chunk", [1, 3, 10])
     def test_chunked_blur_matches_whole_stack(self, chunk):
@@ -109,8 +110,11 @@ class TestStacks:
     def test_one_flip_bit_per_grid_and_stacks_only(self):
         with pytest.raises(InputDomainError):
             weak_augment(np.zeros((3, 4, 4)), np.ones(2, bool), np.ones(3, bool))
-        with pytest.raises(InputDomainError):
-            strong_augment(np.zeros((2, 3, 4, 4)))
+        for x in (np.zeros((2, 3, 4, 4)), np.zeros((4, 4))):  # a lone (H, W) grid is not a stack
+            with pytest.raises(InputDomainError, match=r"^x: "):
+                strong_augment(x)
+        with pytest.raises(InputDomainError, match=r"^x: "):
+            weak_augment(np.zeros((4, 4)), True, True)
 
 
 class TestPairReplay:
@@ -146,6 +150,6 @@ class TestPairReplay:
         for i, g in enumerate(x):
             fh, fv = twin.random() < FLIP_PROB, twin.random() < FLIP_PROB
             assert (flips[i, 0], flips[i, 1]) == (fh, fv)
-            np.testing.assert_array_equal(weak[i], weak_augment(g, fh, fv))
-            np.testing.assert_array_equal(strong[i], strong_augment(g))
+            np.testing.assert_array_equal(weak[i], weak_augment(g[None], [fh], [fv])[0])
+            np.testing.assert_array_equal(strong[i], strong_augment(g[None])[0])
         assert rng.bit_generator.state == twin.bit_generator.state

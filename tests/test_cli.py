@@ -702,6 +702,17 @@ class TestOversizedInputs:
         self.one_line(capsys, message)
         assert not (tmp_path / "o").exists()
 
+    def test_test_set_past_64_bits_exits_two_writing_nothing(self, tmp_path, capsys):
+        # The test spec is checked with the training spec, before train.csv is written.
+        out = tmp_path / "d"
+        out.mkdir()
+        code = main(["generate-data", "--out", str(out / "train.csv"), "--test-out", str(out / "test.csv"),
+                     "--test-per-class", "100000000000000000000"])
+        assert code == 2
+        self.one_line(capsys, "error: --test-per-class: the test set's class_counts: the total "
+                              "400000000000000000000 does not fit in 64 bits")
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("message,shown", [
         ("Unable to allocate 74.5 GiB for an array with shape (100000, 100000)",
          "Unable to allocate 74.5 GiB for an array with shape (100000, 100000)"),

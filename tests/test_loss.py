@@ -147,12 +147,12 @@ def test_hand_summed_terms_at_default_operating_point():
     cls = 0.0
     align = 0.0
     for i in range(B):
-        p = forward(params, grids[i].ravel()).probabilities[0]
+        p = forward(params, grids[i].reshape(1, -1)).probabilities[0]
         cls += weights[i] * -sum(
             targets[i][k] * math.log(max(p[k], 1e-12)) for k in range(len(p))
         )
-        pw = forward(params, weak[i].ravel()).probabilities[0]
-        ps = forward(params, strong[i].ravel()).probabilities[0]
+        pw = forward(params, weak[i].reshape(1, -1)).probabilities[0]
+        ps = forward(params, strong[i].reshape(1, -1)).probabilities[0]
         align += -sum(pw[k] * math.log(max(ps[k], 1e-12)) for k in range(len(ps)))
     cls /= B
     align /= B

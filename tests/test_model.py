@@ -14,7 +14,6 @@ from splal.model import (
     adam_step,
     ce_value_and_dlogits,
     ema_update,
-    encode,
     forward,
     init_params,
     load_checkpoint,
@@ -35,13 +34,13 @@ class TestForward:
             hidden=[(np.zeros((4, 3)), np.zeros(3))],
             classifier=(np.zeros((3, 2)), np.zeros(2)),
         )
-        out = forward(params, np.ones(4))
+        out = forward(params, np.ones((1, 4)))
         np.testing.assert_allclose(out.probabilities[0], [0.5, 0.5])
 
     def test_classifier_scaling_preserves_argmax(self):
         rng = np.random.default_rng(7)
         params = tiny_net(rng)
-        x = rng.normal(size=4)
+        x = rng.normal(size=(1, 4))
         before = int(np.argmax(forward(params, x).probabilities[0]))
         params.classifier[0][...] *= 3.0
         params.classifier[1][...] *= 3.0
@@ -56,7 +55,7 @@ class TestForward:
         Wc = np.array([[1.0, 0.4], [-0.6, 0.9]])
         bc = np.array([0.05, -0.05])
         params = ModelParams(hidden=[(W1, b1)], classifier=(Wc, bc))
-        x = np.array([0.7, -1.1])
+        x = np.array([[0.7, -1.1]])
         a0 = 0.7 * 0.5 + (-1.1) * 0.2 + 0.1
         a1 = 0.7 * (-0.3) + (-1.1) * 0.8 + (-0.2)
         h0, h1 = max(a0, 0.0), max(a1, 0.0)
@@ -69,7 +68,7 @@ class TestForward:
     def test_pure_function_bit_identical(self):
         rng = np.random.default_rng(0)
         params = tiny_net(rng)
-        x = rng.normal(size=4)
+        x = rng.normal(size=(1, 4))
         a = forward(params, x)
         b = forward(params, x)
         assert np.array_equal(a.probabilities, b.probabilities)
@@ -78,16 +77,13 @@ class TestForward:
     def test_shape_mismatch_rejected(self):
         params = tiny_net(np.random.default_rng(0))
         with pytest.raises(InputDomainError):
-            forward(params, np.ones(5))
-        with pytest.raises(InputDomainError):
-            encode(params, np.ones(5))
+            forward(params, np.ones((1, 5)))
 
-    @pytest.mark.parametrize("widths", [(), (3,), (6, 5)])
-    def test_encode_is_forward_features_bit_for_bit(self, widths):
-        rng = np.random.default_rng(11)
-        params = tiny_net(rng, input_dim=7, widths=widths)
-        for x in (rng.normal(size=(9, 7)), rng.normal(size=7)):
-            assert np.array_equal(encode(params, x), forward(params, x).features)
+    def test_one_flat_vector_rejected(self):
+        # forward takes (B, D) rows only; a single (D,) vector is not read as a batch of one.
+        params = tiny_net(np.random.default_rng(0))
+        with pytest.raises(InputDomainError, match=r"^X: expected shape \(None, 4\)"):
+            forward(params, np.ones(4))
 
 
 def finite_difference(params, loss_fn, h=1e-6):
@@ -265,7 +261,7 @@ class TestCheckpoint:
         rng = np.random.default_rng(9)
         live = tiny_net(rng, input_dim=6, widths=(5, 4), classes=3)
         ema = tiny_net(rng, input_dim=6, widths=(5, 4), classes=3)
-        x = rng.normal(size=6)
+        x = rng.normal(size=(1, 6))
         path = tmp_path / "ckpt.npz"
         save_checkpoint(path, live, ema, {"seed": 42, "num_classes": 3, "height": 2, "width": 3})
         live2, ema2, meta = load_checkpoint(path)

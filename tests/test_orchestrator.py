@@ -8,7 +8,7 @@ from splal import loss, orchestrator
 from splal.config import ExperimentConfig, load_config
 from splal.data import GROUND_TRUTH, PSEUDO, Pool, SyntheticSpec, generate, save_csv, split_labeled
 from splal.errors import ConfigurationError, TrainingError
-from splal.model import OptimizerState, encode, forward, init_params
+from splal.model import OptimizerState, forward, init_params
 from splal.orchestrator import (
     _forward_rows,
     _synthetic_pool,
@@ -94,35 +94,49 @@ class TestInvariants:
 
 
 class TestWarmup:
-    def test_missing_class_rejected(self):
+    """Warm-up leaves the bank empty; the first stage seeds it before its gate reads it.
+
+    At epochs_stage = 0 the stage retrains nothing, so its seed is all the bank holds.
+    """
+
+    def test_leaves_every_queue_empty(self):
         cfg = tiny_config()
+        state = build_pools(cfg, 0)[0].state
+        t = Trainer.start(cfg, 0, state.pool.grids[0].size)
+        warmup(t, state)
+        assert [len(t.bank.queue_contents(k)) for k in range(4)] == [0, 0, 0, 0]
+
+    def test_missing_class_rejected(self):
+        cfg = tiny_config(epochs_stage=0)
         rng = np.random.default_rng(0)
         t = trainer(cfg, init_params(64, cfg.hidden_widths, 4, rng), rng)
-        state = DatasetState.split(pool_of(rng.uniform(size=(2, 8, 8)), [0, 1]), np.arange(2), 4)
+        state = DatasetState.split(pool_of(rng.uniform(size=(3, 8, 8)), [0, 1, 1]), np.arange(2), 4)
         warmup(t, state)
         with pytest.raises(ConfigurationError, match=r"^unseeded class queues: \[2, 3\]$"):
-            t.bank.prototypes()
+            run_stage(t, state)
 
     def test_empty_labeled_pool_names_every_class(self):
-        cfg = tiny_config()
+        cfg = tiny_config(epochs_stage=0)
         rng = np.random.default_rng(0)
         t = trainer(cfg, init_params(64, cfg.hidden_widths, 4, rng), rng)
         state = DatasetState.split(pool_of(rng.uniform(size=(2, 8, 8)), [0, 1]), np.arange(0), 4)
         warmup(t, state)
         with pytest.raises(ConfigurationError) as err:
-            t.bank.prototypes()
+            run_stage(t, state)
         assert str(err.value) == "unseeded class queues: [0, 1, 2, 3]"
 
     def test_seeds_every_class_queue(self):
-        cfg = tiny_config()
+        cfg = tiny_config(epochs_stage=0)
         rng = np.random.default_rng(1)
         t = trainer(cfg, init_params(64, cfg.hidden_widths, 4, rng), rng)
-        state = DatasetState.split(pool_of(rng.uniform(size=(6, 8, 8)), [0, 1, 2, 3, 0, 2]), np.arange(6), 4)
+        pool = pool_of(rng.uniform(size=(8, 8, 8)), [0, 1, 2, 3, 0, 2, 1, 3])
+        state = DatasetState.split(pool, np.arange(6), 4)
         logs = warmup(t, state)
         assert len(logs) == cfg.epochs_warmup
-        assert [len(t.bank.queue_contents(k)) for k in range(4)] == [2, 1, 2, 1]
         # EMA shadow starts as an exact copy of the post-warm-up weights
         np.testing.assert_array_equal(t.ema.classifier[0], t.params.classifier[0])
+        run_stage(t, state)
+        assert [len(t.bank.queue_contents(k)) for k in range(4)] == [2, 1, 2, 1]
 
 
 class TestStrongViewCache:
@@ -252,10 +266,10 @@ class TestStackedStep:
         assert calls == {"forward": 6, "backward_from_dlogits": 6}
         for (before, views), pushed in zip(steps, pushes):
             B = len(pushed)
-            assert np.array_equal(pushed, encode(before, views.reshape(3 * B, -1))[:B])
-            clean = encode(before, views[:B].reshape(B, -1))
+            assert np.array_equal(pushed, forward(before, views.reshape(3 * B, -1)).features[:B])
+            clean = forward(before, views[:B].reshape(B, -1)).features
             assert np.linalg.norm(pushed - clean) <= 1e-12 * np.linalg.norm(clean)
-        after = encode(t.params, steps[-1][1][:13].reshape(13, -1))
+        after = forward(t.params, steps[-1][1][:13].reshape(13, -1)).features
         assert not np.array_equal(pushes[-1], after)  # the last update moved the features
 
 
@@ -581,18 +595,21 @@ class TestRunDir:
 
 
 def test_feature_batch_shape():
-    # warmup seeds the bank from one forward over the whole labeled pool.
-    cfg = tiny_config(num_classes=3, class_counts=(3, 2, 2), hidden_widths=(6, 5), epochs_warmup=1)
+    # The first stage seeds the bank from one forward over the whole labeled pool.
+    cfg = tiny_config(num_classes=3, class_counts=(3, 2, 2), hidden_widths=(6, 5), epochs_warmup=1,
+                      epochs_stage=0)
     rng = np.random.default_rng(0)
     t = trainer(cfg, init_params(16, cfg.hidden_widths, 3, rng), rng)
-    state = DatasetState.split(pool_of(rng.uniform(size=(7, 4, 4)), [0, 0, 0, 1, 1, 2, 2]), np.arange(7), 3)
+    pool = pool_of(rng.uniform(size=(8, 4, 4)), [0, 0, 0, 1, 1, 2, 2, 0])
+    state = DatasetState.split(pool, np.arange(7), 3)
     warmup(t, state)
+    run_stage(t, state)
     queued = [f for k in range(3) for f in t.bank.queue_contents(k)]
     assert len(queued) == 7 and all(f.shape == (5,) for f in queued)
 
 
 def test_baseline_run_seeds_no_bank(monkeypatch):
-    # A baseline run has no stage, so nothing would read the bank: warm-up encodes nothing for it,
+    # A baseline run has no stage, so nothing encodes the labeled pool or seeds the bank,
     # and the one whole-pool pass of the run is evaluate_params' over the test pool.
     cfg = tiny_config(mode="baseline")
     expected = run(cfg, seed=4).metrics
@@ -636,6 +653,39 @@ class TestStageOracles:
         while state.stage < cfg.stages:
             unlabeled = len(state.unlabeled_rows)
             yield (unlabeled, *run_stage(t, state), t, state)
+
+    def test_first_gate_reads_the_warmed_up_labeled_features_pushed_in_row_order(self, monkeypatch):
+        # Stage 0 pushes forward(warmed-up weights, labeled grids).features, in labeled-row order, before
+        # its gate; its prototypes are those rows' class means. Stage 1 pushes only its retraining batches.
+        cfg = tiny_config(stages=2, queue_capacity=64)
+        state = build_pools(cfg, 3)[0].state
+        t = Trainer.start(cfg, 3, state.pool.grids[0].size)
+        warmup(t, state)
+        rows, classes, warmed = state.labeled_rows, state.targets.argmax(axis=1), t.params.copy()
+        gated, pushes, real_gate, real_push = [], [], orchestrator.gate, t.bank.push
+
+        def recording_gate(prototypes, *args):
+            gated.append((prototypes.copy(), [t.bank.queue_contents(k) for k in range(4)], len(pushes)))
+            return real_gate(prototypes, *args)
+
+        def recording_push(class_ids, features):
+            pushes.append(len(class_ids))
+            real_push(class_ids, features)
+
+        monkeypatch.setattr(orchestrator, "gate", recording_gate)
+        monkeypatch.setattr(t.bank, "push", recording_push)
+        run_stage(t, state)
+        stage0_pushes = len(pushes)
+        run_stage(t, state)
+
+        features = forward(warmed, state.pool.grids[rows].reshape(len(rows), -1)).features
+        prototypes, queues, before_gate = gated[0]
+        assert pushes[:before_gate] == [len(rows)]
+        for k in range(4):
+            assert np.array_equal(np.stack(queues[k]), features[classes == k])
+            assert np.array_equal(prototypes[k], features[classes == k].mean(axis=0))
+        stage1_batches = cfg.epochs_stage * -(-len(state.labeled_rows) // cfg.batch_size)  # after its migration
+        assert gated[1][2] == stage0_pushes and len(pushes) == stage0_pushes + stage1_batches
 
     def test_control_arm_is_distinct_unlabeled_rows(self):
         cfg = tiny_config(stages=3)  # seed 3 selects 10, 6 and 0 rows

@@ -44,7 +44,7 @@ class TestLinearPrediction:
         np.testing.assert_array_equal(out.linear, probs)
         # one batched pass gives each row's own single-row softmax
         for x, row in zip(X, out.linear):
-            np.testing.assert_allclose(row, forward(params, x).probabilities[0], rtol=0, atol=1e-15)
+            np.testing.assert_allclose(row, forward(params, x[None]).probabilities[0], rtol=0, atol=1e-15)
         for j in range(6):
             np.testing.assert_array_equal(
                 out.combined[j], combine(out.linear[j], out.knn[j], out.similarity[j], ALPHAS)
