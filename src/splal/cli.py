@@ -21,17 +21,10 @@ if not any(var in os.environ for var in THREAD_VARS):
 import numpy as np
 
 from .config import ExperimentConfig, config_to_text, load_config, parse_config
-from .data import (
-    SyntheticSpec,
-    balanced_test_spec,
-    generate,
-    load_eval_csv,
-    save_csv,
-    write_manifest,
-)
-from .errors import ConfigurationError, InputDomainError, SplalError
+from .data import SyntheticSpec, checked_test_spec, generate, load_eval_csv, save_csv, write_manifest
+from .errors import ConfigurationError, SplalError, TrainingError
 from .model import load_checkpoint
-from .orchestrator import evaluate_params, run, write_csv, write_metrics, write_run_dir
+from .orchestrator import Pools, evaluate_params, load_pools, run, write_csv, write_metrics, write_run_dir
 
 USAGE_EXIT = 1
 RUNTIME_EXIT = 2
@@ -72,14 +65,7 @@ def cmd_generate_data(args) -> int:
     out = Path(args.out)
     outputs = [(spec, out)]
     if args.test_out:
-        if args.test_per_class < 1:
-            raise InputDomainError(f"--test-per-class: must be >= 1, got {args.test_per_class}")
-        test_spec = balanced_test_spec(spec, per_class=args.test_per_class)
-        try:
-            test_spec.validate()
-        except InputDomainError as exc:
-            raise InputDomainError(f"--test-per-class: the test set's {exc}") from None
-        outputs.append((test_spec, Path(args.test_out)))
+        outputs.append((checked_test_spec("--test-per-class", args.test_per_class, spec), Path(args.test_out)))
     for data_spec, path in outputs:
         samples = generate(data_spec)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -96,14 +82,25 @@ def _aggregate_rows(per_seed: dict[int, dict]):
         yield key, float(values.mean()), float(values.std(ddof=0))
 
 
+_JOBS: tuple = ()
+
+
+def _run_job(index: int):
+    job, jobs = _JOBS
+    return job(*jobs[index])
+
+
 def _map_runs(job, jobs: list[tuple]) -> list:
     """`job(*args)` for each args tuple, results in submission order.
 
     Independent runs go to min(usable cores, len(jobs)) forked processes; with
-    one worker they run in this process. A failing job re-raises here, the
-    first in submission order. The pool modules are imported only on the pool
-    path, so a one-run command does not pay for them.
+    one worker they run in this process. Workers inherit the job and its
+    arguments as `_JOBS`, set before they fork, and are sent indices, so no
+    argument is pickled. A failing job re-raises here, the first in submission
+    order; a worker that dies raises TrainingError. The pool modules are
+    imported only on the pool path, so a one-run command does not pay for them.
     """
+    global _JOBS
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform: stay in-process
@@ -112,22 +109,26 @@ def _map_runs(job, jobs: list[tuple]) -> list:
     if workers <= 1:
         return [job(*args) for args in jobs]
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
     # Fork, not spawn: a spawned worker imports numpy and splal again (~0.25 s
     # each), and this process starts no threads of its own before it forks.
+    _JOBS = (job, jobs)
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
-        return list(pool.map(job, *zip(*jobs)))
+        return list(pool.map(_run_job, range(len(jobs))))
+    except BrokenExecutor:
+        raise TrainingError("a worker process ended abruptly (killed, out of memory, or exited)") from None
     finally:
         pool.shutdown(cancel_futures=True)
+        _JOBS = ()
 
 
-def _train_job(cfg: ExperimentConfig, seed: int, seed_dir: Path) -> dict:
+def _train_job(cfg: ExperimentConfig, seed: int, seed_dir: Path, pools: Pools) -> dict:
     """One seed's run and run directory; returns its metrics."""
-    result = run(cfg, seed, collect_audits=True)
+    result = run(cfg, seed, collect_audits=True, pools=pools)
     write_run_dir(seed_dir, cfg, seed, result)
-    save_csv(result.test_samples, seed_dir / "test.csv", cfg.num_classes)
+    save_csv(pools[1], seed_dir / "test.csv", cfg.num_classes)
     return result.metrics
 
 
@@ -136,7 +137,8 @@ def run_training(cfg: ExperimentConfig, out_dir) -> dict[int, dict]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.txt").write_text(config_to_text(cfg))
-    metrics = _map_runs(_train_job, [(cfg, seed, out / f"seed_{seed}") for seed in cfg.seeds])
+    pools = load_pools(cfg)
+    metrics = _map_runs(_train_job, [(cfg, seed, out / f"seed_{seed}", pools) for seed in cfg.seeds])
     per_seed = dict(zip(cfg.seeds, metrics))
     write_csv(out / "aggregate.csv", _aggregate_rows(per_seed), ["metric", "mean", "sd"])
     return per_seed
@@ -195,9 +197,9 @@ def sweep_configs(cfg: ExperimentConfig, sweep: str) -> list[tuple[str, Experime
     raise ConfigurationError(f"unknown sweep {sweep!r}; expected one of {SWEEPS}")
 
 
-def _sweep_job(sweep: str, value: str, cfg: ExperimentConfig, seed: int) -> dict:
+def _sweep_job(sweep: str, value: str, cfg: ExperimentConfig, seed: int, pools: Pools) -> dict:
     """One sweep CSV row: the run's metrics and the recall of its rarest training class."""
-    result = run(cfg, seed)
+    result = run(cfg, seed, pools=pools)
     m = result.metrics
     minority = int(np.argmin(np.bincount(result.state.pool.truth, minlength=cfg.num_classes)))
     row = {"sweep": sweep, "value": value, "seed": seed}
@@ -213,7 +215,8 @@ def run_sweep(cfg: ExperimentConfig, sweep: str, out_csv) -> list[dict]:
         variant = variant.normalized()
         variant.validate()
         jobs.extend((sweep, value, variant, seed) for seed in variant.seeds)
-    rows = _map_runs(_sweep_job, jobs)
+    pools = load_pools(cfg)  # no sweep changes a data field
+    rows = _map_runs(_sweep_job, [(*args, pools) for args in jobs])
     out_csv = Path(out_csv)
     out_csv.parent.mkdir(parents=True, exist_ok=True)
     columns = ["sweep", "value", "seed", *METRIC_KEYS, "minority_recall"]

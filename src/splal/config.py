@@ -7,7 +7,7 @@ import warnings
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .data import SyntheticSpec, balanced_test_spec
+from .data import SyntheticSpec, checked_test_spec
 from .errors import ConfigurationError, InputDomainError, check_convex, check_num_classes
 from .selector import DEFAULT_TEMPERATURE, check_gate, gamma2_from_gamma1, reachability_warning
 
@@ -95,8 +95,10 @@ class ExperimentConfig:
             fail("seeds/data_seed", "must be nonnegative")
         try:
             check_num_classes(self.num_classes)
-            if self.data_csv is None:
-                self.synthetic_spec().validate()
+            spec = self.synthetic_spec() if self.data_csv is None else None
+            if spec is not None:
+                spec.validate()
+            checked_test_spec("test_per_class", self.test_per_class, spec)
         except InputDomainError as exc:
             raise ConfigurationError(str(exc)) from exc
         if self.data_csv is not None and self.test_csv is None:
@@ -112,13 +114,6 @@ class ExperimentConfig:
         check_gate(self.num_classes, self.gamma1, self.effective_gamma2(), self.temperature)
         if self.knn_k < 1:
             fail("knn_k", "must be >= 1")
-        if self.test_per_class < 1:
-            fail("test_per_class", f"must be >= 1, got {self.test_per_class}")
-        if self.data_csv is None:
-            try:
-                balanced_test_spec(self.synthetic_spec(), self.test_per_class).validate()
-            except InputDomainError as exc:
-                fail("test_per_class", f"the test set's {exc}")
         if not (0 <= self.ema_decay <= 1):
             fail("ema_decay", f"must lie in [0, 1], got {self.ema_decay}")
         if self.learning_rate <= 0:

@@ -150,6 +150,20 @@ def balanced_test_spec(spec: SyntheticSpec, per_class: int) -> SyntheticSpec:
     return replace(spec, class_counts=(per_class,) * len(spec.class_counts), seed=spec.seed + 10_000)
 
 
+def checked_test_spec(field: str, per_class: int, spec: SyntheticSpec | None) -> SyntheticSpec | None:
+    """`balanced_test_spec(spec, per_class)`, None for a None spec; InputDomainError naming `field` unless valid."""
+    if per_class < 1:
+        raise InputDomainError(f"{field}: must be >= 1, got {per_class}")
+    if spec is None:
+        return None
+    test_spec = balanced_test_spec(spec, per_class)
+    try:
+        test_spec.validate()
+    except InputDomainError as exc:
+        raise InputDomainError(f"{field}: the test set's {exc}") from None
+    return test_spec
+
+
 def split_labeled(pool: Pool, ratio: float, seed: int, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
     """Stratified split of an id-sorted pool; ceil(ratio * n_k) labeled per class, at least 1.
 

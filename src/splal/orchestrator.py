@@ -8,7 +8,6 @@ at most once and never returns to the unlabeled pool.
 from __future__ import annotations
 
 import csv
-import functools
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -18,18 +17,8 @@ import numpy as np
 from . import metrics as metrics_mod
 from .augment import strong_augment
 from .config import ExperimentConfig, config_to_text
-from .data import (
-    GROUND_TRUTH,
-    PSEUDO,
-    Pool,
-    Sample,
-    SyntheticSpec,
-    balanced_test_spec,
-    generate,
-    load_csv,
-    load_eval_csv,
-    split_labeled,
-)
+from .data import (GROUND_TRUTH, PSEUDO, Pool, Sample, balanced_test_spec, generate, load_csv,
+                   load_eval_csv, split_labeled)
 from .errors import ConfigurationError, TrainingError, check_array
 from .loss import stacked_loss, weak_views
 from .model import (
@@ -60,6 +49,7 @@ def substream(master_seed: int, stream: int) -> np.random.Generator:
 
 # The loss terms each epoch's log row averages over its batches.
 LOSSES = ("classification", "alignment", "total")
+Pools = tuple[Pool, Pool]  # a config's (train, test) pools, as `load_pools` reads them
 
 
 @dataclass
@@ -158,7 +148,6 @@ class RunResult:
     stage_reports: list[StageReport]
     warmup_losses: list[dict]
     metrics: dict
-    test_samples: Pool
     stage_audits: list[StageAudit] | None = None
 
     @property
@@ -354,21 +343,12 @@ def evaluate_params(params: ModelParams, samples: Pool) -> dict:
     }
 
 
-@functools.lru_cache(maxsize=2)
-def _synthetic_pool(spec: SyntheticSpec) -> Pool:
-    """`generate(spec)`, built once per process for the train and the test spec.
+def load_pools(cfg: ExperimentConfig) -> Pools:
+    """The config's (train, test) pools, the train pool sorted by id; every array read-only.
 
-    Runs share the arrays, so they are read-only: a write raises instead of
-    changing the data of every later run.
+    No seed or sweep value changes them, so a command reads them once for all
+    its runs, and a write raises instead of changing every later run's data.
     """
-    pool = generate(spec)
-    for array in (pool.ids, pool.grids, pool.truth):
-        array.flags.writeable = False
-    return pool
-
-
-def build_pools(cfg: ExperimentConfig, seed: int) -> tuple[PoolView, PoolView, Pool]:
-    """The labeled and unlabeled views of a fresh DatasetState (reached as `.state`), and the test pool."""
     if cfg.data_csv is not None:
         train, h, w, k = load_csv(cfg.data_csv)
         if k != cfg.num_classes:
@@ -378,28 +358,37 @@ def build_pools(cfg: ExperimentConfig, seed: int) -> tuple[PoolView, PoolView, P
         test = load_eval_csv(cfg.test_csv, "test_csv", h, w, k)
     else:
         spec = cfg.synthetic_spec()
-        train = _synthetic_pool(spec)
-        test = _synthetic_pool(balanced_test_spec(spec, per_class=cfg.test_per_class))
+        train, test = generate(spec), generate(balanced_test_spec(spec, per_class=cfg.test_per_class))
     # Sort only when needed: freeing a copy of an already sorted 3k-row pool
     # here raised the large-pool RSS peak by ~6 MB.
     if (np.diff(train.ids) <= 0).any():
         order = np.argsort(train.ids, kind="stable")
         train = Pool(train.ids[order], train.grids[order], train.truth[order])
+    for pool in (train, test):
+        for array in (pool.ids, pool.grids, pool.truth):
+            array.flags.writeable = False
+    return train, test
+
+
+def build_pools(cfg: ExperimentConfig, seed: int, pools: Pools | None = None) -> tuple[PoolView, PoolView, Pool]:
+    """The labeled and unlabeled views of a fresh DatasetState (reached as `.state`), and the test pool."""
+    train, test = load_pools(cfg) if pools is None else pools
     split_rng_seed = int(substream(seed, STREAM_SPLIT).integers(0, 2**31 - 1))
     labeled_rows, _ = split_labeled(train, cfg.labeled_ratio, split_rng_seed, cfg.num_classes)
     state = DatasetState.split(train, labeled_rows, cfg.num_classes)
     return state.labeled, state.unlabeled, test
 
 
-def run(cfg: ExperimentConfig, seed: int, collect_audits: bool = False) -> RunResult:
+def run(cfg: ExperimentConfig, seed: int, collect_audits: bool = False, pools: Pools | None = None) -> RunResult:
     """Warm-up then stages until the budget is exhausted or no unlabeled remain.
 
-    The returned metrics are computed with the EMA shadow weights.
+    `pools` are `load_pools(cfg)`'s, read here when not given. The returned
+    metrics are computed with the EMA shadow weights.
     """
     cfg = cfg.normalized()
     notes = cfg.validate()
 
-    labeled, _, test_samples = build_pools(cfg, seed)
+    labeled, _, test = build_pools(cfg, seed, pools)
     state = labeled.state
     t = Trainer.start(cfg, seed, state.pool.grids[0].size)
     warmup_losses = warmup(t, state)
@@ -412,7 +401,7 @@ def run(cfg: ExperimentConfig, seed: int, collect_audits: bool = False) -> RunRe
         if stage_audits is not None:
             stage_audits.append(audit)
 
-    metrics = evaluate_params(t.ema, test_samples)
+    metrics = evaluate_params(t.ema, test)
     metrics["config_warnings"] = notes
     return RunResult(
         live=t.params,
@@ -421,7 +410,6 @@ def run(cfg: ExperimentConfig, seed: int, collect_audits: bool = False) -> RunRe
         stage_reports=stage_reports,
         warmup_losses=warmup_losses,
         metrics=metrics,
-        test_samples=test_samples,
         stage_audits=stage_audits,
     )
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splal import cli
+from splal import cli, data, orchestrator
 from splal.cli import (
     ALPHA_GRID,
     LAMBDA2_GRID,
@@ -34,7 +34,7 @@ from test_orchestrator import tiny_config
 
 
 def write_config(tmp_path, **overrides):
-    cfg = tiny_config(seeds=(0,), stages=1, epochs_warmup=2, epochs_stage=1, **overrides)
+    cfg = tiny_config(**{"seeds": (0,), "stages": 1, "epochs_warmup": 2, "epochs_stage": 1, **overrides})
     path = tmp_path / "exp.cfg"
     path.write_text(config_to_text(cfg))
     return path, cfg
@@ -442,6 +442,17 @@ class TestEvaluate:
 
 
 class TestSweepConfigs:
+    DATA_FIELDS = ("data_csv", "test_csv", "num_classes", "class_counts", "height", "width",
+                   "noise_sigma", "data_seed", "test_per_class")
+
+    @pytest.mark.parametrize("sweep", SWEEPS)
+    def test_no_variant_changes_a_data_field(self, sweep):
+        # So run_sweep reads the base config's pools once for every variant.
+        for cfg in (ExperimentConfig(), tiny_config(data_csv="train.csv", test_csv="test.csv")):
+            for _, variant in sweep_configs(cfg, sweep):
+                for name in self.DATA_FIELDS:
+                    assert getattr(variant.normalized(), name) == getattr(cfg, name), (sweep, name)
+
     def test_lambda2_grid_sums_to_one(self):
         cfg = ExperimentConfig()
         variants = sweep_configs(cfg, "lambda2")
@@ -555,6 +566,25 @@ def one_cpu(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
 
 
+def two_cpus(monkeypatch):
+    """Make the commands see two usable cores, so two runs go to two forked workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def log_calls(monkeypatch, module, name: str, log: Path):
+    """Wrap `module.name` so each call, in any process, appends its pid to `log`; returns a reader of the pids."""
+    real = getattr(module, name)
+    log.touch()
+
+    def logged(*args, **kwargs):
+        with log.open("a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, logged)
+    return lambda: log.read_text().split()
+
+
 def tree(root: Path) -> dict[str, bytes]:
     return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
@@ -661,6 +691,44 @@ class TestParallelRuns:
         with pytest.raises(ParseError) as err:
             run_training(replace(cfg, seeds=(0, 1)), tmp_path / "api")
         assert err.value.line == 5 and str(err.value).count("line 5") == 1
+
+    def test_unpicklable_jobs_run_in_forked_workers(self, monkeypatch):
+        two_cpus(monkeypatch)
+        results = cli._map_runs(lambda f, x: (f(x), os.getpid()), [(lambda x: x + 1, i) for i in range(4)])
+        assert [value for value, _ in results] == [1, 2, 3, 4]
+        assert os.getpid() not in {pid for _, pid in results}
+
+    def test_a_dead_worker_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        parent = os.getpid()
+
+        def die(*args):
+            if os.getpid() == parent:  # never end the test process itself
+                raise AssertionError("the job ran in-process")
+            os._exit(1)
+
+        two_cpus(monkeypatch)
+        monkeypatch.setattr(cli, "_train_job", die)
+        cfg_path, _ = write_config(tmp_path, seeds=(0, 1))
+        assert main(["train", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: a worker process ended abruptly") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_a_command_reads_its_data_once(self, tmp_path, monkeypatch):
+        train, test = write_csv_pair(tmp_path)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        calls = {name: log_calls(monkeypatch, module, name, tmp_path / f"{name}.log")
+                 for module, name in ((data, "_parse_data"), (data, "_write_entry"), (orchestrator, "generate"))}
+        two_cpus(monkeypatch)
+        cfg_path, _ = write_config(tmp_path, data_csv=str(train), test_csv=str(test), seeds=(0, 1))
+        assert main(["train", "--config", str(cfg_path), "--out-dir", str(tmp_path / "train")]) == 0
+        here = str(os.getpid())
+        assert calls["_parse_data"]() == [here, here] and calls["_write_entry"]() == [here, here]
+        assert len(list((tmp_path / "cache" / "splal").iterdir())) == 2
+        cfg_path.write_text("mode = baseline\nepochs_warmup = 1\nseeds = 0,1\n")
+        assert main(["ablate", "--config", str(cfg_path), "--sweep", "label-ratio",
+                     "--out-dir", str(tmp_path / "ablate")]) == 0
+        assert calls["generate"]() == [here, here]  # the train and the test pool
 
 
 class TestOversizedInputs:

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from splal.errors import ConfigurationError, TrainingError
 from splal.model import OptimizerState, forward, init_params
 from splal.orchestrator import (
     _forward_rows,
-    _synthetic_pool,
     STREAM_AUGMENT,
     STREAM_INIT,
     STREAM_SHUFFLE,
@@ -21,6 +21,7 @@ from splal.orchestrator import (
     _train_epochs,
     build_pools,
     evaluate_params,
+    load_pools,
     run,
     run_stage,
     substream,
@@ -402,8 +403,9 @@ class TestFullRun:
 
     def test_metrics_are_from_ema_shadow(self):
         cfg = tiny_config()
-        result = run(cfg, seed=6)
-        again = evaluate_params(result.ema, result.test_samples)
+        pools = load_pools(cfg)
+        result = run(cfg, seed=6, pools=pools)
+        again = evaluate_params(result.ema, pools[1])
         assert again["accuracy"] == result.metrics["accuracy"]
         assert again["confusion"] == result.metrics["confusion"]
 
@@ -472,24 +474,48 @@ class TestStageRecord:
         np.testing.assert_array_equal(state.targets[state.num_truth :], np.eye(cfg.num_classes)[labels])
 
 
-class TestSyntheticPoolCache:
-    def test_pools_are_read_only_and_a_second_run_matches_a_fresh_one(self):
-        cfg = tiny_config()
-        _synthetic_pool.cache_clear()
-        fresh = run(cfg, seed=2)
-        labeled, _, test = build_pools(cfg, seed=2)
-        assert _synthetic_pool.cache_info().hits == 2
-        for pool in (labeled.state.pool, test):
+def same_run(a, b) -> bool:
+    """Two RunResults with the same metrics, weights, losses and pools, bit for bit."""
+    return (
+        json.dumps(a.metrics) == json.dumps(b.metrics)
+        and np.array_equal(a.live.flat, b.live.flat)
+        and np.array_equal(a.ema.flat, b.ema.flat)
+        and a.warmup_losses == b.warmup_losses
+        and [asdict(r) for r in a.stage_reports] == [asdict(r) for r in b.stage_reports]
+        and np.array_equal(a.state.labeled_rows, b.state.labeled_rows)
+        and np.array_equal(a.state.targets, b.state.targets)
+    )
+
+
+class TestLoadPools:
+    """`load_pools` reads a config's pools once; every run given them matches a run that reads its own."""
+
+    @pytest.fixture(params=["synthetic", "csv"])
+    def cfg(self, request, tmp_path):
+        if request.param == "synthetic":
+            return tiny_config()
+        spec = SyntheticSpec(class_counts=(10, 8, 6, 6), height=8, width=8)
+        pool = generate(spec)
+        order = np.random.default_rng(1).permutation(len(pool))  # load_pools sorts it back
+        save_csv(Pool(pool.ids[order], pool.grids[order], pool.truth[order]), tmp_path / "train.csv", 4)
+        test_spec = SyntheticSpec(class_counts=(4, 4, 4, 4), height=8, width=8, seed=99)
+        save_csv(generate(test_spec), tmp_path / "test.csv", 4)
+        return tiny_config(data_csv=str(tmp_path / "train.csv"), test_csv=str(tmp_path / "test.csv"))
+
+    def test_every_array_refuses_writes(self, cfg):
+        for pool in load_pools(cfg):
             for array in (pool.ids, pool.grids, pool.truth):
                 assert not array.flags.writeable
                 with pytest.raises(ValueError):
                     array[...] = 0
-        again = run(cfg, seed=2)
-        assert _synthetic_pool.cache_info().hits == 4
-        assert json.dumps(again.metrics) == json.dumps(fresh.metrics)
-        assert np.array_equal(again.live.flat, fresh.live.flat)
-        assert np.array_equal(again.ema.flat, fresh.ema.flat)
-        assert again.warmup_losses == fresh.warmup_losses
+        labeled, _, test = build_pools(cfg, seed=0)
+        assert not labeled.state.pool.grids.flags.writeable and not test.grids.flags.writeable
+
+    def test_shared_pools_give_the_same_run(self, cfg):
+        pools = load_pools(cfg)
+        for seed in (2, 3):
+            assert same_run(run(cfg, seed, collect_audits=True, pools=pools), run(cfg, seed, collect_audits=True))
+        assert build_pools(cfg, 2, pools)[0].state.pool is pools[0]
 
 
 class TestCsvPools:
@@ -499,14 +525,6 @@ class TestCsvPools:
         path = tmp_path / name
         save_csv(samples, path, 4)
         return path
-
-    def test_csv_pools_are_not_cached(self, tmp_path):
-        train = self._write(tmp_path, "train.csv")
-        test = self._write(tmp_path, "test.csv", seed=1)
-        _synthetic_pool.cache_clear()
-        labeled, _, _ = build_pools(tiny_config(data_csv=str(train), test_csv=str(test)), seed=0)
-        assert _synthetic_pool.cache_info().currsize == 0
-        assert labeled.state.pool.grids.flags.writeable
 
     def test_run_from_csv(self, tmp_path):
         train = self._write(tmp_path, "train.csv", counts=(10, 8, 6, 6))
@@ -612,6 +630,7 @@ def test_baseline_run_seeds_no_bank(monkeypatch):
     # A baseline run has no stage, so nothing encodes the labeled pool or seeds the bank,
     # and the one whole-pool pass of the run is evaluate_params' over the test pool.
     cfg = tiny_config(mode="baseline")
+    pools = load_pools(cfg)
     expected = run(cfg, seed=4).metrics
     passes, real = [], orchestrator._forward_rows
 
@@ -620,9 +639,9 @@ def test_baseline_run_seeds_no_bank(monkeypatch):
         return real(params, grids, rows)
 
     monkeypatch.setattr(orchestrator, "_forward_rows", recorded)
-    result = run(cfg, seed=4)
+    result = run(cfg, seed=4, pools=pools)
     assert result.metrics == expected
-    assert len(passes) == 1 and passes[0][0] is result.test_samples.grids and passes[0][1] is None
+    assert len(passes) == 1 and passes[0][0] is pools[1].grids and passes[0][1] is None
 
 
 class RecordingGenerator:
