@@ -7,7 +7,9 @@ from __future__ import annotations
 
 import argparse
 import os
+import pickle
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -82,25 +84,19 @@ def _aggregate_rows(per_seed: dict[int, dict]):
         yield key, float(values.mean()), float(values.std(ddof=0))
 
 
-_JOBS: tuple = ()
-
-
-def _run_job(index: int):
-    job, jobs = _JOBS
-    return job(*jobs[index])
-
-
-def _map_runs(job, jobs: list[tuple]) -> list:
+def _map_runs(job, jobs: list[tuple], names: list[str]) -> list:
     """`job(*args)` for each args tuple, results in submission order.
 
-    Independent runs go to min(usable cores, len(jobs)) forked processes; with
-    one worker they run in this process. Workers inherit the job and its
-    arguments as `_JOBS`, set before they fork, and are sent indices, so no
-    argument is pickled. A failing job re-raises here, the first in submission
-    order; a worker that dies raises TrainingError. The pool modules are
-    imported only on the pool path, so a one-run command does not pay for them.
+    Independent runs go to min(usable CPUs, len(jobs)) workers forked from this
+    process; with one worker they run here. Fork, not spawn: a spawned worker
+    imports numpy and splal again (~0.25 s each), and this process starts no
+    threads of its own. Workers inherit the job and its arguments, so no
+    argument is pickled. They take job indices one at a time from a pipe and
+    pickle each outcome into a temporary file of their own, so none blocks on
+    its output. A failing job re-raises here, the first in submission order,
+    and, as in-process, no job starts after it; a job whose worker died raises
+    TrainingError with its name from `names`, after the other workers finished.
     """
-    global _JOBS
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform: stay in-process
@@ -108,20 +104,73 @@ def _map_runs(job, jobs: list[tuple]) -> list:
     workers = min(cpus, len(jobs))
     if workers <= 1:
         return [job(*args) for args in jobs]
-    import multiprocessing
-    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
-    # Fork, not spawn: a spawned worker imports numpy and splal again (~0.25 s
-    # each), and this process starts no threads of its own before it forks.
-    _JOBS = (job, jobs)
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    try:
-        return list(pool.map(_run_job, range(len(jobs))))
-    except BrokenExecutor:
-        raise TrainingError("a worker process ended abruptly (killed, out of memory, or exited)") from None
-    finally:
-        pool.shutdown(cancel_futures=True)
-        _JOBS = ()
+    def work(feed, out) -> None:
+        while len(raw := feed.read(4)) == 4:
+            i = int.from_bytes(raw, "little")
+            try:
+                outcome = (i, True, job(*jobs[i]))
+            except Exception as exc:
+                outcome = (i, False, exc)
+            try:
+                record = pickle.dumps(outcome)
+            except Exception as exc:
+                outcome = (i, False, TrainingError(f"the outcome of {names[i]} cannot be sent from its worker: {exc}"))
+                record = pickle.dumps(outcome)
+            out.write(record)
+            out.flush()
+            if not outcome[1]:  # empty the feed, so that no job starts after a failure
+                while feed.read(4):
+                    pass
+
+    pids, outcomes = [], {}
+    read_fd, write_fd = os.pipe()
+    outs = [tempfile.TemporaryFile() for _ in range(workers)]
+    with open(read_fd, "rb", buffering=0) as feed, open(write_fd, "wb", buffering=0) as fill:
+        try:
+            for out in outs:
+                if (pid := os.fork()) == 0:  # a worker leaves only here, never into the caller's stack
+                    try:
+                        fill.close()  # else no worker would see the end of the feed
+                        work(feed, out)
+                    finally:
+                        os._exit(0)  # the outcomes it wrote, not its exit code, tell how it went
+                pids.append(pid)
+            feed.close()
+            try:
+                for i in range(len(jobs)):
+                    fill.write(i.to_bytes(4, "little"))  # a pipe write of 4 bytes is whole or blocks
+            except BrokenPipeError:  # every worker has died; their jobs have no outcome
+                pass
+            fill.close()
+            for pid, out in zip(list(pids), outs):
+                os.waitpid(pid, 0)
+                pids.remove(pid)
+                outcomes.update(_read_outcomes(out))
+        finally:
+            for pid in pids:  # only on an error: end and reap the workers still running
+                os.kill(pid, 9)  # SIGKILL; importing `signal` for its name adds ~0.25 MB to every CLI process
+                os.waitpid(pid, 0)
+            for out in outs:
+                out.close()
+    for i, name in enumerate(names):
+        if i not in outcomes:
+            raise TrainingError(f"a worker process ended abruptly (killed, out of memory, or exited) while running {name}")
+        if not outcomes[i][0]:
+            raise outcomes[i][1]
+    return [outcomes[i][1] for i in range(len(jobs))]
+
+
+def _read_outcomes(out) -> dict:
+    """{index: (ok, value)} of the records a worker wrote to `out`, up to the first incomplete one."""
+    out.seek(0)
+    found = {}
+    while True:
+        try:
+            i, ok, value = pickle.load(out)
+        except (EOFError, pickle.UnpicklingError):
+            return found
+        found[i] = ok, value
 
 
 def _train_job(cfg: ExperimentConfig, seed: int, seed_dir: Path, pools: Pools) -> dict:
@@ -138,7 +187,8 @@ def run_training(cfg: ExperimentConfig, out_dir) -> dict[int, dict]:
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.txt").write_text(config_to_text(cfg))
     pools = load_pools(cfg)
-    metrics = _map_runs(_train_job, [(cfg, seed, out / f"seed_{seed}", pools) for seed in cfg.seeds])
+    metrics = _map_runs(_train_job, [(cfg, seed, out / f"seed_{seed}", pools) for seed in cfg.seeds],
+                        [f"seed {seed}" for seed in cfg.seeds])
     per_seed = dict(zip(cfg.seeds, metrics))
     write_csv(out / "aggregate.csv", _aggregate_rows(per_seed), ["metric", "mean", "sd"])
     return per_seed
@@ -216,7 +266,8 @@ def run_sweep(cfg: ExperimentConfig, sweep: str, out_csv) -> list[dict]:
         variant.validate()
         jobs.extend((sweep, value, variant, seed) for seed in variant.seeds)
     pools = load_pools(cfg)  # no sweep changes a data field
-    rows = _map_runs(_sweep_job, [(*args, pools) for args in jobs])
+    rows = _map_runs(_sweep_job, [(*args, pools) for args in jobs],
+                     [f"{sweep} = {value}, seed {seed}" for sweep, value, _, seed in jobs])
     out_csv = Path(out_csv)
     out_csv.parent.mkdir(parents=True, exist_ok=True)
     columns = ["sweep", "value", "seed", *METRIC_KEYS, "minority_recall"]

@@ -1,9 +1,11 @@
-import concurrent.futures
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
+import time
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,7 +28,7 @@ from splal.cli import (
 )
 from splal.config import ExperimentConfig, config_to_text
 from splal.data import SyntheticSpec, file_sha256, generate, load_csv, save_csv
-from splal.errors import ConfigurationError, ParseError
+from splal.errors import ConfigurationError, ParseError, TrainingError
 from splal.model import init_params, load_checkpoint, save_checkpoint
 from splal.orchestrator import run
 
@@ -601,19 +603,45 @@ def on_both_paths(monkeypatch, capsys, tmp_path, args) -> list[tuple[dict[str, b
     return outputs
 
 
-class RecordingExecutor:
-    """Stands in for ProcessPoolExecutor: records its arguments, runs the jobs in-process."""
+def no_child_left():
+    """True when this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
-    made: list = []
 
-    def __init__(self, max_workers, mp_context):
-        self.made.append((max_workers, mp_context.get_start_method()))
+@contextmanager
+def deadline(seconds: int):
+    """Raise TimeoutError in this process if the block runs longer than `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
 
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
-    def shutdown(self, cancel_futures=False):
-        pass
+
+def named(count: int) -> list[str]:
+    return [f"job {i}" for i in range(count)]
+
+
+def record_forks(monkeypatch) -> list[int]:
+    """The pids of the workers this process forks from now on, in fork order."""
+    forked, real = [], os.fork
+
+    def fork():
+        pid = real()
+        forked.extend([pid] if pid else [])
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forked
 
 
 class TestParallelRuns:
@@ -655,25 +683,39 @@ class TestParallelRuns:
             values = np.array([m[name] for m in per_seed])
             assert (float(mean), float(sd)) == (values.mean(), values.std(ddof=0))
 
-    @pytest.mark.parametrize("cpus,expected", [(1, []), (2, [(2, "fork")]), (3, [(3, "fork")]),
-                                               (8, [(4, "fork")])])
-    def test_workers_are_capped_by_cores_and_runs(self, tmp_path, monkeypatch, cpus, expected):
+    @pytest.mark.parametrize("cpus,workers", [(1, 1), (2, 2), (3, 3), (8, 4)])
+    def test_workers_are_capped_by_cores_and_runs(self, tmp_path, monkeypatch, cpus, workers):
+        # With one worker the runs stay in the test's process.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
-        monkeypatch.setattr(RecordingExecutor, "made", [])
+        ran = log_calls(monkeypatch, cli, "_train_job", tmp_path / "ran.log")
+        forked = record_forks(monkeypatch)
         cfg = tiny_config(seeds=(0, 1, 2, 3), stages=1, epochs_warmup=1, epochs_stage=1)
         per_seed = run_training(cfg, tmp_path / "train")
         assert list(per_seed) == [0, 1, 2, 3]
-        assert RecordingExecutor.made == expected
+        pids = [str(pid) for pid in forked] or [str(os.getpid())]
+        assert len(set(pids)) == len(pids) == workers
+        assert len(ran()) == 4 and set(ran()) <= set(pids)
 
     def test_sweep_workers_are_capped_by_cores_and_runs(self, tmp_path, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
-        monkeypatch.setattr(RecordingExecutor, "made", [])
+        forked = record_forks(monkeypatch)
         cfg = tiny_config(mode="baseline", seeds=(0, 1, 2), epochs_warmup=1)
         rows = run_sweep(cfg, "label-ratio", tmp_path / "label-ratio.csv")
         assert len(rows) == 12
-        assert RecordingExecutor.made == [(12, "fork")]
+        assert len(set(forked)) == len(forked) == 12
+
+    def test_many_jobs_finish(self, monkeypatch):
+        # 80000 bytes of job indices: more than a pipe holds, so the feed waits on the workers.
+        two_cpus(monkeypatch)
+        with deadline(60):
+            assert cli._map_runs(abs, [(-i,) for i in range(20000)], named(20000)) == list(range(20000))
+        assert no_child_left()
+
+    def test_an_unpicklable_result_is_a_named_error(self, monkeypatch):
+        two_cpus(monkeypatch)
+        with deadline(60), pytest.raises(TrainingError, match="^the outcome of job 1 cannot be sent"):
+            cli._map_runs(lambda i: (lambda: i) if i == 1 else i, [(i,) for i in range(3)], named(3))
+        assert no_child_left()
 
     def test_failing_run_reports_as_a_single_run_does(self, tmp_path, capsys):
         train, test = write_csv_pair(tmp_path)
@@ -694,7 +736,7 @@ class TestParallelRuns:
 
     def test_unpicklable_jobs_run_in_forked_workers(self, monkeypatch):
         two_cpus(monkeypatch)
-        results = cli._map_runs(lambda f, x: (f(x), os.getpid()), [(lambda x: x + 1, i) for i in range(4)])
+        results = cli._map_runs(lambda f, x: (f(x), os.getpid()), [(lambda x: x + 1, i) for i in range(4)], named(4))
         assert [value for value, _ in results] == [1, 2, 3, 4]
         assert os.getpid() not in {pid for _, pid in results}
 
@@ -713,6 +755,117 @@ class TestParallelRuns:
         err = capsys.readouterr().err
         assert err.startswith("error: a worker process ended abruptly") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_a_dead_worker_names_its_seed_and_the_other_runs_finish(self, tmp_path, capsys, monkeypatch):
+        parent, real = os.getpid(), cli._train_job
+
+        def die_at_seed_1(cfg, seed, *args):
+            if seed == 1:
+                assert os.getpid() != parent, "the job ran in-process"
+                os._exit(1)
+            return real(cfg, seed, *args)
+
+        cfg_path, _ = write_config(tmp_path, seeds=(0, 1))
+        one_cpu(monkeypatch)
+        assert main(["train", "--config", str(cfg_path), "--out-dir", str(tmp_path / "healthy")]) == 0
+        capsys.readouterr()
+        two_cpus(monkeypatch)
+        monkeypatch.setattr(cli, "_train_job", die_at_seed_1)
+        assert main(["train", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.endswith(" while running seed 1\n") and "Traceback" not in err
+        seed_0 = tree(tmp_path / "out" / "seed_0")
+        assert len(seed_0) == 13 and seed_0 == tree(tmp_path / "healthy" / "seed_0")
+        assert no_child_left()
+
+    def test_a_dead_sweep_worker_names_the_value_and_seed(self, tmp_path, capsys, monkeypatch):
+        def die_at(sweep, value, cfg, seed, pools):
+            if (value, seed) == ("0.2", 1):
+                os._exit(1)
+            return {"value": value, "seed": seed}
+
+        two_cpus(monkeypatch)
+        monkeypatch.setattr(cli, "_sweep_job", die_at)
+        cfg_path, _ = write_config(tmp_path, mode="baseline", seeds=(0, 1))
+        assert main(["ablate", "--config", str(cfg_path), "--sweep", "label-ratio",
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.endswith(" while running label-ratio = 0.2, seed 1\n")
+
+    def test_no_worker_outlives_a_failing_job(self):
+        def job(i):
+            if i == 1:
+                raise ValueError("job 1 failed")
+            return i
+
+        with pytest.raises(ValueError, match="^job 1 failed$"):
+            cli._map_runs(job, [(i,) for i in range(4)], named(4))
+        assert no_child_left()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_no_job_starts_after_a_failing_one(self, tmp_path, monkeypatch, cpus):
+        # Job 0 fails once job 1 has started (in-process, after 1 s); job 1 runs on to its end.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+        def job(i):
+            if i == 0:
+                stop = time.monotonic() + 1
+                while not (tmp_path / "started-1").exists() and time.monotonic() < stop:
+                    time.sleep(0.01)
+                raise ValueError("job 0 failed")
+            (tmp_path / f"started-{i}").touch()
+            time.sleep(0.5)
+            (tmp_path / f"ended-{i}").touch()
+
+        with deadline(50), pytest.raises(ValueError, match="^job 0 failed$"):
+            cli._map_runs(job, [(i,) for i in range(6)], named(6))
+        expected = [] if cpus == 1 else ["ended-1", "started-1"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == expected
+        assert no_child_left()
+
+    def test_no_worker_outlives_a_failing_reader(self, tmp_path, monkeypatch):
+        # The first forked worker returns once the second holds a job; the second holds it until killed.
+        # So the reader, first called when the first worker has ended, fails while the second still runs.
+        busy = tmp_path / "busy"
+
+        def job(i):
+            if forked:
+                busy.touch()
+                time.sleep(60)
+            while not busy.exists():
+                time.sleep(0.01)
+            return i
+
+        def fail(out):
+            raise RuntimeError("reader failed")
+
+        two_cpus(monkeypatch)
+        forked = record_forks(monkeypatch)
+        monkeypatch.setattr(cli, "_read_outcomes", fail)
+        start = time.monotonic()
+        with deadline(50), pytest.raises(RuntimeError, match="^reader failed$"):
+            cli._map_runs(job, [(0,), (1,)], named(2))
+        assert time.monotonic() - start < 30 and busy.exists()
+        assert no_child_left()
+
+    @pytest.mark.parametrize("exit_", [SystemExit, KeyboardInterrupt])
+    def test_a_job_that_exits_ends_only_its_worker(self, tmp_path, monkeypatch, exit_):
+        def job(i):
+            if i == 1:
+                raise exit_
+            return i
+
+        parent = os.getpid()
+        two_cpus(monkeypatch)
+        try:
+            with pytest.raises(TrainingError, match=" while running job 1$"):
+                cli._map_runs(job, [(i,) for i in range(4)], named(4))
+        finally:
+            if os.getpid() != parent:  # a worker that came back into this test: record it and end it
+                (tmp_path / f"escaped-{os.getpid()}").touch()
+                os._exit(0)
+        assert not list(tmp_path.glob("escaped-*"))
+        assert no_child_left()
 
     def test_a_command_reads_its_data_once(self, tmp_path, monkeypatch):
         train, test = write_csv_pair(tmp_path)
