@@ -23,10 +23,10 @@ if not any(var in os.environ for var in THREAD_VARS):
 import numpy as np
 
 from .config import ExperimentConfig, config_to_text, load_config, parse_config
-from .data import SyntheticSpec, checked_test_spec, generate, load_eval_csv, save_csv, write_manifest
+from .data import SyntheticSpec, checked_test_spec, generate, load_eval_csv, save_csv, write_csv, write_manifest
 from .errors import ConfigurationError, SplalError, TrainingError
 from .model import load_checkpoint
-from .orchestrator import Pools, evaluate_params, load_pools, run, write_csv, write_metrics, write_run_dir
+from .orchestrator import Pools, evaluate_params, load_pools, run, write_metrics, write_run_dir
 
 USAGE_EXIT = 1
 RUNTIME_EXIT = 2

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -122,8 +123,8 @@ class ExperimentConfig:
             fail("stages/epochs_warmup/epochs_stage", "must be nonnegative")
         if self.batch_size < 1:
             fail("batch_size", "must be >= 1")
-        if self.queue_capacity < 1:
-            fail("queue_capacity", "must be >= 1")
+        if not 1 <= self.queue_capacity <= sys.maxsize:
+            fail("queue_capacity", f"must lie in [1, {sys.maxsize}], got {self.queue_capacity}")
         if any(width < 1 for width in self.hidden_widths):
             fail("hidden_widths", f"every width must be >= 1, got {self.hidden_widths}")
 

@@ -185,16 +185,23 @@ def split_labeled(pool: Pool, ratio: float, seed: int, num_classes: int) -> tupl
     return np.flatnonzero(labeled), np.flatnonzero(~labeled)
 
 
-def save_csv(samples: Pool, path, num_classes: int) -> None:
-    """Pixel CSV with a metadata comment line; csv.writer writes each float by repr, which round-trips."""
-    _, height, width = samples.grids.shape
+def write_csv(path, rows, header=None, preamble: str = "") -> None:
+    """Write the preamble text, the header, if given, then the rows as the iterable yields them; a float by repr."""
     with Path(path).open("w", newline="") as fh:
-        fh.write(f"# H={height} W={width} K={num_classes}\n")
+        fh.write(preamble)
         writer = csv.writer(fh)
-        writer.writerow(["id", "label"] + [f"p{i}" for i in range(height * width)])
-        pixels = samples.grids.reshape(len(samples), height * width)
-        for sid, label, row in zip(samples.ids.tolist(), samples.truth.tolist(), pixels):
-            writer.writerow([sid, label, *row.tolist()])
+        if header is not None:
+            writer.writerow(header)
+        writer.writerows(rows)
+
+
+def save_csv(samples: Pool, path, num_classes: int) -> None:
+    """Pixel CSV with a metadata comment line; each float by repr, which round-trips."""
+    _, height, width = samples.grids.shape
+    pixels = samples.grids.reshape(len(samples), height * width)
+    rows = ([sid, label, *row.tolist()] for sid, label, row in zip(samples.ids.tolist(), samples.truth.tolist(), pixels))
+    write_csv(path, rows, ["id", "label"] + [f"p{i}" for i in range(height * width)],
+              f"# H={height} W={width} K={num_classes}\n")
 
 
 def load_csv(path) -> tuple[Pool, int, int, int]:
@@ -267,7 +274,7 @@ def _read_entry(entry: Path, dtype: np.dtype) -> np.ndarray | None:
 
 
 def _write_entry(entry: Path, rows: np.ndarray) -> None:
-    """Cache rows that passed every rule; a per-process name, then an atomic rename, so racing workers are safe."""
+    """Cache rows that passed every rule; a per-process name, then an atomic rename, so concurrent commands are safe."""
     tmp = entry.with_name(f"{entry.name}.{os.getpid()}.tmp")
     try:
         entry.parent.mkdir(parents=True, exist_ok=True)

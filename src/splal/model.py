@@ -53,12 +53,13 @@ def _layout(hidden, classifier) -> _Layout:
     return tuple(layout)
 
 
-class _FlatLayers:
-    """(W, b) per hidden layer plus the classifier's, as views into one float64 vector.
+class ModelParams:
+    """Encoder weights (W, b) per hidden layer plus the classifier's, as views into one float64 vector.
 
-    `flat` holds every entry, layer by layer, W before b; `hidden` and
-    `classifier` are reshaped views into it, so writing either writes the
-    other. The constructor copies the given arrays into a new vector.
+    W matrices are (fan_in, fan_out); activations are row vectors. `flat`
+    holds every entry, layer by layer, W before b; `hidden` and `classifier`
+    are reshaped views into it, so writing either writes the other. The
+    constructor copies the given arrays into a new vector.
     """
 
     def __init__(self, hidden, classifier):
@@ -86,22 +87,6 @@ class _FlatLayers:
         # Rebuild through the constructor, so a pickled copy's views share its vector.
         return type(self), (self.hidden, self.classifier)
 
-    def arrays(self) -> list[np.ndarray]:
-        return [a for layer in (*self.hidden, self.classifier) for a in layer]
-
-    def flatten(self) -> np.ndarray:
-        return self.flat.copy()
-
-    def all_finite(self) -> bool:
-        return bool(np.isfinite(self.flat).all())
-
-
-class ModelParams(_FlatLayers):
-    """Encoder weights (list of (W, b) per hidden layer) plus the final linear map.
-
-    W matrices are (fan_in, fan_out); activations are row vectors.
-    """
-
     @property
     def input_dim(self) -> int:
         return self.hidden[0][0].shape[0] if self.hidden else self.classifier[0].shape[0]
@@ -114,8 +99,14 @@ class ModelParams(_FlatLayers):
     def num_classes(self) -> int:
         return self.classifier[0].shape[1]
 
+    def arrays(self) -> list[np.ndarray]:
+        return [a for layer in (*self.hidden, self.classifier) for a in layer]
+
     def copy(self) -> "ModelParams":
-        return ModelParams._over(self.flat.copy(), self._layout)
+        return type(self)._over(self.flat.copy(), self._layout)
+
+    def flatten(self) -> np.ndarray:
+        return self.flat.copy()
 
     def num_params(self) -> int:
         return self.flat.size
@@ -123,6 +114,9 @@ class ModelParams(_FlatLayers):
     def set_flat(self, flat: np.ndarray) -> None:
         """Overwrite every parameter from a vector laid out like flatten(); all or nothing."""
         self.flat[...] = check_array("flat", flat, self.flat.shape)
+
+    def all_finite(self) -> bool:
+        return bool(np.isfinite(self.flat).all())
 
 
 def init_params(
@@ -172,7 +166,7 @@ def forward(params: ModelParams, X: np.ndarray) -> ForwardRecord:
     return ForwardRecord(layers, logits, softmax_rows(logits))
 
 
-class Gradients(_FlatLayers):
+class Gradients(ModelParams):
     """Gradient arrays shaped identically to ModelParams, laid out like its `flat`."""
 
 

@@ -7,7 +7,6 @@ at most once and never returns to the unlabeled pool.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -18,7 +17,7 @@ from . import metrics as metrics_mod
 from .augment import strong_augment
 from .config import ExperimentConfig, config_to_text
 from .data import (GROUND_TRUTH, PSEUDO, Pool, Sample, balanced_test_spec, generate, load_csv,
-                   load_eval_csv, split_labeled)
+                   load_eval_csv, split_labeled, write_csv)
 from .errors import ConfigurationError, TrainingError, check_array
 from .loss import stacked_loss, weak_views
 from .model import (
@@ -162,10 +161,6 @@ class RunResult:
         ]}
 
 
-def _flat(grids: np.ndarray) -> np.ndarray:
-    return grids.reshape(len(grids), np.prod(grids.shape[1:], dtype=int))  # n may be 0
-
-
 def _forward_rows(params: ModelParams, grids: np.ndarray, rows: np.ndarray | None = None):
     """(features, probabilities) of `forward` over grids[rows] (every row when None), ROW_BLOCK rows at a time.
 
@@ -180,7 +175,7 @@ def _forward_rows(params: ModelParams, grids: np.ndarray, rows: np.ndarray | Non
         del bounds[-2]
     for start, stop in zip(bounds, bounds[1:]):
         block = grids[start:stop] if rows is None else grids[rows[start:stop]]
-        fwd = forward(params, _flat(block))
+        fwd = forward(params, block.reshape(len(block), -1))
         feats[start:stop], probs[start:stop] = fwd.features, fwd.probabilities
         del block, fwd  # freed before the next block is gathered
     return feats, probs
@@ -236,7 +231,7 @@ def _train_epochs(t: Trainer, state: DatasetState, epochs: int, stage: int = -1)
     for start in range(0, len(strong_all), cfg.batch_size):
         chunk = rows[start : start + cfg.batch_size]
         strong_all[start : start + cfg.batch_size] = strong_augment(state.pool.grids[chunk])
-    stack = np.empty((views * cfg.batch_size,) + shape)
+    stack = np.empty((views * min(cfg.batch_size, n),) + shape)  # no batch holds more than n rows
     for epoch in range(epochs):
         order = t.rng_shuffle.permutation(n)
         sums = np.zeros(3)
@@ -412,15 +407,6 @@ def run(cfg: ExperimentConfig, seed: int, collect_audits: bool = False, pools: P
         metrics=metrics,
         stage_audits=stage_audits,
     )
-
-
-def write_csv(path: Path, rows, header=None) -> None:
-    """Write the header, if given, then the rows as the iterable yields them; a float by repr."""
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        if header is not None:
-            writer.writerow(header)
-        writer.writerows(rows)
 
 
 def write_metrics(out: Path, metrics: dict) -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 
 import numpy as np
@@ -23,6 +24,8 @@ class PrototypeBank:
         for name, value in sizes.items():
             if value < 1:
                 raise ConfigurationError(f"{name}: the bank needs at least 1, got {value}")
+        if capacity > sys.maxsize:
+            raise ConfigurationError(f"capacity: a queue holds at most {sys.maxsize}, got {capacity}")
         self.num_classes = num_classes
         self.feature_dim = feature_dim
         self.capacity = capacity

@@ -63,6 +63,8 @@ def check_gate(num_classes: int, gamma1: float, gamma2: float, temperature: floa
         raise ConfigurationError(f"gamma2: must lie in [0, gamma1), got {gamma2}")
     if not temperature > 0:
         raise ConfigurationError(f"temperature: must be positive, got {temperature}")
+    if not math.isfinite(2 / float(temperature)):  # cosines span [-1, 1], so logits span 2 / temperature
+        raise ConfigurationError(f"temperature: 2 / temperature must be finite, got {temperature}")
 
 
 def two_thresholds(posterior: np.ndarray, gamma1: float, gamma2: float) -> tuple[np.ndarray, np.ndarray]:

@@ -934,6 +934,27 @@ class TestOversizedInputs:
                               "400000000000000000000 does not fit in 64 bits")
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("line,message", [
+        ("temperature = 1e-310", "config error: temperature: 2 / temperature must be finite, got 1e-310\n"),
+        ("queue_capacity = 9223372036854775808",
+         "config error: queue_capacity: must lie in [1, 9223372036854775807], got 9223372036854775808\n"),
+    ])
+    def test_values_past_a_float_or_a_queue_exit_one_writing_nothing(self, tmp_path, capsys, line, message):
+        cfg_path = tmp_path / "big.cfg"
+        cfg_path.write_text(line + "\n")
+        assert main(["train", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")]) == 1
+        assert self.one_line(capsys, "config error: ") == message
+        assert not (tmp_path / "o").exists()
+
+    def test_batch_past_the_pool_trains_on_one_whole_pool_batch(self, tmp_path):
+        trees = []
+        for batch_size in (10**20, sum(tiny_config().class_counts)):  # every stage's labeled pool fits the pool
+            cfg_path, _ = write_config(tmp_path, batch_size=batch_size, seeds=(0, 1))
+            out = tmp_path / str(batch_size)
+            assert main(["train", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+            trees.append({name: body for name, body in tree(out).items() if not name.endswith("config.txt")})
+        assert len(trees[0]) == 1 + 2 * 12 and trees[0] == trees[1]
+
     @pytest.mark.parametrize("message,shown", [
         ("Unable to allocate 74.5 GiB for an array with shape (100000, 100000)",
          "Unable to allocate 74.5 GiB for an array with shape (100000, 100000)"),

@@ -92,6 +92,9 @@ class TestValidate:
             ({"class_counts": (2**62, 2**62, 1, 1)}, "class_counts: the total"),
             ({"test_per_class": 10**20}, "test_per_class: the test set's class_counts: the total 4"),
             ({"test_per_class": 2**61}, "test_per_class: the test set's class_counts: the total"),
+            ({"temperature": 1e-310}, "temperature"),  # 1 / temperature overflows
+            ({"temperature": 6e-309}, "temperature"),  # 1 / temperature is finite, 2 / temperature is not
+            ({"queue_capacity": 2**63}, "queue_capacity: must lie in [1, "),
         ],
     )
     def test_rejections_name_the_field(self, kwargs, field):
@@ -99,6 +102,9 @@ class TestValidate:
         with pytest.raises(ConfigurationError) as err:
             cfg.validate()
         assert field in str(err.value)
+
+    def test_tiny_normal_temperature_passes(self):
+        assert ExperimentConfig(temperature=1e-300).validate() == []
 
     def test_unattainable_gate_warns_but_passes(self):
         cfg = ExperimentConfig(temperature=1.0, num_classes=7, class_counts=(10,) * 7)
@@ -128,6 +134,8 @@ class TestValidate:
             ("gamma2", {"gamma1": 0.9, "gamma2": -0.1}),
             ("temperature", {"temperature": 0.0}),
             ("temperature", {"temperature": -1.0}),
+            ("temperature", {"temperature": 1e-310}),
+            ("temperature", {"temperature": 6e-309}),
         ],
     )
     def test_config_and_library_call_raise_the_same_text(self, field, kwargs):

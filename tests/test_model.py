@@ -307,6 +307,14 @@ class TestFlatLayout:
         assert twin.flat[0] == -1.0
         assert not np.shares_memory(twin.flat, params.flat)
 
+    def test_gradients_copy_is_gradients_over_its_own_vector(self):
+        grads = zero_gradients(tiny_net(np.random.default_rng(14)))
+        twin = grads.copy()
+        assert type(twin) is Gradients
+        assert not np.shares_memory(twin.flat, grads.flat)
+        twin.classifier[1][0] = 2.0
+        assert twin.flat[-3] == 2.0 and grads.flat[-3] == 0.0
+
     def test_pickled_copy_keeps_views_in_its_vector(self):
         params = tiny_net(np.random.default_rng(11))
         twin = pickle.loads(pickle.dumps(params))

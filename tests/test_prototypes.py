@@ -52,6 +52,11 @@ def test_dimension_mismatch_rejected():
         bank.push(0, np.ones(4))
 
 
+def test_capacity_past_a_deque_rejected():
+    with pytest.raises(ConfigurationError, match="^capacity: "):
+        PrototypeBank(num_classes=2, feature_dim=1, capacity=2**63)
+
+
 def test_unseeded_class_error():
     bank = PrototypeBank(num_classes=3, feature_dim=1)
     bank.push(0, np.array([1.0]))

@@ -216,5 +216,11 @@ class TestReachability:
         msg = reachability_warning(7, 1.0, 0.99)
         assert msg is not None and "unattainable" in msg
 
+    def test_tiny_normal_temperature_still_gates(self):
+        # 2 / 1e-300 is finite, so the logits and their shifts are too
+        result = gate(np.eye(2), np.array([[1.0, 0.0], [1.0, 1.0]]), 0.99, 0.005, 1e-300)
+        assert np.array_equal(result.posterior, [[1.0, 0.0], [0.5, 0.5]])
+        assert result.reliable.tolist() == [True, False]
+
     def test_no_warning_at_default_temperature(self):
         assert reachability_warning(7, 0.1, 0.99) is None
