@@ -45,6 +45,7 @@ ALPHA_GRID = (
 COMBO_GRID = ("similarity+knn+linear", "similarity+linear", "similarity+knn")
 LABEL_RATIO_GRID = (0.05, 0.10, 0.20, 0.30)
 SWEEPS = ("lambda2", "gamma1", "alpha", "classifier-combo", "label-ratio")
+STAGE_FIELDS = ("gamma1", "gamma2", "alpha1", "alpha2", "alpha3")  # swept fields no run reads without a stage
 
 METRIC_KEYS = (
     "accuracy", "macro_f1", "macro_auc", "macro_precision",
@@ -260,11 +261,16 @@ def _sweep_job(sweep: str, value: str, cfg: ExperimentConfig, seed: int, pools: 
 
 def run_sweep(cfg: ExperimentConfig, sweep: str, out_csv) -> list[dict]:
     """Long-form rows (sweep value, seed, metrics) across the whole grid."""
-    jobs = []
+    jobs, runs = [], {}
     for value, variant in sweep_configs(cfg, sweep):
         variant = variant.normalized()
         variant.validate()
+        ran = variant if variant.stages else replace(variant, **dict.fromkeys(STAGE_FIELDS))
+        runs.setdefault(config_to_text(ran), []).append(value)
         jobs.extend((sweep, value, variant, seed) for seed in variant.seeds)
+    if same := next((values for values in runs.values() if len(values) > 1), None):
+        raise ConfigurationError(f"sweep {sweep}: values {', '.join(same)} run the same config "
+                                 f"(mode = {cfg.mode}, stages = {variant.stages})")
     pools = load_pools(cfg)  # no sweep changes a data field
     rows = _map_runs(_sweep_job, [(*args, pools) for args in jobs],
                      [f"{sweep} = {value}, seed {seed}" for sweep, value, _, seed in jobs])

@@ -59,7 +59,6 @@ class ExperimentConfig:
     # run control
     seeds: tuple[int, ...] = (0,)
     mode: str = "splal"
-    soft_pseudo_labels: bool = True
 
     def effective_gamma2(self) -> float:
         return gamma2_from_gamma1(self.gamma1) if self.gamma2 is None else self.gamma2
@@ -125,8 +124,8 @@ class ExperimentConfig:
             fail("batch_size", "must be >= 1")
         if not 1 <= self.queue_capacity <= sys.maxsize:
             fail("queue_capacity", f"must lie in [1, {sys.maxsize}], got {self.queue_capacity}")
-        if any(width < 1 for width in self.hidden_widths):
-            fail("hidden_widths", f"every width must be >= 1, got {self.hidden_widths}")
+        if not all(1 <= width <= sys.maxsize for width in self.hidden_widths):
+            fail("hidden_widths", f"every width must lie in [1, {sys.maxsize}], got {self.hidden_widths}")
 
         notes = []
         msg = reachability_warning(self.num_classes, self.temperature, self.gamma1)
@@ -138,21 +137,12 @@ class ExperimentConfig:
         return notes
 
 
-def _parse_bool(raw: str) -> bool:
-    if raw.lower() in ("true", "1", "yes"):
-        return True
-    if raw.lower() in ("false", "0", "no"):
-        return False
-    raise ValueError(raw)
-
-
 # One parser per field annotation (annotations are strings under
 # `from __future__ import annotations`); a field type needs an entry here.
 _PARSERS = {
     "int": int,
     "float": float,
     "str": str,
-    "bool": _parse_bool,
     "tuple[int, ...]": lambda raw: tuple(int(part) for part in raw.split(",") if part.strip()),
     "str | None": lambda raw: None if raw.lower() in ("", "none") else raw,
     "float | None": lambda raw: None if raw.lower() in ("", "none", "auto") else float(raw),

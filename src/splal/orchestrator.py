@@ -228,32 +228,36 @@ def _train_epochs(t: Trainer, state: DatasetState, epochs: int, stage: int = -1)
     class_ids = targets.argmax(axis=1)
     starts = range(0, n, cfg.batch_size)
     strong_all = np.empty((n if views == 3 else 0,) + shape)
-    for start in range(0, len(strong_all), cfg.batch_size):
-        chunk = rows[start : start + cfg.batch_size]
-        strong_all[start : start + cfg.batch_size] = strong_augment(state.pool.grids[chunk])
-    stack = np.empty((views * min(cfg.batch_size, n),) + shape)  # no batch holds more than n rows
-    for epoch in range(epochs):
-        order = t.rng_shuffle.permutation(n)
-        sums = np.zeros(3)
-        for start in starts:
-            idx = order[start : start + cfg.batch_size]
-            B = len(idx)
-            stack[:B] = state.pool.grids[rows[idx]]
-            if views == 3:
-                stack[B : 2 * B] = strong_all[idx]
-                stack[2 * B : 3 * B] = weak_views(stack[:B], t.rng_augment)[0]
-            breakdown, grads, features = stacked_loss(
-                params, stack[: views * B], targets[idx], 1.0, cfg.lam1, cfg.lam2
-            )
-            adam_step(params, grads, t.opt)
-            if not params.all_finite():
-                raise TrainingError("non-finite parameters after optimizer step")
-            if t.ema is not None:
-                ema_update(t.ema, params, cfg.ema_decay)
-                t.bank.push(class_ids[idx], features)
-            sums += (breakdown.classification, breakdown.alignment or 0.0, breakdown.total)
-        log = {"stage": stage, "epoch": epoch, **dict(zip(LOSSES, (sums / max(len(starts), 1)).tolist()))}
-        logs.append(log if views == 3 else {**log, "alignment": None})
+    try:
+        with np.errstate(over="raise", invalid="raise"):  # once per call: an overflow ends training
+            for start in range(0, len(strong_all), cfg.batch_size):
+                chunk = rows[start : start + cfg.batch_size]
+                strong_all[start : start + cfg.batch_size] = strong_augment(state.pool.grids[chunk])
+            stack = np.empty((views * min(cfg.batch_size, n),) + shape)  # no batch holds more than n rows
+            for epoch in range(epochs):
+                order = t.rng_shuffle.permutation(n)
+                sums = np.zeros(3)
+                for start in starts:
+                    idx = order[start : start + cfg.batch_size]
+                    B = len(idx)
+                    stack[:B] = state.pool.grids[rows[idx]]
+                    if views == 3:
+                        stack[B : 2 * B] = strong_all[idx]
+                        stack[2 * B : 3 * B] = weak_views(stack[:B], t.rng_augment)[0]
+                    breakdown, grads, features = stacked_loss(
+                        params, stack[: views * B], targets[idx], 1.0, cfg.lam1, cfg.lam2
+                    )
+                    adam_step(params, grads, t.opt)
+                    if not params.all_finite():
+                        raise TrainingError("non-finite parameters after optimizer step")
+                    if t.ema is not None:
+                        ema_update(t.ema, params, cfg.ema_decay)
+                        t.bank.push(class_ids[idx], features)
+                    sums += (breakdown.classification, breakdown.alignment or 0.0, breakdown.total)
+                log = {"stage": stage, "epoch": epoch, **dict(zip(LOSSES, (sums / max(len(starts), 1)).tolist()))}
+                logs.append(log if views == 3 else {**log, "alignment": None})
+    except FloatingPointError as exc:
+        raise TrainingError(f"training diverged: {exc}") from None
     return logs
 
 
@@ -275,7 +279,7 @@ def run_stage(t: Trainer, state: DatasetState) -> tuple[StageReport, StageAudit]
     the KNN reads them. The unlabeled pool goes through one blocked forward
     pass and one gate call; the selection, the audit and the control arm all
     read those arrays. Each chosen row's pseudo-label class is decided once,
-    as `labels`; migration, the report's accuracy and the audit read it.
+    as `labels`; the report's accuracy and the audit read it.
     """
     cfg, pool = t.cfg, state.pool
     rows = state.labeled_rows
@@ -299,10 +303,9 @@ def run_stage(t: Trainer, state: DatasetState) -> tuple[StageReport, StageAudit]
     pseudo_acc, random_acc = accuracy or (None, None)
     pred, labels = preds[0], classes[0]
 
-    # Migration: selected samples get a permanent pseudo-label and move pools.
-    targets = pred.combined if cfg.soft_pseudo_labels else np.eye(cfg.num_classes)[labels]
+    # Migration: selected samples move pools, their combined rows their permanent pseudo-labels.
     state.labeled_rows, state.targets = (
-        np.concatenate([rows, unlabeled[chosen]]), np.concatenate([state.targets, targets])
+        np.concatenate([rows, unlabeled[chosen]]), np.concatenate([state.targets, pred.combined])
     )
     state.check_invariants()
     del feats, probs, labeled, preds  # retraining reads none of them; freed, they do not raise its peak RSS

@@ -531,6 +531,26 @@ class TestAblate:
         assert capsys.readouterr().err.startswith("config error: gamma1")
         assert not out.exists()
 
+    @pytest.mark.parametrize("sweep,overrides", [
+        ("lambda2", {"mode": "baseline"}),
+        ("gamma1", {"mode": "baseline"}),
+        ("alpha", {"mode": "baseline"}),
+        ("classifier-combo", {"mode": "baseline"}),
+        ("gamma1", {"stages": 0}),
+    ])
+    def test_values_that_run_one_config_exit_one_creating_no_out_dir(self, tmp_path, capsys, monkeypatch,
+                                                                      sweep, overrides):
+        # Baseline mode sets stages = 0, lam1 = 1 and lam2 = 0, and with no stage the gate and
+        # ensemble fields are never read: each row would carry another value over the same run.
+        monkeypatch.setattr(cli, "load_pools", lambda cfg: pytest.fail("pools read"))
+        cfg_path, cfg = write_config(tmp_path, **overrides)
+        out = tmp_path / "ablate"
+        assert main(["ablate", "--config", str(cfg_path), "--sweep", sweep, "--out-dir", str(out)]) == 1
+        values = ", ".join(value for value, _ in sweep_configs(cfg, sweep))
+        assert capsys.readouterr().err == (f"config error: sweep {sweep}: values {values} run the same config "
+                                           f"(mode = {cfg.mode}, stages = 0)\n")
+        assert not out.exists()
+
     def test_sweep_csv_bytes(self, tmp_path):
         # csv's excel dialect: \r\n row ends; each metric is written by repr
         cfg = tiny_config(mode="baseline", seeds=(0,), epochs_warmup=1)
@@ -938,6 +958,8 @@ class TestOversizedInputs:
         ("temperature = 1e-310", "config error: temperature: 2 / temperature must be finite, got 1e-310\n"),
         ("queue_capacity = 9223372036854775808",
          "config error: queue_capacity: must lie in [1, 9223372036854775807], got 9223372036854775808\n"),
+        ("hidden_widths = 100000000000000000000", "config error: hidden_widths: every width must lie in "
+         "[1, 9223372036854775807], got (100000000000000000000,)\n"),
     ])
     def test_values_past_a_float_or_a_queue_exit_one_writing_nothing(self, tmp_path, capsys, line, message):
         cfg_path = tmp_path / "big.cfg"
@@ -1031,6 +1053,27 @@ def test_unattainable_gate_warns_once_per_command(tmp_path, one_core):
         assert len(notes) == 1 and "unattainable" in notes[0]
 
 
+@pytest.mark.parametrize("warnings_filter", [None, "error::RuntimeWarning"],
+                         ids=["default-warnings", "warnings-as-errors"])
+def test_diverging_training_is_one_error_line(tmp_path, warnings_filter):
+    # A learning rate of 1e308 puts the weights near the float limit after one step, and the
+    # next forward overflows. Training raises at that overflow, so no RuntimeWarning line and
+    # no traceback reach stderr, whatever the warning filters.
+    cfg, out = tmp_path / "exp.cfg", tmp_path / "o"
+    cfg.write_text("learning_rate = 1e308\nepochs_warmup = 1\nepochs_stage = 1\n")
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(SRC)
+    if warnings_filter:
+        env["PYTHONWARNINGS"] = warnings_filter
+    proc = subprocess.run(
+        [sys.executable, "-m", "splal.cli", "train", "--config", str(cfg), "--out-dir", str(out)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: training diverged: overflow encountered in ")
+    assert proc.stderr.count("\n") == 1, proc.stderr
+
+
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
@@ -1082,7 +1125,6 @@ queue_capacity = 8
 seeds = 0
 gamma2 = 0.05
 mode = splal
-soft_pseudo_labels = true
 alpha2 = 0.1
 alpha3 = 0.7
 lam1 = 0.6

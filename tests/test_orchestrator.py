@@ -322,13 +322,14 @@ class TestCleanOnlyStep:
         # Equal classifier biases of half the float range keep the forward finite (every softmax
         # row is uniform) and the gradient too; one Adam step of learning rate 1e308 then carries
         # a bias past the range. A rate alone would stop at the next step's non-finite gradient.
+        # Training raises at the overflowing update, whatever the caller's errstate.
         cfg = tiny_config()
         state, t = TestStrongViewCache._setup(20, 8, np.arange(20), cfg, np.random.default_rng(0), teacher=False)
         t.params.classifier[1][...] = np.finfo(np.float64).max / 2
         t.opt = OptimizerState.for_params(t.params, learning_rate=1e308)
         with np.errstate(over="ignore"), pytest.raises(TrainingError) as err:
             _train_epochs(t, state, 1)
-        assert str(err.value) == "non-finite parameters after optimizer step"
+        assert str(err.value) == "training diverged: overflow encountered in subtract"
         assert t.opt.step == 1
 
 
@@ -409,13 +410,6 @@ class TestFullRun:
         assert again["accuracy"] == result.metrics["accuracy"]
         assert again["confusion"] == result.metrics["confusion"]
 
-    def test_hard_pseudo_label_switch(self):
-        result = run(tiny_config(soft_pseudo_labels=False, gamma1=0.8), seed=8)
-        for s in result.state.labeled:
-            if s.provenance == PSEUDO:
-                assert sorted(set(np.round(s.visible_label, 12))) in ([0.0, 1.0], [1.0])
-                assert s.visible_label.sum() == pytest.approx(1.0, abs=1e-12)
-
     def test_soft_pseudo_labels_are_distributions(self):
         result = run(tiny_config(gamma1=0.8), seed=8)
         saw_pseudo = False
@@ -464,14 +458,6 @@ class TestStageRecord:
                 seen_empty |= not len(a.chosen)
                 seen_chosen |= bool(len(a.chosen))
         assert seen_empty and seen_chosen
-
-    def test_hard_pseudo_labels_are_one_hot_of_the_labels(self):
-        cfg = tiny_config(soft_pseudo_labels=False, gamma1=0.8)
-        result = run(cfg, seed=8, collect_audits=True)
-        labels = np.concatenate([a.labels for a in result.stage_audits])
-        assert len(labels)
-        state = result.state
-        np.testing.assert_array_equal(state.targets[state.num_truth :], np.eye(cfg.num_classes)[labels])
 
 
 def same_run(a, b) -> bool:
@@ -724,7 +710,7 @@ class TestStageOracles:
             assert len(np.unique(rows)) == size and 0 <= rows.min() and rows.max() < a
 
     def test_soft_targets_are_the_combined_rows(self):
-        cfg = tiny_config(stages=3, soft_pseudo_labels=True)
+        cfg = tiny_config(stages=3)
         selected = 0
         for _, report, audit, _, state in self._stages(cfg, seed=3):
             n = report.num_selected
