@@ -22,7 +22,7 @@ if not any(var in os.environ for var in THREAD_VARS):
 
 import numpy as np
 
-from .config import ExperimentConfig, config_to_text, load_config, parse_config
+from .config import ExperimentConfig, config_to_text, load_config
 from .data import SyntheticSpec, checked_test_spec, generate, load_eval_csv, save_csv, write_csv, write_manifest
 from .errors import ConfigurationError, SplalError, TrainingError
 from .model import load_checkpoint
@@ -61,9 +61,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def cmd_generate_data(args) -> int:
-    spec = SyntheticSpec()
-    if args.spec:
-        spec = parse_config(Path(args.spec).read_text(), SyntheticSpec, "spec")
+    spec = load_config(args.spec, SyntheticSpec, "spec") if args.spec else SyntheticSpec()
     spec.validate()  # every spec is checked before anything is written
     out = Path(args.out)
     outputs = [(spec, out)]

@@ -9,7 +9,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .data import SyntheticSpec, checked_test_spec
-from .errors import ConfigurationError, InputDomainError, check_convex, check_num_classes
+from .errors import ConfigurationError, InputDomainError, check_convex, check_fields, within
 from .selector import DEFAULT_TEMPERATURE, check_gate, gamma2_from_gamma1, reachability_warning
 
 MODES = ("splal", "baseline")
@@ -20,14 +20,14 @@ class ExperimentConfig:
     # dataset: synthetic spec, or CSV paths overriding it
     data_csv: str | None = None
     test_csv: str | None = None
-    num_classes: int = SyntheticSpec.num_classes
+    num_classes: int = within(SyntheticSpec.num_classes, "[2, inf)")  # whatever the data source
     class_counts: tuple[int, ...] = SyntheticSpec.class_counts
     height: int = SyntheticSpec.height
     width: int = SyntheticSpec.width
     noise_sigma: float = SyntheticSpec.noise_sigma
-    data_seed: int = SyntheticSpec.seed
-    test_per_class: int = 50
-    labeled_ratio: float = 0.10
+    data_seed: int = within(SyntheticSpec.seed, "[0, inf)")
+    test_per_class: int = within(50, "[1, inf)")
+    labeled_ratio: float = within(0.10, "(0, 1]")
 
     # reliability gate
     gamma1: float = 0.99
@@ -38,26 +38,26 @@ class ExperimentConfig:
     alpha1: float = 0.20
     alpha2: float = 0.10
     alpha3: float = 0.70
-    knn_k: int = 25
+    knn_k: int = within(25, "[1, inf)")
 
     # loss
     lam1: float = 0.60
     lam2: float = 0.40
 
     # model / optimizer
-    hidden_widths: tuple[int, ...] = (64, 32)
-    learning_rate: float = 1e-3
-    ema_decay: float = 0.99
+    hidden_widths: tuple[int, ...] = within((64, 32), f"[1, {sys.maxsize}]")
+    learning_rate: float = within(1e-3, "(0, inf)")
+    ema_decay: float = within(0.99, "[0, 1]")
 
     # schedule
-    stages: int = 5
-    epochs_warmup: int = 20
-    epochs_stage: int = 10
-    batch_size: int = 32
-    queue_capacity: int = 64
+    stages: int = within(5, "[0, inf)")
+    epochs_warmup: int = within(20, "[0, inf)")
+    epochs_stage: int = within(10, "[0, inf)")
+    batch_size: int = within(32, "[1, inf)")
+    queue_capacity: int = within(64, f"[1, {sys.maxsize}]")
 
     # run control
-    seeds: tuple[int, ...] = (0,)
+    seeds: tuple[int, ...] = within((0,), "[0, inf)")
     mode: str = "splal"
 
     def effective_gamma2(self) -> float:
@@ -81,7 +81,7 @@ class ExperimentConfig:
         return self
 
     def validate(self) -> list[str]:
-        """Raise ConfigurationError naming the offending field; return warnings."""
+        """Raise ConfigurationError naming the offending field; return warnings. CSV mode skips the synthetic keys."""
         def fail(name: str, msg: str):
             raise ConfigurationError(f"{name}: {msg}")
 
@@ -91,41 +91,24 @@ class ExperimentConfig:
             fail("seeds", "need at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
             fail("seeds", f"each seed may appear once, got {','.join(map(str, self.seeds))}")
-        if min(self.seeds) < 0 or self.data_seed < 0:
-            fail("seeds/data_seed", "must be nonnegative")
-        try:
-            check_num_classes(self.num_classes)
-            spec = self.synthetic_spec() if self.data_csv is None else None
-            if spec is not None:
+        check_fields(self)
+        for given, needed in (("data_csv", "test_csv"), ("test_csv", "data_csv")):
+            if getattr(self, given) is not None and getattr(self, needed) is None:
+                fail(needed, f"required when {given} is given")
+        if self.data_csv is None:
+            spec = self.synthetic_spec()
+            try:
                 spec.validate()
-            checked_test_spec("test_per_class", self.test_per_class, spec)
-        except InputDomainError as exc:
-            raise ConfigurationError(str(exc)) from exc
-        if self.data_csv is not None and self.test_csv is None:
-            fail("test_csv", "required when data_csv is given")
+                checked_test_spec("test_per_class", self.test_per_class, spec)
+            except InputDomainError as exc:
+                raise ConfigurationError(str(exc)) from exc
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 fail(f.name, f"must be finite, got {value}")
-        if not (0 < self.labeled_ratio <= 1):
-            fail("labeled_ratio", f"must lie in (0, 1], got {self.labeled_ratio}")
         check_convex("lam1/lam2", (self.lam1, self.lam2))
         check_convex("alpha1/alpha2/alpha3", (self.alpha1, self.alpha2, self.alpha3))
         check_gate(self.num_classes, self.gamma1, self.effective_gamma2(), self.temperature)
-        if self.knn_k < 1:
-            fail("knn_k", "must be >= 1")
-        if not (0 <= self.ema_decay <= 1):
-            fail("ema_decay", f"must lie in [0, 1], got {self.ema_decay}")
-        if self.learning_rate <= 0:
-            fail("learning_rate", "must be positive")
-        if self.stages < 0 or self.epochs_warmup < 0 or self.epochs_stage < 0:
-            fail("stages/epochs_warmup/epochs_stage", "must be nonnegative")
-        if self.batch_size < 1:
-            fail("batch_size", "must be >= 1")
-        if not 1 <= self.queue_capacity <= sys.maxsize:
-            fail("queue_capacity", f"must lie in [1, {sys.maxsize}], got {self.queue_capacity}")
-        if not all(1 <= width <= sys.maxsize for width in self.hidden_widths):
-            fail("hidden_widths", f"every width must lie in [1, {sys.maxsize}], got {self.hidden_widths}")
 
         notes = []
         msg = reachability_warning(self.num_classes, self.temperature, self.gamma1)
@@ -158,10 +141,14 @@ def _parse_value(name: str, raw: str, annotation: str):
         raise ConfigurationError(f"{name}: cannot parse {raw!r} as {annotation}") from None
 
 
-def load_config(path) -> ExperimentConfig:
-    """Read a flat key = value file into a validated-parseable config."""
-    text = Path(path).read_text()
-    return parse_config(text)
+def load_config(path, cls=ExperimentConfig, what: str = "config"):
+    """Read a flat key = value UTF-8 file into an unvalidated instance of `cls`."""
+    raw = Path(path).read_bytes()
+    try:
+        return parse_config(raw.decode(), cls, what)
+    except UnicodeDecodeError as exc:
+        line = len((raw[: exc.start] + b".").decode().splitlines())  # as parse_config numbers lines
+        raise ConfigurationError(f"{path} line {line}: cannot decode byte 0x{raw[exc.start]:02x} as UTF-8") from None
 
 
 def parse_config(text: str, cls=ExperimentConfig, what: str = "config"):

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, InputDomainError, ParseError, check_array, check_num_classes
+from .errors import ConfigurationError, InputDomainError, ParseError, check_array, check_fields, within
 
 GROUND_TRUTH = "ground-truth"
 PSEUDO = "pseudo"
@@ -57,29 +57,21 @@ class Pool:
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    num_classes: int = 4
-    class_counts: tuple[int, ...] = (500, 200, 60, 20)
-    height: int = 16
-    width: int = 16
-    noise_sigma: float = 0.15
-    seed: int = 0
+    num_classes: int = within(4, "[2, inf)")
+    class_counts: tuple[int, ...] = within((500, 200, 60, 20), "[1, inf)")
+    height: int = within(16, "[8, inf)")
+    width: int = within(16, "[8, inf)")
+    noise_sigma: float = within(0.15, "[0, inf)")
+    seed: int = within(0, "[0, inf)")
 
     def validate(self) -> None:
         """Raise InputDomainError, its message starting with the offending field."""
         counts = self.class_counts
-        check_num_classes(self.num_classes)
-        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
-            raise InputDomainError(f"noise_sigma: must be finite and nonnegative, got {self.noise_sigma}")
-        if self.seed < 0:
-            raise InputDomainError(f"seed: must be nonnegative, got {self.seed}")
-        if self.height < 8 or self.width < 8:
-            raise InputDomainError(f"height/width: must be at least 8x8, got {self.height}x{self.width}")
+        check_fields(self, InputDomainError)
         if (why := _oversized_grid(self.height, self.width)) is not None:
             raise InputDomainError(f"height/width: {why}")
         if len(counts) != self.num_classes:
             raise InputDomainError(f"class_counts: length {len(counts)} != num_classes {self.num_classes}")
-        if any(c < 1 for c in counts):
-            raise InputDomainError(f"class_counts: every class needs at least one sample, got {counts}")
         if sum(counts) >= 2**63:
             raise InputDomainError(f"class_counts: the total {sum(counts)} does not fit in 64 bits")
 
@@ -150,12 +142,8 @@ def balanced_test_spec(spec: SyntheticSpec, per_class: int) -> SyntheticSpec:
     return replace(spec, class_counts=(per_class,) * len(spec.class_counts), seed=spec.seed + 10_000)
 
 
-def checked_test_spec(field: str, per_class: int, spec: SyntheticSpec | None) -> SyntheticSpec | None:
-    """`balanced_test_spec(spec, per_class)`, None for a None spec; InputDomainError naming `field` unless valid."""
-    if per_class < 1:
-        raise InputDomainError(f"{field}: must be >= 1, got {per_class}")
-    if spec is None:
-        return None
+def checked_test_spec(field: str, per_class: int, spec: SyntheticSpec) -> SyntheticSpec:
+    """`balanced_test_spec(spec, per_class)`; InputDomainError naming `field` unless valid."""
     test_spec = balanced_test_spec(spec, per_class)
     try:
         test_spec.validate()
@@ -215,8 +203,8 @@ def load_csv(path) -> tuple[Pool, int, int, int]:
     (~/.cache when unset). A hit skips the parse and meets the same row rules.
     """
     path = Path(path)
-    with path.open() as fh:
-        h, w, k = _read_metadata(fh.readline())
+    with path.open(encoding="utf-8", errors="surrogateescape") as fh:  # a byte that fails to decode fails its line
+        h, w, k = _read_metadata(_decoded(fh.readline(), 1))
         dtype = np.dtype([("id", np.int64), ("label", np.int64), ("px", np.float64, (h, w))])
         root = os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")
         entry = Path(root, "splal", f"{file_sha256(path)}-v{CSV_CACHE_VERSION}.npy")
@@ -232,7 +220,7 @@ def load_csv(path) -> tuple[Pool, int, int, int]:
 
 def _parse_data(fh, fields: int, dtype: np.dtype, k: int) -> np.ndarray:
     """Lines 2 on of an open CSV as a record array; a line that fails to parse has the rows above it checked first."""
-    header = fh.readline()
+    header = _decoded(fh.readline(), 2)
     if not header:
         raise ParseError("missing column header", line=2)
     columns = next(csv.reader([header]))
@@ -246,6 +234,7 @@ def _parse_data(fh, fields: int, dtype: np.dtype, k: int) -> np.ndarray:
     def data_lines():
         nonlocal pulled, last
         for pulled, last in enumerate(fh, start=1):
+            _decoded(last, pulled + 2)
             if last == "\n":  # numpy would skip it
                 raise ParseError(f"expected {fields} fields, found 0", line=pulled + 2)
             if '"' in last and next(csv.reader([last]))[-1].endswith("\n"):
@@ -262,6 +251,13 @@ def _parse_data(fh, fields: int, dtype: np.dtype, k: int) -> np.ndarray:
     fh.seek(start)
     _check_rows(_parse_rows(itertools.islice(fh, failure.line - 3), dtype), k)
     raise failure
+
+
+def _decoded(line: str, lineno: int) -> str:
+    """A line read with errors="surrogateescape"; ParseError at `lineno` if one of its bytes did not decode."""
+    if not line.isascii() and (bad := [c for c in line if "\udc80" <= c <= "\udcff"]):
+        raise ParseError(f"cannot decode byte 0x{ord(bad[0]) - 0xDC00:02x} as UTF-8", line=lineno)
+    return line
 
 
 def _read_entry(entry: Path, dtype: np.dtype) -> np.ndarray | None:

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the engine, and the array, class-count and convexity rules."""
+"""Exception hierarchy shared across the engine, and the array, field-domain and convexity rules."""
+
+from dataclasses import field, fields
 
 import numpy as np
 
@@ -66,7 +68,23 @@ def check_array(
     return a if dtype is None else a.astype(dtype, copy=False)
 
 
-def check_num_classes(num_classes: int) -> None:
-    """Raise InputDomainError unless there are at least 2 classes, whatever the data source."""
-    if num_classes < 2:
-        raise InputDomainError("num_classes: need at least 2 classes")
+def within(default, interval: str):
+    """A dataclass field whose value, or each entry of a tuple value, must lie in `interval`, e.g. "(0, 1]"."""
+    return field(default=default, metadata={"interval": interval})
+
+
+def check_within(name: str, value, interval: str, error: type = ConfigurationError) -> None:
+    """Raise `error` naming the field unless `value` lies in `interval`; integer ends compare exactly."""
+    lo, hi = (int(end) if end.lstrip("-").isdigit() else float(end) for end in interval[1:-1].split(", "))
+    above = lo < value if interval[0] == "(" else lo <= value
+    if not (above and (value < hi if interval[-1] == ")" else value <= hi)):
+        raise error(f"{name}: must lie in {interval}, got {value}")
+
+
+def check_fields(obj, error: type = ConfigurationError) -> None:
+    """`check_within` for each field of a dataclass declared by `within`, in declaration order."""
+    for f in fields(obj):
+        if "interval" in f.metadata:
+            value = getattr(obj, f.name)
+            for entry in value if f.type.startswith("tuple") else (value,):
+                check_within(f.name, entry, f.metadata["interval"], error)

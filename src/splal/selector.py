@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, check_array, check_num_classes
+from .errors import ConfigurationError, InputDomainError, check_array, check_within
 from .numerics import pow2_scaled_rows, softmax_rows
 
 DEFAULT_TEMPERATURE = 0.1
@@ -55,7 +55,7 @@ def check_gate(num_classes: int, gamma1: float, gamma2: float, temperature: floa
 
     gamma1 must exceed 1/K, so a uniform posterior cannot pass the gate.
     """
-    check_num_classes(num_classes)
+    check_within("num_classes", num_classes, "[2, inf)", InputDomainError)
     chance = 1 / num_classes
     if not (chance < gamma1 <= 1):
         raise ConfigurationError(f"gamma1: must lie in (1/num_classes, 1] = ({chance:g}, 1], got {gamma1}")

@@ -128,7 +128,7 @@ class TestGenerateData:
         code = main(["generate-data", "--out", str(out / "train.csv"),
                      "--test-out", str(out / "test.csv"), "--test-per-class", "0"])
         assert code == 2
-        assert capsys.readouterr().err == "error: --test-per-class: must be >= 1, got 0\n"
+        assert capsys.readouterr().err == "error: --test-per-class: the test set's class_counts: must lie in [1, inf), got 0\n"
         assert list(out.iterdir()) == []
 
 
@@ -244,13 +244,21 @@ class TestTrain:
         assert capsys.readouterr().err == "config error: test_csv: required when data_csv is given\n"
         assert not (out / "config.txt").exists()
 
+    def test_test_csv_without_data_csv_exits_one_writing_nothing(self, tmp_path, capsys):
+        # Only a data_csv reads a test_csv, so alone it would be echoed and ignored.
+        cfg_path, _ = write_config(tmp_path, test_csv=str(tmp_path / "missing.csv"))
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg_path), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == "config error: data_csv: required when test_csv is given\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("num_classes", [0, -3, 1])
     def test_csv_config_with_under_two_classes_exits_one_writing_nothing(self, tmp_path, capsys, num_classes):
         train, test = write_csv_pair(tmp_path)
         cfg_path, _ = write_config(tmp_path, data_csv=str(train), test_csv=str(test), num_classes=num_classes)
         out = tmp_path / "o"
         assert main(["train", "--config", str(cfg_path), "--out-dir", str(out)]) == 1
-        assert capsys.readouterr().err == "config error: num_classes: need at least 2 classes\n"
+        assert capsys.readouterr().err == f"config error: num_classes: must lie in [2, inf), got {num_classes}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("meta,message", [
@@ -270,7 +278,7 @@ class TestTrain:
         cfg_path, _ = write_config(tmp_path, test_per_class=0)
         out = tmp_path / "o"
         assert main(["train", "--config", str(cfg_path), "--out-dir", str(out)]) == 1
-        assert capsys.readouterr().err == "config error: test_per_class: must be >= 1, got 0\n"
+        assert capsys.readouterr().err == "config error: test_per_class: must lie in [1, inf), got 0\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "ablate"])
@@ -958,8 +966,8 @@ class TestOversizedInputs:
         ("temperature = 1e-310", "config error: temperature: 2 / temperature must be finite, got 1e-310\n"),
         ("queue_capacity = 9223372036854775808",
          "config error: queue_capacity: must lie in [1, 9223372036854775807], got 9223372036854775808\n"),
-        ("hidden_widths = 100000000000000000000", "config error: hidden_widths: every width must lie in "
-         "[1, 9223372036854775807], got (100000000000000000000,)\n"),
+        ("hidden_widths = 100000000000000000000", "config error: hidden_widths: must lie in "
+         "[1, 9223372036854775807], got 100000000000000000000\n"),
     ])
     def test_values_past_a_float_or_a_queue_exit_one_writing_nothing(self, tmp_path, capsys, line, message):
         cfg_path = tmp_path / "big.cfg"
@@ -990,6 +998,45 @@ class TestOversizedInputs:
         cfg_path, _ = write_config(tmp_path)
         assert main(["train", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")]) == 2
         assert self.one_line(capsys, "error: ") == f"error: out of memory: {shown}\n"
+
+
+class TestUndecodableBytes:
+    """A byte that is not UTF-8 is one error line naming the line it is on, never a traceback."""
+
+    @staticmethod
+    def with_byte(path: Path, line: int) -> None:
+        """Put a 0xff byte in the middle of a 1-based line of the file."""
+        lines = path.read_bytes().split(b"\n")
+        middle = len(lines[line - 1]) // 2
+        lines[line - 1] = lines[line - 1][:middle] + b"\xff" + lines[line - 1][middle:]
+        path.write_bytes(b"\n".join(lines))
+
+    def test_config_names_its_file_and_line(self, tmp_path, capsys):
+        cfg_path, _ = write_config(tmp_path)
+        self.with_byte(cfg_path, 3)
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg_path), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {cfg_path} line 3: cannot decode byte 0xff as UTF-8\n"
+        assert not out.exists()
+
+    def test_spec_names_its_file_and_line(self, tmp_path, capsys):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(SPEC_TEXT)
+        self.with_byte(spec, 6)
+        out = tmp_path / "d" / "x.csv"
+        assert main(["generate-data", "--spec", str(spec), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {spec} line 6: cannot decode byte 0xff as UTF-8\n"
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("line", [1, 2, 6])  # metadata, header, a data line in the first 8 KiB read
+    def test_csv_line_is_the_line_of_the_byte(self, tmp_path, capsys, line):
+        train, test = write_csv_pair(tmp_path)
+        self.with_byte(test, line)
+        cfg_path, _ = write_config(tmp_path, data_csv=str(train), test_csv=str(test))
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg_path), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: line {line}: cannot decode byte 0xff as UTF-8\n"
+        assert not (out / "seed_0").exists()
 
 
 class TestUsageErrors:

@@ -1,3 +1,4 @@
+import math
 import re
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -6,9 +7,10 @@ import pytest
 
 import numpy as np
 
+from splal.cli import main
 from splal.config import ExperimentConfig, config_to_text, load_config, parse_config
 from splal.data import SyntheticSpec
-from splal.errors import ConfigurationError
+from splal.errors import ConfigurationError, InputDomainError
 from splal.loss import total_loss
 from splal.model import init_params
 from splal.pseudo import combine
@@ -83,11 +85,11 @@ class TestValidate:
             ({"seeds": ()}, "seeds"),
             ({"seeds": (1, 1)}, "seeds"),
             ({"test_per_class": 0}, "test_per_class"),
-            ({"seeds": (0, -1)}, "seeds/data_seed: must be nonnegative"),
-            ({"data_seed": -2}, "seeds/data_seed: must be nonnegative"),
-            ({"ema_decay": float("nan")}, "ema_decay: must be finite, got nan"),
-            ({"learning_rate": float("inf")}, "learning_rate: must be finite, got inf"),
-            ({"hidden_widths": (8, 0)}, "hidden_widths: every width must lie in [1, 9223372036854775807], got (8, 0)"),
+            ({"seeds": (0, -1)}, "seeds: must lie in [0, inf), got -1"),
+            ({"data_seed": -2}, "data_seed: must lie in [0, inf), got -2"),
+            ({"ema_decay": float("nan")}, "ema_decay: must lie in [0, 1], got nan"),
+            ({"learning_rate": float("inf")}, "learning_rate: must lie in (0, inf), got inf"),
+            ({"hidden_widths": (8, 0)}, "hidden_widths: must lie in [1, 9223372036854775807], got 0"),
             ({"height": 100_000, "width": 100_000}, "height/width: one row of a 100000x100000 grid"),
             ({"class_counts": (2**62, 2**62, 1, 1)}, "class_counts: the total"),
             ({"test_per_class": 10**20}, "test_per_class: the test set's class_counts: the total 4"),
@@ -95,7 +97,7 @@ class TestValidate:
             ({"temperature": 1e-310}, "temperature"),  # 1 / temperature overflows
             ({"temperature": 6e-309}, "temperature"),  # 1 / temperature is finite, 2 / temperature is not
             ({"queue_capacity": 2**63}, "queue_capacity: must lie in [1, "),
-            ({"hidden_widths": (8, 10**20)}, "hidden_widths: every width must lie in [1, "),
+            ({"hidden_widths": (8, 10**20)}, "hidden_widths: must lie in [1, 9223372036854775807], got 10000"),
         ],
     )
     def test_rejections_name_the_field(self, kwargs, field):
@@ -162,6 +164,90 @@ class TestValidate:
     def test_csv_mode_skips_synthetic_checks(self):
         cfg = ExperimentConfig(data_csv="d.csv", test_csv="t.csv", class_counts=(1, 2))
         assert cfg.validate() == []
+
+
+# Numeric fields with no declared domain: the gate's (check_gate) and the weight sets' (check_convex)
+# rules span fields, and the config's synthetic-data keys are checked through SyntheticSpec only.
+CROSS_FIELD = ("gamma1", "gamma2", "temperature", "alpha1", "alpha2", "alpha3", "lam1", "lam2",
+               "class_counts", "height", "width", "noise_sigma")
+NUMERIC = ("int", "float", "float | None", "tuple[int, ...]")
+
+
+def declared(cls):
+    """(name, annotation, interval) of each field of `cls` declared with a domain."""
+    return [(f.name, f.type, f.metadata["interval"]) for f in fields(cls) if "interval" in f.metadata]
+
+
+def edge_values(annotation: str, interval: str):
+    """(value, inside) just inside and just outside each finite end, then nan, inf and -inf for a float."""
+    cases = []
+    for end, closed, outward in zip(interval[1:-1].split(", "), (interval[0] == "[", interval[-1] == "]"), (-1, 1)):
+        if end.lstrip("-") == "inf":
+            continue
+        if annotation == "float":
+            e = float(end)
+            inner, outer = math.nextafter(e, -outward * math.inf), math.nextafter(e, outward * math.inf)
+        else:
+            e = int(end)
+            inner, outer = e - outward, e + outward
+        cases += [(e, True), (outer, False)] if closed else [(inner, True), (e, False)]
+    return cases + [(v, False) for v in (math.nan, math.inf, -math.inf) if annotation.startswith("float")]
+
+
+def overrides(name: str, annotation: str, value) -> dict:
+    """Config or spec keyword arguments that set field `name`, or each entry of it, to `value`."""
+    if name == "class_counts":
+        return {name: (value,) * SyntheticSpec.num_classes}
+    if name == "num_classes":
+        return {name: value, "class_counts": (9,) * max(value, 0)}
+    return {name: (value,) if annotation.startswith("tuple") else value}
+
+
+EDGES = [
+    pytest.param(cls, f.name, f.type, f.metadata.get("interval"), value, inside, id=f"{cls.__name__}.{f.name}={value}")
+    for cls in (ExperimentConfig, SyntheticSpec)
+    for f in fields(cls)
+    for value, inside in edge_values(f.type, f.metadata.get("interval", "(-inf, inf)"))
+]
+
+
+class TestDomains:
+    def test_every_numeric_field_is_declared_or_cross_field(self):
+        for cls in (ExperimentConfig, SyntheticSpec):
+            numeric = {f.name for f in fields(cls) if f.type in NUMERIC}
+            assert numeric - {name for name, *_ in declared(cls)} <= set(CROSS_FIELD), cls.__name__
+
+    def test_readme_lists_every_declared_domain(self):
+        text = README.read_text()
+        for cls in (ExperimentConfig, SyntheticSpec):
+            for name, _, interval in declared(cls):
+                assert f"| `{name}` | {interval} |" in text, name
+
+    @pytest.mark.parametrize("cls,name,annotation,interval,value,inside", EDGES)
+    def test_edges_of_each_domain(self, tmp_path, capsys, cls, name, annotation, interval, value, inside):
+        # A spec field is checked alone, then through the config key that mirrors it.
+        kwargs = overrides(name, annotation, value)
+        if cls is SyntheticSpec:
+            spec = SyntheticSpec(**kwargs)
+            if inside:
+                spec.validate()
+            else:
+                with pytest.raises(InputDomainError, match=f"^{name}: "):
+                    spec.validate()
+            kwargs = {("data_seed" if key == "seed" else key): v for key, v in kwargs.items()}
+            name = "data_seed" if name == "seed" else name
+        cfg = ExperimentConfig(**kwargs)
+        if inside:
+            cfg.validate()
+            return
+        path, out = tmp_path / "exp.cfg", tmp_path / "o"
+        path.write_text(config_to_text(cfg))
+        assert main(["train", "--config", str(path), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        if interval:
+            assert err == f"config error: {name}: must lie in {interval}, got {value}\n"
+        assert not out.exists()
 
 
 class TestParsing:
